@@ -2,8 +2,8 @@
 
 A fixed *number* of stuck cells hurts more on a smaller crossbar: fewer
 cells execute the same op stream, so each faulty cell covers a larger
-share of the layer's weights (DESIGN.md §3).  This ablation fixes 16
-stuck cells and sweeps the crossbar size.
+share of the layer's weights (docs/fault-models.md#semantics-where-a-mask-acts).
+This ablation fixes 16 stuck cells and sweeps the crossbar size.
 """
 
 from repro.analysis import markdown_table, write_csv

@@ -2,8 +2,7 @@
 
 Reproduces Staudigl et al., "Fault Injection in Native Logic-in-Memory
 Computation on Neuromorphic Hardware" (DAC 2023) as a self-contained
-numpy library.  See DESIGN.md for the system inventory and EXPERIMENTS.md
-for the paper-vs-measured record.
+numpy library.
 
 Subpackages
 -----------

@@ -28,9 +28,8 @@ Streaming consumption::
 New workloads register with the :func:`experiment` decorator instead of
 growing a new module-level API — the CLI (``repro run/list/describe``),
 benchmarks, and CI smoke coverage pick them up from the metadata alone.
-Results are bit-identical to the legacy free functions (which now warn
-once and delegate); see ``docs/api.md`` for the schema and the
-old→new migration table.
+The registry is the only way to run an experiment; ``docs/api.md``
+documents the report schema and the entry points it replaced.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""The built-in experiment catalog: every paper driver as a registry entry.
+"""The built-in experiment catalog: every paper experiment as a registry
+entry, and the only way to run one.
 
-Each entry wraps the *identical* implementation the legacy free
-functions delegate to (``run_fig4a.__wrapped__`` etc.), so registry
-results are bit-identical to the legacy drivers by construction.  What
-the catalog adds is the uniform surface: declared parameters, quick
-smoke configurations, per-series journals, and the typed event stream.
+Each entry declares its parameters (with their defaults) and quick smoke
+configuration, then calls the sweep helpers of :mod:`repro.experiments`
+(``fig4.layer_sweeps``, ``fig4.line_sweeps``, ``fig5.model_sweep``,
+``fig4.run_fig4f``) or :func:`repro.scenarios.run_scenario` directly,
+adding per-series journals and the typed event stream.
 
 Registered entries (``repro list``):
 
@@ -123,15 +124,15 @@ _FIG4_RATE_PARAMS = (Param("rates", "floats", None, "injection rates "
 _FIG4_QUICK = dict(rates=[0.0, 0.2], **_QUICK_MNIST)
 
 
-def _fig4_layer_family(ctx, runner, rates, repeats, images, rows, cols,
-                       seed, default_rates):
+def _fig4_layer_family(ctx, spec_factory, rates, repeats, images, rows,
+                       cols, seed):
+    from ..experiments import fig4
     model, test = _lenet_mnist(images)
-    results = runner(model, test,
-                     rates=tuple(rates if rates is not None
-                                 else default_rates),
-                     repeats=repeats, rows=rows, cols=cols, seed=seed,
-                     progress=ctx.series_progress,
-                     journal_for=ctx.journal_for, **ctx.engine_kwargs())
+    results = fig4.layer_sweeps(
+        model, test, spec_factory,
+        tuple(rates if rates is not None else fig4.DEFAULT_RATES),
+        repeats, rows, cols, seed=seed, progress=ctx.series_progress,
+        journal_for=ctx.journal_for, **ctx.engine_kwargs())
     return _sweep_report(ctx, results)
 
 
@@ -140,10 +141,9 @@ def _fig4_layer_family(ctx, runner, rates, repeats, images, rows, cols,
             description="Fig. 4a: bit-flip injection rate vs accuracy, "
                         "per LeNet layer plus combined.")
 def _fig4a(ctx, rates, repeats, images, rows, cols, seed):
-    from ..experiments import fig4
-    return _fig4_layer_family(ctx, fig4.run_fig4a.__wrapped__, rates,
-                              repeats, images, rows, cols, seed,
-                              fig4.DEFAULT_RATES)
+    from ..core import FaultSpec
+    return _fig4_layer_family(ctx, FaultSpec.bitflip, rates, repeats,
+                              images, rows, cols, seed)
 
 
 @experiment("fig4b", params=_FIG4_RATE_PARAMS, supports_journal=True,
@@ -151,10 +151,9 @@ def _fig4a(ctx, rates, repeats, images, rows, cols, seed):
             description="Fig. 4b: stuck-at injection rate vs accuracy, "
                         "per LeNet layer plus combined.")
 def _fig4b(ctx, rates, repeats, images, rows, cols, seed):
-    from ..experiments import fig4
-    return _fig4_layer_family(ctx, fig4.run_fig4b.__wrapped__, rates,
-                              repeats, images, rows, cols, seed,
-                              fig4.DEFAULT_RATES)
+    from ..core import FaultSpec
+    return _fig4_layer_family(ctx, FaultSpec.stuck_at, rates, repeats,
+                              images, rows, cols, seed)
 
 
 @experiment(
@@ -169,12 +168,16 @@ def _fig4b(ctx, rates, repeats, images, rows, cols, seed):
     supports_journal=True,
     quick=dict(periods=[0, 4], **_QUICK_MNIST))
 def _fig4c(ctx, periods, rate, repeats, images, rows, cols, seed):
-    from ..experiments import fig4
+    # ``period`` counts the XNOR operations needed to sensitize the
+    # fault; 0/1 fire on every operation (the static case)
+    from ..core import FaultCampaign, FaultSpec
     model, test = _lenet_mnist(images)
-    result = fig4.run_fig4c.__wrapped__(
-        model, test, periods=tuple(periods), rate=rate, repeats=repeats,
-        rows=rows, cols=cols, seed=seed, journal=ctx.journal_for(),
-        progress=ctx.progress_for("dynamic"), **ctx.engine_kwargs())
+    campaign = FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
+                             **ctx.engine_kwargs())
+    result = campaign.run(
+        lambda n: FaultSpec.bitflip(rate, period=int(n)), xs=list(periods),
+        repeats=repeats, seed=seed, label="dynamic",
+        journal=ctx.journal_for(), progress=ctx.progress_for("dynamic"))
     return ctx.report(series={"dynamic": result}, raw=result,
                       baseline=float(result.baseline),
                       meta=dict(result.meta))
@@ -187,15 +190,15 @@ _FIG4_LINE_PARAMS = (Param("counts", "ints", None,
 _FIG4_LINE_QUICK = dict(counts=[0, 2], **_QUICK_MNIST)
 
 
-def _fig4_line_family(ctx, runner, counts, repeats, images, rows, cols,
-                      seed, default_counts):
+def _fig4_line_family(ctx, spec_factory, counts, repeats, images, rows,
+                      cols, seed, default_counts):
+    from ..experiments import fig4
     model, test = _lenet_mnist(images)
-    results = runner(model, test,
-                     counts=tuple(counts if counts is not None
-                                  else default_counts),
-                     repeats=repeats, rows=rows, cols=cols, seed=seed,
-                     progress=ctx.series_progress,
-                     journal_for=ctx.journal_for, **ctx.engine_kwargs())
+    results = fig4.line_sweeps(
+        model, test, spec_factory,
+        counts if counts is not None else default_counts, repeats, rows,
+        cols, seed=seed, progress=ctx.series_progress,
+        journal_for=ctx.journal_for, **ctx.engine_kwargs())
     return _sweep_report(ctx, results)
 
 
@@ -204,9 +207,9 @@ def _fig4_line_family(ctx, runner, counts, repeats, images, rows, cols,
             description="Fig. 4d: faulty crossbar columns vs accuracy, "
                         "per LeNet layer.")
 def _fig4d(ctx, counts, repeats, images, rows, cols, seed):
-    from ..experiments import fig4
-    return _fig4_line_family(ctx, fig4.run_fig4d.__wrapped__, counts,
-                             repeats, images, rows, cols, seed,
+    from ..core import FaultSpec
+    return _fig4_line_family(ctx, lambda c: FaultSpec.faulty_columns(int(c)),
+                             counts, repeats, images, rows, cols, seed,
                              (0, 1, 2, 3, 4))
 
 
@@ -215,9 +218,9 @@ def _fig4d(ctx, counts, repeats, images, rows, cols, seed):
             description="Fig. 4e: faulty crossbar rows vs accuracy, "
                         "per LeNet layer.")
 def _fig4e(ctx, counts, repeats, images, rows, cols, seed):
-    from ..experiments import fig4
-    return _fig4_line_family(ctx, fig4.run_fig4e.__wrapped__, counts,
-                             repeats, images, rows, cols, seed,
+    from ..core import FaultSpec
+    return _fig4_line_family(ctx, lambda r: FaultSpec.faulty_rows(int(r)),
+                             counts, repeats, images, rows, cols, seed,
                              (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20))
 
 
@@ -270,7 +273,7 @@ def _fig4f(ctx, model, images, passes, xfault_images, serial_images,
         workload, test = _tiny_runtime_workload(seed)
     else:
         workload, test = _lenet_mnist(images)
-    outcome = fig4.run_fig4f.__wrapped__(
+    outcome = fig4.run_fig4f(
         workload, test, passes=passes, xfault_images=xfault_images,
         serial_images=serial_images, rows=rows, cols=cols,
         gate_family=gate, seed=seed)
@@ -285,14 +288,14 @@ def _fig4f(ctx, model, images, passes, xfault_images, serial_images,
 
 # -- Fig. 5: model-zoo resilience -----------------------------------------
 
-def _fig5_family(ctx, runner, models, repeats, images, rows, cols, seed,
-                 axis_kwargs):
-    test = _imagenet_test(images)
-    results = runner(models=list(models) if models else None,
-                     repeats=repeats, seed=seed, rows=rows, cols=cols,
-                     test=test, progress=ctx.series_progress,
-                     journal_for=ctx.journal_for, **axis_kwargs,
-                     **ctx.engine_kwargs())
+def _fig5_family(ctx, spec_factory, xs, models, repeats, images, rows,
+                 cols, seed):
+    from ..experiments import fig5
+    results = fig5.model_sweep(
+        spec_factory, list(xs), models=list(models) if models else None,
+        repeats=repeats, rows=rows, cols=cols, seed=seed,
+        test=_imagenet_test(images), progress=ctx.series_progress,
+        journal_for=ctx.journal_for, **ctx.engine_kwargs())
     return _sweep_report(ctx, results)
 
 
@@ -310,11 +313,11 @@ _FIG5_QUICK = dict(models=["binary_alexnet"], repeats=1, images=40)
             _IMAGENET_IMAGES, *_GRID, _SEED),
     quick=dict(rates=[0.0, 0.2], **_FIG5_QUICK))
 def _fig5a(ctx, models, rates, repeats, images, rows, cols, seed):
+    from ..core import FaultSpec
     from ..experiments import fig5
-    axis = {"rates": list(rates if rates is not None
-                          else fig5.BITFLIP_RATES)}
-    return _fig5_family(ctx, fig5.run_fig5a.__wrapped__, models, repeats,
-                        images, rows, cols, seed, axis)
+    return _fig5_family(ctx, FaultSpec.bitflip,
+                        rates if rates is not None else fig5.BITFLIP_RATES,
+                        models, repeats, images, rows, cols, seed)
 
 
 @experiment(
@@ -328,11 +331,11 @@ def _fig5a(ctx, models, rates, repeats, images, rows, cols, seed):
             _IMAGENET_IMAGES, *_GRID, _SEED),
     quick=dict(rates=[0.0, 0.02], **_FIG5_QUICK))
 def _fig5b(ctx, models, rates, repeats, images, rows, cols, seed):
+    from ..core import FaultSpec
     from ..experiments import fig5
-    axis = {"rates": list(rates if rates is not None
-                          else fig5.STUCKAT_RATES)}
-    return _fig5_family(ctx, fig5.run_fig5b.__wrapped__, models, repeats,
-                        images, rows, cols, seed, axis)
+    return _fig5_family(ctx, FaultSpec.stuck_at,
+                        rates if rates is not None else fig5.STUCKAT_RATES,
+                        models, repeats, images, rows, cols, seed)
 
 
 @experiment(
@@ -347,12 +350,12 @@ def _fig5b(ctx, models, rates, repeats, images, rows, cols, seed):
             _IMAGENET_IMAGES, *_GRID, _SEED),
     quick=dict(periods=[0, 4], **_FIG5_QUICK))
 def _fig5c(ctx, models, periods, rate, repeats, images, rows, cols, seed):
+    from ..core import FaultSpec
     from ..experiments import fig5
-    axis = {"periods": list(periods if periods is not None
-                            else fig5.DYNAMIC_PERIODS),
-            "rate": rate}
-    return _fig5_family(ctx, fig5.run_fig5c.__wrapped__, models, repeats,
-                        images, rows, cols, seed, axis)
+    return _fig5_family(ctx, lambda n: FaultSpec.bitflip(rate, period=int(n)),
+                        periods if periods is not None
+                        else fig5.DYNAMIC_PERIODS,
+                        models, repeats, images, rows, cols, seed)
 
 
 # -- tables ---------------------------------------------------------------
@@ -431,13 +434,12 @@ def _scenario_series(result) -> list[SeriesReport]:
 
 
 def _run_scenario_entry(ctx, scenario, repeats, images, rows, cols, seed):
-    from ..experiments.lifetime import run_lifetime_trajectory
-    from ..scenarios import compile_scenario
+    from ..scenarios import compile_scenario, run_scenario
     model, test = _lenet_mnist(images)
     grid = compile_scenario(scenario, model, rows=rows, cols=cols)
-    result = run_lifetime_trajectory(
-        model, test, scenario=scenario, repeats=repeats, rows=rows,
-        cols=cols, seed=seed, journal=ctx.journal_for(),
+    result = run_scenario(
+        scenario, model, test.x, test.y, repeats=repeats, seed=seed,
+        rows=rows, cols=cols, journal=ctx.journal_for(),
         progress=_scenario_progress(ctx, grid, repeats, scenario.name),
         grid=grid, **ctx.engine_kwargs())
     return ctx.report(series=_scenario_series(result), raw=result,

@@ -126,8 +126,8 @@ class RunContext:
 
     def series_progress(self, series, done, total, cell) -> None:
         """Driver-level progress hook (``progress(series, done, total,
-        cell)``) — the signature :func:`repro.experiments.fig4.
-        layer_sweeps` and :func:`repro.experiments.fig5.model_sweep`
+        cell)``) — the signature the sweep helpers of
+        :mod:`repro.experiments.fig4` and :mod:`repro.experiments.fig5`
         forward per campaign series."""
         self.progress_for(series)(done, total, cell)
 

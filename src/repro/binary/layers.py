@@ -10,7 +10,7 @@ These are the layers the paper maps onto memristive crossbars.  Each layer
   operation", §III).
 
 Two hooks exist, matching the two physical fault granularities described in
-DESIGN.md §3:
+docs/fault-models.md#semantics-where-a-mask-acts:
 
 ``kernel_fault_hook(binary_kernel, layer) -> binary_kernel``
     Applied to the binarized kernel before the GEMM.  Stuck-at faults on

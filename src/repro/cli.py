@@ -19,12 +19,13 @@ Commands
 ``report``        mapping report of a model (ops per crossbar, reuse)
 ``vectors``       generate an annotated fault-vector file for a model
 ``inspect``       print the contents of a fault-vector file
-``sweep``         deprecated shim for ``run sweep``
-``scenarios``     scenario zoo listing (``list``) and the deprecated
-                  ``run`` shim for ``run <scenario-name>``
-``table1``        the adopted experimental setup (paper Table I)
-``table2``        model characteristics (paper Table II)
+``scenarios``     scenario zoo listing (``list``; run one with
+                  ``run <scenario-name>``)
+``lint``          the repository's static invariant checker
 ``cost``          per-layer LIM energy/latency estimate of a model
+
+Every experiment — the paper's figures and tables, the ad-hoc ``sweep``
+and the scenario stories — runs through ``run <entry>``.
 
 Exit codes are uniform across every subcommand:
 
@@ -389,39 +390,6 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-# -- deprecated shims over the registry -----------------------------------
-
-def _cmd_sweep(args) -> int:
-    """Thin shim: ``repro sweep`` == ``repro run sweep`` (deprecated)."""
-    from . import api
-    from ._compat import warn_legacy
-    warn_legacy("repro sweep", "repro run sweep")
-    print("note: 'repro sweep' is deprecated; use 'repro run sweep' "
-          "(see: repro describe sweep)", file=sys.stderr)
-    request = api.RunRequest(
-        "sweep",
-        params=dict(fault=args.fault, rates=list(args.rates),
-                    repeats=args.repeats, images=args.images,
-                    rows=args.rows, cols=args.cols),
-        executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
-        journal=args.journal, resume=args.resume,
-        retries=args.retries, job_timeout=args.job_timeout,
-        degrade=not args.no_degrade)
-    handle = api.submit(request)
-    handle.subscribe(_event_renderer(show_cells=bool(args.journal)))
-    result = handle.run().raw
-    if args.journal:
-        print(f"journal: {args.journal} "
-              f"({result.meta['resumed_cells']} cells resumed)")
-    print(f"baseline: {100 * result.baseline:.1f}%  "
-          f"[{result.meta['executor']}/{result.meta['backend']}]")
-    rows = [(f"{x:g}", f"{100 * m:.1f}", f"{100 * s:.1f}")
-            for x, m, s in result.as_rows()]
-    print(markdown_table(["rate", "accuracy %", "std %"], rows))
-    return 0
-
-
 def _cmd_scenarios_list(args) -> int:
     from .scenarios import get_scenario, scenario_names
     header = ["name", "checkpoints", "environments", "clauses", "story"]
@@ -435,62 +403,6 @@ def _cmd_scenarios_list(args) -> int:
             story = story[:61] + "..."
         rows.append((name, len(scenario.timeline.ages),
                      "+".join(scenario.episode_names()), clauses, story))
-    print(markdown_table(header, rows))
-    return 0
-
-
-def _cmd_scenarios_run(args) -> int:
-    """Thin shim: ``repro scenarios run X`` == ``repro run X``
-    (deprecated)."""
-    from . import api
-    from ._compat import warn_legacy
-    warn_legacy("repro scenarios run",
-                "repro run <scenario-name> (or: repro run scenario)")
-    print("note: 'repro scenarios run' is deprecated; use "
-          "'repro run <scenario-name>' (see: repro list)", file=sys.stderr)
-    if args.name is None and args.spec is None:
-        print("error: name a zoo scenario or pass --spec FILE "
-              "(see: repro scenarios list)", file=sys.stderr)
-        return 2
-    if args.name is not None and args.spec is not None:
-        print(f"error: both a zoo name ({args.name!r}) and --spec given; "
-              "pick one", file=sys.stderr)
-        return 2
-    request = api.RunRequest(
-        "scenario",
-        params=dict(name=args.name, spec=args.spec, repeats=args.repeats,
-                    images=args.images, rows=args.rows, cols=args.cols,
-                    seed=args.seed),
-        executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
-        journal=args.journal, resume=args.resume,
-        retries=args.retries, job_timeout=args.job_timeout,
-        degrade=not args.no_degrade)
-    handle = api.submit(request)
-    handle.subscribe(_event_renderer(show_cells=bool(args.journal)))
-    result = handle.run().raw
-    if args.journal:
-        print(f"journal: {args.journal} "
-              f"({result.sweep.meta['resumed_cells']} cells resumed)")
-    print(f"scenario: {result.scenario.name}  "
-          f"baseline: {100 * result.baseline:.1f}%  "
-          f"[{result.meta['executor']}/{result.meta['backend']}]")
-    multi = len(result.episodes) > 1
-    header = ["age (cycles)", "stuck rate"]
-    header += [f"{name} %" for name in result.episodes]
-    if multi:
-        header.append("blended %")
-    rows = []
-    for record in result.as_rows():
-        row = [f"{record['age']:g}", f"{record['stuck_rate']:.4f}"]
-        for name in result.episodes:
-            episode = record["episodes"][name]
-            row.append(f"{100 * episode['mean']:.1f}"
-                       + (f" ±{100 * episode['std']:.1f}"
-                          if args.repeats > 1 else ""))
-        if multi:
-            row.append(f"{100 * record['blended']:.1f}")
-        rows.append(tuple(row))
     print(markdown_table(header, rows))
     return 0
 
@@ -509,23 +421,6 @@ def _cmd_lint(args) -> int:
                         changed=args.changed)
 
 
-def _cmd_table1(args) -> int:
-    from .experiments.tables import table1_setup
-    for key, value in table1_setup():
-        print(f"{key:22s} {value}")
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    from .experiments.tables import table2_model_stats
-    rows = table2_model_stats(measure_accuracy=not args.no_accuracy)
-    header = ["model", "top1%", "size MB", "params", "MACs", "bin%"]
-    print(markdown_table(header, [
-        (r["model"], r["top1_pct"], r["size_mb"], r["params"], r["macs"],
-         r["binarized_pct"]) for r in rows]))
-    return 0
-
-
 def _cmd_cost(args) -> int:
     from .lim import estimate_model_cost
     model = _resolve_model(args.model)
@@ -541,7 +436,7 @@ def _cmd_cost(args) -> int:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The engine options every campaign-running command shares."""
+    """The engine options of ``repro run``."""
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="run the campaign on N worker processes "
                              "(default: 1 = in-process serial; 0 = all "
@@ -726,41 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("path")
     p_ins.set_defaults(func=_cmd_inspect)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="[deprecated: use `run sweep`] accuracy sweep on "
-                      "trained LeNet")
-    p_sweep.add_argument("--fault", default="bitflip",
-                         choices=["bitflip", "stuck_at"])
-    p_sweep.add_argument("--rates", type=float, nargs="+",
-                         default=[0.0, 0.1, 0.2, 0.3])
-    p_sweep.add_argument("--repeats", type=int, default=5)
-    p_sweep.add_argument("--images", type=int, default=300)
-    p_sweep.add_argument("--rows", type=int, default=40)
-    p_sweep.add_argument("--cols", type=int, default=10)
-    _add_engine_arguments(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
     p_scen = sub.add_parser(
         "scenarios", help="declarative lifetime/environment fault scenarios")
     scen_sub = p_scen.add_subparsers(dest="scenarios_command", required=True)
     p_slist = scen_sub.add_parser("list", help="the scenario zoo")
     p_slist.set_defaults(func=_cmd_scenarios_list)
-    p_srun = scen_sub.add_parser(
-        "run", help="[deprecated: use `run <scenario-name>`] run a "
-                    "scenario on the trained LeNet")
-    p_srun.add_argument("name", nargs="?", default=None,
-                        help="zoo scenario name (see: repro scenarios list)")
-    p_srun.add_argument("--spec", default=None, metavar="FILE",
-                        help="YAML/JSON scenario spec file instead of a "
-                             "zoo name")
-    p_srun.add_argument("--repeats", type=int, default=3)
-    p_srun.add_argument("--images", type=int, default=300)
-    p_srun.add_argument("--rows", type=int, default=40)
-    p_srun.add_argument("--cols", type=int, default=10)
-    p_srun.add_argument("--seed", type=int, default=0)
-    _add_engine_arguments(p_srun)
-    p_srun.set_defaults(func=_cmd_scenarios_run)
-
     p_lint = sub.add_parser(
         "lint", help="AST-based invariant checker (determinism, "
                      "shared-memory lifecycle, event protocol)")
@@ -785,14 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--json", action="store_true",
                         help="machine-readable findings on stdout")
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_t1 = sub.add_parser("table1", help="experimental setup (Table I)")
-    p_t1.set_defaults(func=_cmd_table1)
-
-    p_t2 = sub.add_parser("table2", help="model characteristics (Table II)")
-    p_t2.add_argument("--no-accuracy", action="store_true",
-                      help="skip the (slow) accuracy measurement")
-    p_t2.set_defaults(func=_cmd_table2)
 
     p_cost = sub.add_parser("cost", help="LIM energy/latency estimate")
     p_cost.add_argument("--model", default="lenet", choices=model_choices)

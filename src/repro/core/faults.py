@@ -67,7 +67,8 @@ class SpatialMode(Enum):
 
 
 class Semantics(Enum):
-    """Abstraction level at which a fault mask is applied (DESIGN.md §3).
+    """Abstraction level at which a fault mask is applied
+    (docs/fault-models.md#semantics-where-a-mask-acts).
 
     ``OUTPUT``  — FLIM's fast path: masks act on the layer's feature map
     (flip/force output elements).  This is the paper's contribution: the

@@ -1,4 +1,5 @@
-"""Mask application at the three abstraction levels (DESIGN.md §3).
+"""Mask application at the three abstraction levels
+(docs/fault-models.md#semantics-where-a-mask-acts).
 
 The FLIM fast path applies masks "by performing another XNOR operation"
 on the computed feature map — in the bipolar domain that is a sign flip.

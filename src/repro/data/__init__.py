@@ -1,4 +1,4 @@
-"""Synthetic dataset substrates (no-network substitutes, DESIGN.md §2).
+"""Synthetic dataset substrates (no-network substitutes).
 
 * :mod:`repro.data.synth_mnist` — stroke-rendered 28×28 digits standing in
   for MNIST (layer-resilience study, Fig. 4);

@@ -1,7 +1,7 @@
 """Procedural MNIST stand-in: stroke-rendered handwritten-style digits.
 
 The offline environment has no access to the MNIST files, so the paper's
-workload is substituted with a procedural generator (DESIGN.md §2): each
+workload is substituted with a procedural generator: each
 digit class is a fixed stroke skeleton (polylines/arcs on a unit grid),
 rasterized at 28×28 with per-sample random affine jitter (rotation, scale,
 translation), stroke-thickness variation and pixel noise.  The resulting

@@ -1,11 +1,9 @@
-"""Per-figure experiment runners (the paper's §IV evaluation, plus the
-scenario-platform lifetime trajectories)."""
+"""Per-figure experiment helpers (the paper's §IV evaluation), run
+through the :mod:`repro.api` catalog."""
 
-from . import common, fig4, fig5, lifetime, tables
+from . import common, fig4, fig5, tables
 from .common import (get_imagenet, get_mnist, trained_lenet,
                      trained_zoo_model)
-from .lifetime import run_lifetime_trajectory, trajectory_series
 
-__all__ = ["common", "fig4", "fig5", "lifetime", "tables",
-           "get_mnist", "get_imagenet", "trained_lenet", "trained_zoo_model",
-           "run_lifetime_trajectory", "trajectory_series"]
+__all__ = ["common", "fig4", "fig5", "tables",
+           "get_mnist", "get_imagenet", "trained_lenet", "trained_zoo_model"]

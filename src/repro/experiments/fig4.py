@@ -1,7 +1,7 @@
 """Experiment runners for the paper's Fig. 4 (layer resilience + runtime).
 
-Every runner returns the series the corresponding sub-figure plots;
-the benchmarks print them and write CSVs under ``artifacts/``.
+The :mod:`repro.api` catalog runs every sub-figure through these
+helpers (``repro run fig4a`` .. ``fig4f``; ``--out`` exports the report).
 
 The paper's protocol: binary LeNet on MNIST, "each layer is mapped onto a
 single crossbar while sweeping the injection rate", every experiment
@@ -11,7 +11,6 @@ crossbar per layer.
 
 from __future__ import annotations
 
-from .._compat import legacy
 from ..analysis.runtime import RuntimeSample, extrapolate, measure, speedup_table
 from ..core import FaultCampaign, FaultInjector, FaultGenerator, FaultSpec, SweepResult
 from ..data import Dataset
@@ -19,8 +18,7 @@ from ..lim import CrossbarConfig, XFaultSimulator
 from ..models.lenet import LENET_MAPPED_LAYERS
 from ..nn.model import Sequential
 
-__all__ = ["DEFAULT_RATES", "layer_sweeps", "run_fig4a", "run_fig4b",
-           "run_fig4c", "run_fig4d", "run_fig4e", "run_fig4f"]
+__all__ = ["DEFAULT_RATES", "layer_sweeps", "line_sweeps", "run_fig4f"]
 
 #: the paper sweeps 0..30% injection rate in Fig. 4a/4b
 DEFAULT_RATES = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
@@ -79,50 +77,18 @@ def layer_sweeps(model: Sequential, test: Dataset, spec_factory,
     return results
 
 
-@legacy("repro.api.run('fig4a', ...) / repro run fig4a")
-def run_fig4a(model: Sequential, test: Dataset, rates=DEFAULT_RATES,
-              repeats: int = 10, rows: int = 40, cols: int = 10,
-              seed: int = 0, **engine) -> dict[str, SweepResult]:
-    """Fig. 4a: bit-flip injection rate vs accuracy, per layer."""
-    return layer_sweeps(model, test, FaultSpec.bitflip, rates, repeats,
-                        rows, cols, seed=seed, **engine)
+def line_sweeps(model: Sequential, test: Dataset, spec_factory, counts,
+                repeats: int, rows: int = 40, cols: int = 10,
+                layer_names=LENET_MAPPED_LAYERS, seed: int = 0,
+                executor: str | object = "serial", n_jobs: int | None = None,
+                backend: str = "float", cache_bytes: int | None = None,
+                progress=None, journal_for=None) -> dict[str, SweepResult]:
+    """Per-layer faulty-line sweeps (Fig. 4d columns / Fig. 4e rows).
 
-
-@legacy("repro.api.run('fig4b', ...) / repro run fig4b")
-def run_fig4b(model: Sequential, test: Dataset, rates=DEFAULT_RATES,
-              repeats: int = 10, rows: int = 40, cols: int = 10,
-              seed: int = 0, **engine) -> dict[str, SweepResult]:
-    """Fig. 4b: stuck-at injection rate vs accuracy, per layer."""
-    return layer_sweeps(model, test, FaultSpec.stuck_at, rates, repeats,
-                        rows, cols, seed=seed, **engine)
-
-
-@legacy("repro.api.run('fig4c', ...) / repro run fig4c")
-def run_fig4c(model: Sequential, test: Dataset, periods=(0, 1, 2, 3, 4),
-              rate: float = 0.10, repeats: int = 10, rows: int = 40,
-              cols: int = 10, seed: int = 0, executor: str | object = "serial",
-              n_jobs: int | None = None, backend: str = "float",
-              cache_bytes: int | None = None, journal=None,
-              progress=None) -> SweepResult:
-    """Fig. 4c: dynamic faults — sensitization period vs accuracy.
-
-    ``period`` counts the XNOR operations needed to sensitize the fault;
-    0/1 fire on every operation (the static case).  ``journal`` /
-    ``progress`` forward to :meth:`FaultCampaign.run` unchanged (one
-    grid, one journal).
+    Same hooks and engine options as :func:`layer_sweeps`, without the
+    'combined' series: ``spec_factory(count)`` marks that many faulty
+    lines on one layer's crossbar at a time.
     """
-    campaign = _campaign(model, test, rows, cols, executor, n_jobs, backend,
-                         cache_bytes)
-    return campaign.run(
-        lambda n: FaultSpec.bitflip(rate, period=int(n)),
-        xs=list(periods), repeats=repeats, seed=seed, label="dynamic",
-        journal=journal, progress=progress)
-
-
-def _line_sweeps(model, test, spec_for_count, counts, repeats, rows, cols,
-                 seed, layer_names, executor, n_jobs, backend, cache_bytes,
-                 progress, journal_for) -> dict[str, SweepResult]:
-    """Shared faulty-line driver (Fig. 4d columns / Fig. 4e rows)."""
     campaign = _campaign(model, test, rows, cols, executor, n_jobs, backend,
                          cache_bytes)
     results = {}
@@ -130,44 +96,12 @@ def _line_sweeps(model, test, spec_for_count, counts, repeats, rows, cols,
         campaign_progress, journal = _series_hooks(progress, journal_for,
                                                    name)
         results[name] = campaign.run(
-            spec_for_count, xs=list(counts), repeats=repeats, seed=seed,
+            spec_factory, xs=list(counts), repeats=repeats, seed=seed,
             layers=[name], label=name, journal=journal,
             progress=campaign_progress)
     return results
 
 
-@legacy("repro.api.run('fig4d', ...) / repro run fig4d")
-def run_fig4d(model: Sequential, test: Dataset, counts=(0, 1, 2, 3, 4),
-              repeats: int = 10, rows: int = 40, cols: int = 10,
-              seed: int = 0, layer_names=LENET_MAPPED_LAYERS,
-              executor: str | object = "serial", n_jobs: int | None = None,
-              backend: str = "float", cache_bytes: int | None = None,
-              progress=None, journal_for=None) -> dict[str, SweepResult]:
-    """Fig. 4d: number of faulty crossbar columns vs accuracy, per layer."""
-    return _line_sweeps(model, test,
-                        lambda c: FaultSpec.faulty_columns(int(c)),
-                        counts, repeats, rows, cols, seed, layer_names,
-                        executor, n_jobs, backend, cache_bytes,
-                        progress, journal_for)
-
-
-@legacy("repro.api.run('fig4e', ...) / repro run fig4e")
-def run_fig4e(model: Sequential, test: Dataset,
-              counts=(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20),
-              repeats: int = 10, rows: int = 40, cols: int = 10,
-              seed: int = 0, layer_names=LENET_MAPPED_LAYERS,
-              executor: str | object = "serial", n_jobs: int | None = None,
-              backend: str = "float", cache_bytes: int | None = None,
-              progress=None, journal_for=None) -> dict[str, SweepResult]:
-    """Fig. 4e: number of faulty crossbar rows vs accuracy, per layer."""
-    return _line_sweeps(model, test,
-                        lambda r: FaultSpec.faulty_rows(int(r)),
-                        counts, repeats, rows, cols, seed, layer_names,
-                        executor, n_jobs, backend, cache_bytes,
-                        progress, journal_for)
-
-
-@legacy("repro.api.run('fig4f', ...) / repro run fig4f")
 def run_fig4f(model: Sequential, test: Dataset, passes: int = 3,
               xfault_images: int = 2, serial_images: int = 1,
               rows: int = 40, cols: int = 10,

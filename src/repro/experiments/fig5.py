@@ -7,14 +7,13 @@ paper's axes: bit-flips 0-20%, stuck-at 0-2%, dynamic periods 0-5.
 
 from __future__ import annotations
 
-from .._compat import legacy
-from ..core import FaultCampaign, FaultSpec, SweepResult
+from ..core import FaultCampaign, SweepResult
 from ..data import Dataset
 from ..models.zoo import model_names
 from .common import get_imagenet, trained_zoo_model
 
 __all__ = ["BITFLIP_RATES", "STUCKAT_RATES", "DYNAMIC_PERIODS",
-           "model_sweep", "run_fig5a", "run_fig5b", "run_fig5c"]
+           "model_sweep"]
 
 #: Fig. 5a sweeps bit-flips over 0-20%
 BITFLIP_RATES = (0.0, 0.025, 0.05, 0.10, 0.15, 0.20)
@@ -58,29 +57,3 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
                                      seed=seed, label=name, journal=journal,
                                      progress=campaign_progress)
     return results
-
-
-@legacy("repro.api.run('fig5a', ...) / repro run fig5a")
-def run_fig5a(models: list[str] | None = None, rates=BITFLIP_RATES,
-              repeats: int = 5, seed: int = 0, **kwargs) -> dict[str, SweepResult]:
-    """Fig. 5a: bit-flip rate vs accuracy across architectures."""
-    return model_sweep(FaultSpec.bitflip, list(rates), models=models,
-                       repeats=repeats, seed=seed, **kwargs)
-
-
-@legacy("repro.api.run('fig5b', ...) / repro run fig5b")
-def run_fig5b(models: list[str] | None = None, rates=STUCKAT_RATES,
-              repeats: int = 5, seed: int = 0, **kwargs) -> dict[str, SweepResult]:
-    """Fig. 5b: stuck-at rate vs accuracy across architectures."""
-    return model_sweep(FaultSpec.stuck_at, list(rates), models=models,
-                       repeats=repeats, seed=seed, **kwargs)
-
-
-@legacy("repro.api.run('fig5c', ...) / repro run fig5c")
-def run_fig5c(models: list[str] | None = None, periods=DYNAMIC_PERIODS,
-              rate: float = 0.10, repeats: int = 5, seed: int = 0,
-              **kwargs) -> dict[str, SweepResult]:
-    """Fig. 5c: dynamic-fault period vs accuracy across architectures."""
-    return model_sweep(lambda n: FaultSpec.bitflip(rate, period=int(n)),
-                       list(periods), models=models, repeats=repeats,
-                       seed=seed, **kwargs)

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from ..models import compute_stats, format_count
+from .. import __version__
+from ..models import build_model, compute_stats, format_count
 from ..models.zoo import MODEL_PAPER_STATS, model_names
 from .common import get_imagenet, trained_zoo_model
 
@@ -48,7 +49,7 @@ def table1_setup() -> list[tuple[str, str]]:
         ("OS", platform.platform()),
         ("Python", sys.version.split()[0]),
         ("numpy", np.__version__),
-        ("FLIM implementation", "repro 1.0.0 (numpy fast path)"),
+        ("FLIM implementation", f"repro {__version__} (numpy fast path)"),
     ]
     return rows
 
@@ -59,13 +60,17 @@ def table2_model_stats(models: list[str] | None = None,
 
     Every row carries both our measured values (scaled models on the
     synthetic task) and the paper's reference values for comparison.
+    Only Top-1 needs trained weights: without ``measure_accuracy`` the
+    statistics come from the untrained architectures and nothing trains.
     """
     if models is None:
         models = model_names()
-    _, test = get_imagenet()
+    if measure_accuracy:
+        _, test = get_imagenet()
     rows = []
     for name in models:
-        model = trained_zoo_model(name)
+        model = (trained_zoo_model(name) if measure_accuracy
+                 else build_model(name))
         stats = compute_stats(model)
         paper_top1, paper_size, paper_params, paper_macs, paper_bin = \
             MODEL_PAPER_STATS[name]

@@ -11,7 +11,8 @@ accumulates output channels ``f ≡ c (mod cols)``, crossbar row ``r`` hosts
 reduction terms ``t ≡ r (mod rows)``, and input positions are streamed
 one per step.  A cell is therefore reused ``≈ P · K/R · F/C`` times per
 image — the reuse amplification that makes permanent (stuck-at) faults so
-much more damaging than transient bit-flips (DESIGN.md §3).
+much more damaging than transient bit-flips
+(docs/fault-models.md#semantics-where-a-mask-acts).
 
 Both the FLIM fast path (:mod:`repro.core.mapping`) and the device-level
 simulator (:mod:`repro.lim.xfault`) consume this one schedule, which is

@@ -7,7 +7,7 @@ Every family keeps its distinguishing mechanism — plain deep stacks
 28/37/45) and dense+improvement pairs (MeliusNet22) — because those
 mechanisms are what drive the resilience differences Fig. 5 measures.
 Channel counts are scaled down so each model trains on CPU in well under
-a minute; Table II in EXPERIMENTS.md records paper-vs-measured stats.
+a minute; ``repro run table2`` prints paper-vs-measured stats.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ platform: a declarative spec layer (:mod:`.spec`) describes *stories* —
 fault clauses driven by lifetime endurance curves, spatially-correlated
 placement, environment episodes — a compiler (:mod:`.compile`) lowers
 them onto the existing campaign grid, and a zoo (:mod:`.zoo`) ships six
-named stories runnable from the CLI (``repro scenarios run/list``) or
-the :func:`run_scenario` API.
+named stories, each a registry entry (``repro run end-of-life``; listed
+by ``repro scenarios list``).  :func:`run_scenario` runs any scenario on
+a given model and test set.
 """
 
 from .compile import CompiledCell, CompiledGrid, compile_scenario

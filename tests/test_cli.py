@@ -19,6 +19,10 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+#: a tiny MNIST campaign for the run smoke tests
+TINY_GRID = ["--param", "images=60", "--param", "rows=8", "--param", "cols=4"]
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -68,7 +72,7 @@ def test_vectors_faulty_columns(capsys, tmp_path):
 
 
 def test_table1(capsys):
-    code, out = run_cli(capsys, "table1")
+    code, out = run_cli(capsys, "run", "table1")
     assert code == 0
     assert "CPU" in out
     assert "numpy" in out
@@ -97,8 +101,8 @@ def test_unknown_model_rejected():
 def test_sweep_parallel_with_journal_smoke(capsys, tmp_path):
     """End-to-end: pool executor + journal + resume through the CLI."""
     journal = str(tmp_path / "sweep.jsonl")
-    argv = ["sweep", "--rates", "0.0", "0.3", "--repeats", "2",
-            "--images", "60", "--rows", "8", "--cols", "4",
+    argv = ["run", "sweep", "--param", "rates=0.0,0.3",
+            "--param", "repeats=2", *TINY_GRID,
             "--jobs", "2", "--journal", journal]
     code, out = run_cli(capsys, *argv)
     assert code == 0
@@ -117,19 +121,26 @@ def test_sweep_parallel_with_journal_smoke(capsys, tmp_path):
 
 
 def test_sweep_resume_requires_journal(capsys):
-    code = main(["sweep", "--resume"])
+    code = main(["run", "sweep", "--resume"])
     captured = capsys.readouterr()
     assert code == 2
     assert "--journal" in captured.err
 
 
 def test_sweep_shared_memory_executor_smoke(capsys, tmp_path):
-    code, out = run_cli(capsys, "sweep", "--rates", "0.0", "0.3",
-                        "--repeats", "2", "--images", "60",
-                        "--rows", "8", "--cols", "4",
+    code, out = run_cli(capsys, "run", "sweep", "--param", "rates=0.0,0.3",
+                        "--param", "repeats=2", *TINY_GRID,
                         "--jobs", "2", "--executor", "shared_memory")
     assert code == 0
     assert "[shared_memory/float]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"], ["scenarios", "run", "fresh-device"], ["table1"], ["table2"]])
+def test_experiments_run_only_through_run(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
 
 
 def test_scenarios_list(capsys):
@@ -142,14 +153,14 @@ def test_scenarios_list(capsys):
 
 
 def test_scenarios_run_requires_a_scenario(capsys):
-    code = main(["scenarios", "run"])
+    code = main(["run", "scenario"])
     captured = capsys.readouterr()
     assert code == 2
     assert "scenarios list" in captured.err
 
 
 def test_scenarios_run_unknown_zoo_name(capsys):
-    code = main(["scenarios", "run", "mid-life-crisis"])
+    code = main(["run", "scenario", "--param", "name=mid-life-crisis"])
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown scenario" in captured.err
@@ -158,7 +169,7 @@ def test_scenarios_run_unknown_zoo_name(capsys):
 def test_scenarios_run_malformed_spec_file(capsys, tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("{unclosed")
-    code = main(["scenarios", "run", "--spec", str(path)])
+    code = main(["run", "scenario", "--param", f"spec={path}"])
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
@@ -169,7 +180,7 @@ def test_scenarios_run_spec_with_unknown_keys(capsys, tmp_path):
     path.write_text('{"name": "t", "timeline": {"ages": [0.0]}, '
                     '"clauses": [{"kind": "bitflip", "rate": 0.1}], '
                     '"sauces": []}')
-    code = main(["scenarios", "run", "--spec", str(path)])
+    code = main(["run", "scenario", "--param", f"spec={path}"])
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown key" in captured.err
@@ -178,8 +189,7 @@ def test_scenarios_run_spec_with_unknown_keys(capsys, tmp_path):
 def test_scenarios_run_smoke_and_journal_guards(capsys, tmp_path):
     """End-to-end scenario run + the journal exit-2 contract."""
     journal = str(tmp_path / "scenario.jsonl")
-    argv = ["scenarios", "run", "fresh-device", "--images", "60",
-            "--repeats", "1", "--rows", "8", "--cols", "4",
+    argv = ["run", "fresh-device", "--param", "repeats=1", *TINY_GRID,
             "--journal", journal]
     code, out = run_cli(capsys, *argv)
     assert code == 0
@@ -192,8 +202,7 @@ def test_scenarios_run_smoke_and_journal_guards(capsys, tmp_path):
     assert code == 2
 
     # ... and a journal written for a *different* scenario is refused
-    code = main(["scenarios", "run", "end-of-life", "--images", "60",
-                 "--repeats", "1", "--rows", "8", "--cols", "4",
+    code = main(["run", "end-of-life", "--param", "repeats=1", *TINY_GRID,
                  "--journal", journal, "--resume"])
     captured = capsys.readouterr()
     assert code == 2
@@ -206,7 +215,7 @@ def test_scenarios_run_smoke_and_journal_guards(capsys, tmp_path):
 
 
 def test_scenarios_run_resume_requires_journal(capsys):
-    code = main(["scenarios", "run", "fresh-device", "--resume"])
+    code = main(["run", "fresh-device", "--resume"])
     captured = capsys.readouterr()
     assert code == 2
     assert "--journal" in captured.err
@@ -216,10 +225,11 @@ def test_scenarios_run_rejects_name_plus_spec(capsys, tmp_path):
     path = tmp_path / "story.json"
     path.write_text('{"name": "s", "timeline": {"ages": [0.0]}, '
                     '"clauses": [{"kind": "bitflip", "rate": 0.1}]}')
-    code = main(["scenarios", "run", "end-of-life", "--spec", str(path)])
+    code = main(["run", "scenario", "--param", "name=end-of-life",
+                 "--param", f"spec={path}"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "pick one" in captured.err
+    assert "exactly one" in captured.err
 
 
 # -- registry commands: run / list / describe -----------------------------
@@ -359,25 +369,3 @@ def test_describe_roundtrips_to_a_valid_invocation(capsys):
                            if p["name"] == key)
             if default is not None:
                 assert value == default, (name, key)
-
-
-def test_sweep_shim_warns_deprecation(capsys):
-    from repro._compat import reset_legacy_warnings
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="repro sweep"):
-        code = main(["sweep", "--rates", "0.0", "--repeats", "1",
-                     "--images", "40", "--rows", "8", "--cols", "4"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "deprecated" in captured.err
-
-
-def test_scenarios_run_shim_warns_deprecation(capsys):
-    from repro._compat import reset_legacy_warnings
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="repro scenarios run"):
-        code = main(["scenarios", "run", "fresh-device", "--repeats", "1",
-                     "--images", "40", "--rows", "8", "--cols", "4"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "deprecated" in captured.err

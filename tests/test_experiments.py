@@ -1,16 +1,32 @@
-"""Integration tests for the experiment runners (tiny configurations).
+"""Integration tests for the Fig. 4 experiments, and the paper's Fig. 4
+claims as a behavioural spec.
 
-These use the cached trained LeNet (training it on first run) and tiny
-sweep settings, so they validate the experiment plumbing end-to-end
-without benchmark-scale runtimes.
+These use the cached trained LeNet (training it on first run) and small
+sweep settings, so they run the registry entries end-to-end without
+benchmark-scale runtimes.  The claims that need paper-scale workloads
+live in ``benchmarks/bench_paper_claims.py``.
 """
 
 import numpy as np
 import pytest
 
+from repro import api
+from repro.core import FaultSpec
 from repro.experiments import fig4, get_mnist, trained_lenet
 from repro.experiments.tables import table1_setup
 from repro.models.lenet import LENET_MAPPED_LAYERS
+
+#: the spec tests' scale: large enough for stable curve shapes, small
+#: enough for tier-1 (~0.1 s per entry)
+SHAPE = dict(images=250, repeats=3)
+
+
+def _columns(count):
+    return FaultSpec.faulty_columns(int(count))
+
+
+def _rows(count):
+    return FaultSpec.faulty_rows(int(count))
 
 
 @pytest.fixture(scope="module")
@@ -33,35 +49,35 @@ def test_lenet_baseline_matches_paper_regime(lenet):
     assert accuracy >= 0.90
 
 
-def test_fig4a_runner_structure(lenet, tiny_test):
-    results = fig4.run_fig4a(lenet, tiny_test, rates=(0.0, 0.3), repeats=2)
+def test_fig4a_runner_structure():
+    report = api.run("fig4a", params=dict(rates=[0.0, 0.3], repeats=2,
+                                          images=60))
+    results = report.raw
     assert set(results) == set(LENET_MAPPED_LAYERS) | {"combined"}
     for label, result in results.items():
         assert result.accuracies.shape == (2, 2), label
         assert result.mean()[0] == result.baseline
 
 
-def test_fig4b_stuckat_stronger_than_bitflip(lenet):
+def test_fig4b_stuckat_stronger_than_bitflip():
     """The paper's central finding: permanent stuck-at faults degrade
     accuracy more than transient bit-flips at the same injection rate."""
-    _, test = get_mnist()
-    test = test.subset(250)
-    rate = 0.15
-    flips = fig4.run_fig4a(lenet, test, rates=(rate,), repeats=4)
-    stuck = fig4.run_fig4b(lenet, test, rates=(rate,), repeats=4)
-    assert stuck["combined"].mean()[0] < flips["combined"].mean()[0]
+    params = dict(rates=[0.15], repeats=4, images=250)
+    flips = api.run("fig4a", params=params).get_series("combined")
+    stuck = api.run("fig4b", params=params).get_series("combined")
+    assert stuck.mean[0] < flips.mean[0]
 
 
-def test_fig4c_dynamic_recovers(lenet, tiny_test):
-    result = fig4.run_fig4c(lenet, tiny_test, periods=(0, 4), rate=0.15,
-                            repeats=3)
-    means = result.mean()
+def test_fig4c_dynamic_recovers():
+    report = api.run("fig4c", params=dict(periods=[0, 4], rate=0.15,
+                                          repeats=3, images=60))
+    means = report.get_series("dynamic").mean
     assert means[1] >= means[0]
 
 
 def test_fig4d_columns_within_range(lenet, tiny_test):
-    results = fig4.run_fig4d(lenet, tiny_test, counts=(0, 4), repeats=2,
-                             layer_names=("conv1",))
+    results = fig4.line_sweeps(lenet, tiny_test, _columns, (0, 4), 2,
+                               layer_names=("conv1",))
     assert list(results) == ["conv1"]
     conv1 = results["conv1"]
     assert conv1.mean()[1] <= conv1.mean()[0]
@@ -71,35 +87,22 @@ def test_fig4e_rows_milder_than_columns(lenet, tiny_test):
     """160 faulty cells via rows must hurt less than via columns (paper:
     'the impact of faulty columns is more substantial than of faulty
     rows')."""
-    cols = fig4.run_fig4d(lenet, tiny_test, counts=(4,), repeats=3,
-                          layer_names=("conv1",))["conv1"]
-    rows = fig4.run_fig4e(lenet, tiny_test, counts=(16,), repeats=3,
-                          layer_names=("conv1",))["conv1"]
+    cols = fig4.line_sweeps(lenet, tiny_test, _columns, (4,), 3,
+                            layer_names=("conv1",))["conv1"]
+    rows = fig4.line_sweeps(lenet, tiny_test, _rows, (16,), 3,
+                            layer_names=("conv1",))["conv1"]
     assert rows.mean()[0] >= cols.mean()[0] - 0.05
 
 
-def test_fig4f_runtime_shape(rng):
-    """Runtime protocol on a small model (LeNet-scale serial runs take
-    minutes; the benchmark covers those)."""
-    from repro import nn
-    from repro.binary import QuantDense
-    from repro.data import Dataset
-
-    model = nn.Sequential([
-        QuantDense(6, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
-        nn.BatchNorm(),
-        nn.Sign(),
-        QuantDense(4, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
-    ]).build((12,), seed=0)
-    x = rng.standard_normal((40, 12)).astype(np.float32)
-    y = rng.integers(0, 4, 40)
-    test = Dataset(x, y)
-
-    outcome = fig4.run_fig4f(model, test, passes=1, xfault_images=2,
-                             serial_images=1, rows=6, cols=3)
-    names = [sample.platform for sample in outcome["samples"]]
+def test_fig4f_runtime_shape():
+    """Runtime protocol on the quick entry's small model (LeNet-scale
+    serial runs take minutes; benchmarks/bench_paper_claims.py covers
+    those)."""
+    report = api.run("fig4f", quick=True)
+    rows = report.tables["runtime"]["rows"]
+    names = [platform for platform, _, _ in rows]
     assert names == ["X-Fault", "device-tile", "FLIM", "vanilla"]
-    by_name = {platform: speedup for platform, _, speedup in outcome["table"]}
+    by_name = {platform: speedup for platform, _, speedup in rows}
     assert by_name["X-Fault"] == pytest.approx(1.0)
     assert by_name["FLIM"] > 10.0      # device level must be far slower
     assert by_name["FLIM"] >= by_name["device-tile"]
@@ -121,3 +124,50 @@ def test_trained_lenet_cache_roundtrip(lenet):
     assert set(first) == set(second)
     for key in first:
         np.testing.assert_array_equal(first[key], second[key])
+
+
+# -- the paper's Fig. 4 claims (the spec) ----------------------------------
+
+@pytest.fixture(scope="module")
+def shape_reports():
+    """fig4a..fig4e at their default axes and the spec scale."""
+    return {name: api.run(name, params=SHAPE)
+            for name in ("fig4a", "fig4b", "fig4c", "fig4d", "fig4e")}
+
+
+@pytest.mark.parametrize("name", ["fig4a", "fig4b", "fig4d", "fig4e"])
+def test_point_zero_reproduces_the_baseline_exactly(shape_reports, name):
+    report = shape_reports[name]
+    for series in report.series:
+        assert series.mean[0] == report.baseline, series.label
+
+
+@pytest.mark.parametrize("name,margin", [("fig4a", 0.05), ("fig4b", 0.10)])
+def test_heavy_injection_degrades_combined(shape_reports, name, margin):
+    report = shape_reports[name]
+    combined = report.get_series("combined")
+    assert combined.mean[-1] < report.baseline - margin
+
+
+def test_fig4a_combined_curve_is_the_worst(shape_reports):
+    """Bit-flips in every layer at once hurt more than in any single
+    layer (at 30%: ~0.18 combined against >= ~0.69 per layer).  Fig. 4b
+    makes no such claim: stuck-at dense1 alone can fall as low."""
+    report = shape_reports["fig4a"]
+    combined = report.get_series("combined").mean[-1]
+    for layer in LENET_MAPPED_LAYERS:
+        assert combined < report.get_series(layer).mean[-1], layer
+
+
+def test_fig4c_long_periods_approach_the_baseline(shape_reports):
+    report = shape_reports["fig4c"]
+    means = report.get_series("dynamic").mean
+    assert means[-1] > means[0]
+    assert means[-1] > report.baseline - 0.10
+
+
+def test_fig4d_four_faulty_columns_degrade_every_layer(shape_reports):
+    report = shape_reports["fig4d"]
+    for series in report.series:
+        assert series.xs[-1] == 4
+        assert series.mean[-1] < report.baseline, series.label

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig5, get_imagenet, trained_zoo_model
+from repro import api
+from repro.experiments import fig5, get_imagenet, tables, trained_zoo_model
 from repro.experiments.tables import table2_model_stats
-from repro.models.zoo import MODEL_PAPER_STATS
+from repro.models.zoo import MODEL_PAPER_STATS, model_names
 
 
 @pytest.fixture(scope="module")
@@ -41,22 +42,38 @@ def test_model_sweep_single_model(tiny_imagenet_test):
     assert result.mean()[1] <= result.mean()[0]
 
 
-def test_fig5c_recovers_with_period(tiny_imagenet_test):
-    results = fig5.run_fig5c(models=["binary_resnet_e18"], periods=(0, 4),
-                             rate=0.15, repeats=2, test=tiny_imagenet_test)
-    means = results["binary_resnet_e18"].mean()
+def test_fig5c_recovers_with_period():
+    report = api.run("fig5c", params=dict(models=["binary_resnet_e18"],
+                                          periods=[0, 4], rate=0.15,
+                                          repeats=2, images=60))
+    means = report.get_series("binary_resnet_e18").mean
     assert means[1] >= means[0] - 0.05
 
 
-def test_table2_stats_without_accuracy():
-    rows = table2_model_stats(models=["binary_densenet28", "binary_alexnet"],
-                              measure_accuracy=False)
-    assert len(rows) == 2
+def _never_called(*_args, **_kwargs):
+    raise AssertionError("Table II without accuracy must not train")
+
+
+def test_table2_stats_without_accuracy(monkeypatch):
+    """Every column but Top-1 comes from the architecture alone, so no
+    zoo model trains and no dataset is built."""
+    monkeypatch.setattr(tables, "trained_zoo_model", _never_called)
+    monkeypatch.setattr(tables, "get_imagenet", _never_called)
+    rows = table2_model_stats(measure_accuracy=False)
+    assert [row["model"] for row in rows] == model_names()
     for row in rows:
         assert row["binarized_pct"] > 85.0
         assert row["paper_binarized_pct"] == \
             MODEL_PAPER_STATS[row["model"]][4]
         assert np.isnan(row["top1_pct"])
+
+
+def test_table2_densenet_size_grows_with_depth():
+    """A Table II invariant that survives the CPU scaling."""
+    size = {row["model"]: row["size_mb"]
+            for row in table2_model_stats(measure_accuracy=False)}
+    assert (size["binary_densenet45"] > size["binary_densenet37"]
+            > size["binary_densenet28"])
 
 
 def test_sweep_ranges_match_paper_axes():

@@ -34,7 +34,7 @@ from repro.service.wire import canonical_result
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
-#: zoo models whose weights a quick run reads (fig5a-c evaluate this one)
+#: models whose cached weights the quick runs read (fig5a-c: binary_alexnet)
 WEIGHT_MODELS = ("lenet", "binary_alexnet")
 
 
@@ -74,14 +74,19 @@ def _default_axes(info: dict) -> list[str]:
             and p["name"] in info["quick"]]
 
 
+def catalog_names() -> list[str]:
+    """The built-in entries (tests register fixture entries of their own)."""
+    return [name for name in api.experiment_names()
+            if api.REGISTRY.get(name).func.__module__ == "repro.api.catalog"]
+
+
 def describe_digests() -> dict[str, str]:
-    return {name: _sha(api.describe(name))
-            for name in api.experiment_names()}
+    return {name: _sha(api.describe(name)) for name in catalog_names()}
 
 
 def result_digests() -> dict[str, dict[str, str]]:
     digests = {}
-    for name in api.experiment_names():
+    for name in catalog_names():
         entry = {"result": _sha(_result_payload(
             name, api.run(name, quick=True)))}
         info = api.describe(name)
@@ -93,16 +98,6 @@ def result_digests() -> dict[str, dict[str, str]]:
             entry["axes"] = _sha({s.label: s.xs for s in report.series})
         digests[name] = entry
     return digests
-
-
-def compute_golden() -> dict:
-    """The full ``digests.json`` payload for the code as it stands."""
-    described = describe_digests()
-    results = result_digests()
-    return {"weights": weights_digest(),
-            "entries": {name: {"describe": described[name],
-                               **results[name]}
-                        for name in described}}
 
 
 def _moved(expected: dict, actual: dict, keys) -> list[str]:
