@@ -8,15 +8,15 @@ binary LeNet / synthetic MNIST) through
   mapping per attach, a full ``model.evaluate`` per repetition and a
   baseline recomputation per ``run()``;
 * the job-based **engine** (``repro.core.engine``) in every
-  executor × backend combination (serial / multiprocessing /
-  shared_memory × float / packed).
+  executor × backend combination (serial / shared_memory × float /
+  packed).
 
-Besides wall-clock speedups the JSON tracks the **payload bytes** each
-pool executor pickles into a worker (shared memory must beat the pickled
-baseline — the script fails otherwise), the **prefix planes** the
-shared-memory executor publishes (workers must attach the parent's
-fault-free prefix activations instead of recomputing them — the script
-fails if nothing was published), the **input-cache hit rate** of a
+Besides wall-clock speedups the JSON tracks the **payload bytes** the
+pool executor pickles into a worker (it ships plane descriptors, not
+data, so it must stay below the test set's bytes — the script fails
+otherwise), the **prefix planes** it publishes (workers must attach the
+parent's fault-free prefix activations instead of recomputing them — the
+script fails if nothing was published), the **input-cache hit rate** of a
 campaign with more test batches than the legacy 8-slot FIFO held (must
 be >0%, where the FIFO cycled at exactly 0%), the **journal
 overhead**: the cost of streaming cells into a resumable JSONL journal
@@ -97,8 +97,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--images", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=None,
-                        help="workers for the multiprocessing executor "
-                             "(default: cpu count)")
+                        help="workers for the shared_memory executor "
+                             "(default: cpu count, at least 2)")
     parser.add_argument("--json", type=Path, default=None,
                         help="output path (default: "
                              "artifacts/results/bench_campaign_engine.json)")
@@ -134,8 +134,6 @@ def main(argv=None) -> int:
     resilience: dict[str, dict] = {}
     mismatches: list[str] = []
     for executor, backend in [("serial", "float"), ("serial", "packed"),
-                              ("multiprocessing", "float"),
-                              ("multiprocessing", "packed"),
                               ("shared_memory", "float"),
                               ("shared_memory", "packed")]:
         campaign = FaultCampaign(model, test.x, test.y, executor=executor,
@@ -186,13 +184,14 @@ def main(argv=None) -> int:
             print(f"FAIL: no prefix activation planes published for {key}",
                   file=sys.stderr)
 
-    shm_payload = payload_bytes.get("shared_memory_float")
-    mp_payload = payload_bytes.get("multiprocessing_float")
-    if shm_payload and mp_payload and shm_payload >= mp_payload:
-        mismatches.append("shared_memory_payload_not_smaller")
-        print(f"FAIL: shared-memory payload ({shm_payload} B) does not "
-              f"undercut the pickled baseline ({mp_payload} B)",
-              file=sys.stderr)
+    # the payload carries the model and plane descriptors, never the data
+    test_bytes = test.x.nbytes + test.y.nbytes
+    for key in ("shared_memory_float", "shared_memory_packed"):
+        shipped = payload_bytes.get(key)
+        if not shipped or shipped >= test_bytes:
+            mismatches.append(f"payload_not_below_test_set_{key}")
+            print(f"FAIL: {key} payload ({shipped} B) is not below the "
+                  f"test set's {test_bytes} B", file=sys.stderr)
 
     # journal overhead: stream every cell to JSONL, then resume the
     # finished journal (pure replay — zero evaluations)
@@ -290,9 +289,6 @@ def main(argv=None) -> int:
             k: round(timings["seed_serial"] / v, 2)
             for k, v in timings.items()
             if k not in ("seed_serial", "journal_full_resume")},
-        "serial_vs_parallel": round(
-            timings["engine_serial_float"]
-            / timings["engine_multiprocessing_float"], 2),
         "serial_vs_shared_memory": round(
             timings["engine_serial_float"]
             / timings["engine_shared_memory_float"], 2),

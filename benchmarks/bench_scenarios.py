@@ -89,7 +89,6 @@ def main(argv=None) -> int:
     mismatches: list[str] = []
     reference = None
     for executor, backend in [("serial", "float"), ("serial", "packed"),
-                              ("multiprocessing", "float"),
                               ("shared_memory", "packed")]:
         result, duration = timed(
             run_scenario, scenario, model, test.x, test.y, repeats=repeats,

@@ -2,12 +2,12 @@
 
 from .metrics import (accuracy, accuracy_drop_curve, critical_x, degradation,
                       top_k_accuracy)
-from .plotting import ascii_bars, ascii_plot, markdown_table, write_csv
+from .plotting import ascii_plot, markdown_table, write_csv
 from .runtime import RuntimeSample, extrapolate, measure, speedup_table
 
 __all__ = [
     "accuracy", "top_k_accuracy", "degradation", "critical_x",
     "accuracy_drop_curve",
-    "ascii_plot", "ascii_bars", "write_csv", "markdown_table",
+    "ascii_plot", "write_csv", "markdown_table",
     "RuntimeSample", "measure", "extrapolate", "speedup_table",
 ]

@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-__all__ = ["ascii_plot", "ascii_bars", "write_csv", "markdown_table"]
+__all__ = ["ascii_plot", "write_csv", "markdown_table"]
 
 _MARKS = "ox+*#@%&"
 
@@ -60,25 +60,6 @@ def ascii_plot(series: dict[str, tuple], width: int = 64, height: int = 18,
     legend = "   ".join(f"{_MARKS[i % len(_MARKS)]}={label}"
                         for i, label in enumerate(series))
     lines.append(f"{' ' * pad}  [{y_label}]  {legend}")
-    return "\n".join(lines)
-
-
-def ascii_bars(values: dict[str, float], width: int = 50, title: str = "",
-               log: bool = False, unit: str = "") -> str:
-    """Horizontal bar chart; ``log=True`` scales bars by log10 (Fig. 4f)."""
-    if not values:
-        raise ValueError("no values to plot")
-    magnitudes = {k: (np.log10(max(v, 1e-12)) if log else v)
-                  for k, v in values.items()}
-    low = min(0.0, min(magnitudes.values()))
-    high = max(magnitudes.values())
-    span = (high - low) or 1.0
-    name_pad = max(len(k) for k in values)
-    lines = [title] if title else []
-    for key, value in values.items():
-        filled = int(round((magnitudes[key] - low) / span * width))
-        lines.append(f"{key.rjust(name_pad)} |{'#' * filled:<{width}}| "
-                     f"{value:.4g}{unit}")
     return "\n".join(lines)
 
 

@@ -172,12 +172,12 @@ def _fig4c(ctx, periods, rate, repeats, images, rows, cols, seed):
     # fault; 0/1 fire on every operation (the static case)
     from ..core import FaultCampaign, FaultSpec
     model, test = _lenet_mnist(images)
-    campaign = FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
-                             **ctx.engine_kwargs())
-    result = campaign.run(
-        lambda n: FaultSpec.bitflip(rate, period=int(n)), xs=list(periods),
-        repeats=repeats, seed=seed, label="dynamic",
-        journal=ctx.journal_for(), progress=ctx.progress_for("dynamic"))
+    with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
+                       **ctx.engine_kwargs()) as campaign:
+        result = campaign.run(
+            lambda n: FaultSpec.bitflip(rate, period=int(n)),
+            xs=list(periods), repeats=repeats, seed=seed, label="dynamic",
+            journal=ctx.journal_for(), progress=ctx.progress_for("dynamic"))
     return ctx.report(series={"dynamic": result}, raw=result,
                       baseline=float(result.baseline),
                       meta=dict(result.meta))

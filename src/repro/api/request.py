@@ -20,7 +20,7 @@ from .errors import ApiError
 __all__ = ["RunRequest", "EXECUTORS", "BACKENDS"]
 
 #: executor names the engine resolves (see repro.core.engine)
-EXECUTORS = ("serial", "multiprocessing", "shared_memory", "shm")
+EXECUTORS = ("serial", "shared_memory")
 #: inference backends (see repro.binary.layers)
 BACKENDS = ("float", "packed")
 
@@ -61,9 +61,9 @@ class RunRequest:
         treated as a failed attempt (the worker pool is rebuilt to
         reclaim the stuck worker).  ``None`` disables timeouts.
     degrade:
-        Walk the executor degradation ladder
-        (``shared_memory`` → ``multiprocessing`` → ``serial``) when a
-        rung keeps failing; ``False`` raises instead (``--no-degrade``).
+        Walk the executor degradation ladder (``shared_memory`` →
+        ``serial``) when the pool keeps failing; ``False`` raises
+        instead (``--no-degrade``).
     """
 
     experiment: str
@@ -87,7 +87,7 @@ class RunRequest:
                            f"{type(self.params).__name__}")
         if isinstance(self.executor, str) and self.executor not in EXECUTORS:
             raise ApiError(f"unknown executor {self.executor!r}; "
-                           f"use one of {list(EXECUTORS[:3])}")
+                           f"use one of {list(EXECUTORS)}")
         if self.backend not in BACKENDS:
             raise ApiError(f"unknown backend {self.backend!r}; "
                            f"use one of {list(BACKENDS)}")

@@ -120,7 +120,7 @@ def _default_executor(args) -> str:
     if args.executor is not None:
         return args.executor
     serial = args.jobs is None or args.jobs == 1
-    return "serial" if serial else "multiprocessing"
+    return "serial" if serial else "shared_memory"
 
 
 # -- registry commands: run / list / describe -----------------------------
@@ -442,12 +442,11 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: 1 = in-process serial; 0 = all "
                              "cores)")
     parser.add_argument("--executor", default=None,
-                        choices=["serial", "multiprocessing",
-                                 "shared_memory"],
+                        choices=["serial", "shared_memory"],
                         help="executor override (default: serial for "
-                             "--jobs<=1, multiprocessing otherwise); "
-                             "shared_memory attaches the test set "
-                             "zero-copy in every worker")
+                             "--jobs<=1, shared_memory otherwise, which "
+                             "attaches the test set zero-copy in every "
+                             "worker)")
     parser.add_argument("--backend", default="float",
                         choices=["float", "packed"],
                         help="inference backend: float GEMM or packed "
@@ -477,9 +476,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "exceeding it counts as a failed attempt "
                              "and the pool is rebuilt (default: none)")
     parser.add_argument("--no-degrade", action="store_true",
-                        help="fail instead of walking the executor "
-                             "degradation ladder (shared_memory -> "
-                             "multiprocessing -> serial) when a rung "
+                        help="fail instead of degrading the executor "
+                             "(shared_memory -> serial) when the pool "
                              "keeps failing")
 
 
@@ -544,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_arguments(p_submit, with_job=False)
     p_submit.add_argument("--jobs", type=int, default=None, metavar="N")
     p_submit.add_argument("--executor", default=None,
-                          choices=["serial", "multiprocessing",
-                                   "shared_memory"])
+                          choices=["serial", "shared_memory"])
     p_submit.add_argument("--backend", default="float",
                           choices=["float", "packed"])
     p_submit.add_argument("--cache-cap", type=int, default=None,

@@ -10,10 +10,9 @@ sweep-with-repetitions protocol of §IV.
 from .campaign import FaultCampaign, SweepResult
 from .detection import (majority_vote_predict, march_test,
                         masks_from_detection, remap_columns)
-from .engine import (CampaignEvaluator, CampaignJob, MultiprocessingExecutor,
-                     SerialExecutor, SharedMemoryExecutor,
-                     SharedPlaneRegistry, build_jobs, get_executor,
-                     plan_has_faults)
+from .engine import (CampaignEvaluator, CampaignJob, SerialExecutor,
+                     SharedMemoryExecutor, SharedPlaneRegistry, build_jobs,
+                     get_executor, plan_has_faults)
 from .faults import FaultSpec, FaultType, Semantics, SpatialMode, StuckPolarity
 from .generator import FaultGenerator, FaultPlan, mapped_layers
 from .injector import FaultInjector
@@ -36,8 +35,7 @@ __all__ = [
     "FaultInjector",
     "FaultCampaign", "SweepResult",
     "CampaignJob", "CampaignEvaluator", "SerialExecutor",
-    "MultiprocessingExecutor", "SharedMemoryExecutor",
-    "SharedPlaneRegistry", "CampaignJournal",
+    "SharedMemoryExecutor", "SharedPlaneRegistry", "CampaignJournal",
     "build_jobs", "get_executor", "plan_has_faults",
     "RetryPolicy", "SupervisorGaveUp", "JobRetried", "JobQuarantined",
     "WorkerLost", "ExecutorDegraded",

@@ -9,9 +9,9 @@ for aggregation.
 
 Execution is delegated to :mod:`repro.core.engine`: the sweep grid is
 flattened into independent jobs with pre-generated fault plans and run
-through a pluggable executor (``serial``, ``multiprocessing`` or
-``shared_memory``) on a float or bit-packed inference backend.  All
-combinations are bit-identical under fixed seeds.
+through a pluggable executor (``serial`` or ``shared_memory``) on a
+float or bit-packed inference backend.  All combinations are
+bit-identical under fixed seeds.
 
 Campaigns can be **journaled**: ``run(..., journal=path)`` streams every
 completed cell into a JSONL file as it arrives, and a rerun with the same
@@ -103,12 +103,11 @@ class FaultCampaign:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"multiprocessing"``,
-        ``"shared_memory"``, or an executor object with a
-        ``run(jobs, evaluator)`` method (streaming executors additionally
-        provide ``run_iter``).
+        ``"serial"`` (default), ``"shared_memory"``, or an executor
+        object with a ``run(jobs, evaluator)`` method (streaming
+        executors additionally provide ``run_iter``).
     n_jobs:
-        Worker count for the pool executors; ``None`` means
+        Worker count for the pool executor; ``None`` means
         ``os.cpu_count()`` (or the ``REPRO_N_JOBS`` environment variable).
     backend:
         ``"float"`` or ``"packed"`` — see :mod:`repro.binary.layers`.
@@ -123,8 +122,8 @@ class FaultCampaign:
         concurrent campaigns on one model never thrash each other.
     policy:
         A :class:`~repro.core.resilience.RetryPolicy` arming retries,
-        per-job timeouts, poison-job quarantine, and the executor
-        degradation ladder.  ``None`` (default) keeps the legacy
+        per-job timeouts, poison-job quarantine, and the pool's
+        degradation to serial.  ``None`` (default) keeps the legacy
         behavior: any job failure aborts the run.
     obs:
         A :class:`repro.obs.Observability` collecting trace spans

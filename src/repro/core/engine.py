@@ -56,34 +56,32 @@ Executors
 ---------
 ``serial``
     In-process loop.  Shares the caller's evaluator and all its caches.
-``multiprocessing``
-    A process pool (default ``n_jobs=os.cpu_count()``, overridable with
-    the ``REPRO_N_JOBS`` environment variable); each worker builds one
-    evaluator in its initializer and reuses it for every job it is
-    handed.  The test set is pickled into each worker once.
 ``shared_memory``
-    Same pool, but the test set **and the parent's cached fault-free
-    prefix activation batches** (plus the first suffix layer's derived
-    im2col/packed input representations) live in
-    :mod:`multiprocessing.shared_memory` planes that workers attach
-    **zero-copy** — the per-worker payload shrinks to the model plus a
-    few block descriptors, independent of dataset size, and no worker
-    recomputes the prefix.  Planes are managed by a
-    :class:`SharedPlaneRegistry`: fingerprinted against data + weights
-    (stale planes are refused like mismatched journals), cached across
-    ``run`` calls of one campaign, and unlinked on failure, on
-    :meth:`FaultCampaign.close`, or at interpreter exit.
+    A process pool (default ``n_jobs=os.cpu_count()``, overridable with
+    the ``REPRO_N_JOBS`` environment variable).  The test set **and the
+    parent's cached fault-free prefix activation batches** (plus the
+    first suffix layer's derived im2col/packed input representations)
+    live in :mod:`multiprocessing.shared_memory` planes that workers
+    attach **zero-copy** in their initializer — the per-worker payload
+    shrinks to the model plus a few block descriptors, independent of
+    dataset size, and no worker recomputes the prefix.  Planes are
+    managed by a :class:`SharedPlaneRegistry`: fingerprinted against
+    data + weights (stale planes are refused like mismatched journals),
+    cached across ``run`` calls of one campaign, and unlinked on
+    failure, on :meth:`FaultCampaign.close`, or at interpreter exit.
 
-Both pool executors *stream* results back (``imap_unordered``) through
-:meth:`run_iter`, so callers can journal/report progress as cells finish,
-and both preserve the caller's warm layer caches: the model's transient
-state is stripped only for the duration of worker start-up and restored
-afterwards.
+The pool executor *streams* results back through :meth:`run_iter`, so
+callers can journal/report progress as cells finish, and preserves the
+caller's warm layer caches: the model's transient state is stripped only
+for the duration of worker start-up and restored afterwards.  Under a
+:class:`~repro.core.resilience.RetryPolicy` a pool that keeps failing
+degrades to the serial loop (``shared_memory → serial``), which computes
+the same values.
 
 Batch-level parallelism
 -----------------------
 When the job grid is smaller than the pool (e.g. a single-point sweep on
-a many-core machine), the pool executors split *within* each evaluation:
+a many-core machine), the pool executor splits *within* each evaluation:
 test batches are sharded across workers and the per-shard
 ``(correct, total)`` counts reduced in the parent.  Integer count
 reduction keeps the accuracy bit-identical to the unsharded division.
@@ -100,6 +98,7 @@ import weakref
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,7 +114,6 @@ __all__ = [
     "CampaignJob",
     "CampaignEvaluator",
     "SerialExecutor",
-    "MultiprocessingExecutor",
     "SharedMemoryExecutor",
     "SharedPlaneRegistry",
     "build_jobs",
@@ -209,10 +207,10 @@ class CampaignEvaluator:
     The evaluator snapshots ``x_test``/``y_test`` at construction
     (``copy_data=True``, the default) and marks the snapshot read-only, so
     the layer-level input caches may key on identity and later caller-side
-    mutations cannot silently serve stale prefix activations.  Workers
-    attaching process-private or shared-memory arrays pass
-    ``copy_data=False`` to stay zero-copy; such arrays must never be
-    written while the evaluator lives.
+    mutations cannot silently serve stale prefix activations.  Pool
+    workers attaching shared-memory arrays pass ``copy_data=False`` to
+    stay zero-copy; such arrays must never be written while the
+    evaluator lives.
 
     Cache invalidation keys on ``model.weights_version``, which training
     steps and ``load_state_dict`` bump.  Code that mutates
@@ -722,13 +720,69 @@ def _task_key(task) -> tuple[int, int]:
     return job.point_index, job.repeat_index
 
 
+def _run_task(evaluator: CampaignEvaluator, task):
+    """Evaluate one task: a whole job yields ``(point, repeat,
+    accuracy)``, a ``(job, shard, n_shards)`` shard tuple yields
+    ``(point, repeat, correct, total)``."""
+    if isinstance(task, CampaignJob):
+        return evaluator.run_job(task)
+    job, shard, n_shards = task
+    correct, total = evaluator.evaluate_plan_counts(job.plan, shard, n_shards)
+    return job.point_index, job.repeat_index, correct, total
+
+
+def _make_reducer(n_shards: int):
+    """``reduce(task, outcome) -> iterator of JobResult``.
+
+    One shard per job: pass results through, NaN for quarantined jobs.
+    Several: sum integer ``(correct, total)`` per cell and emit the cell
+    once complete — ``sum(correct)/sum(total)`` equals the unsharded
+    accuracy bit-for-bit; a quarantined shard quarantines its whole cell
+    (one NaN, later shards of that cell ignored).  The reducer's state
+    outlives the pool, so a cell split between the pool and the serial
+    rung still reduces exactly.
+    """
+    if n_shards <= 1:
+        def reduce(task, outcome):
+            kind, value = outcome
+            if kind == "ok":
+                yield value
+            else:
+                yield task.point_index, task.repeat_index, float("nan")
+        return reduce
+
+    cells: dict[tuple[int, int], list[int]] = {}
+    dead: set[tuple[int, int]] = set()
+
+    def reduce(task, outcome):
+        coord = _task_key(task)
+        kind, value = outcome
+        if kind != "ok":
+            if coord not in dead:
+                dead.add(coord)
+                cells.pop(coord, None)
+                yield coord[0], coord[1], float("nan")
+            return
+        if coord in dead:
+            return  # a straggler shard of a quarantined cell
+        entry = cells.setdefault(coord, [0, 0, n_shards])
+        entry[0] += value[2]
+        entry[1] += value[3]
+        entry[2] -= 1
+        if entry[2] == 0:
+            del cells[coord]
+            yield coord[0], coord[1], entry[0] / entry[1]
+    return reduce
+
+
 def _traced_evaluate(call, obs):
     """Wrap a per-task evaluation callable in an ``evaluate`` span.
 
-    Only the in-process paths (serial executor, tiny-grid fallback,
-    bottom ladder rung) are traced per cell — pool workers run in other
-    processes and stay untraced; the parent's ``dispatch`` span covers
-    them in aggregate.  Returns ``call`` unchanged when uninstrumented.
+    Only the in-process loop (the serial executor, and the pool's
+    tiny-grid fallback and serial rung) is traced per cell — pool
+    workers run in other processes and stay untraced; the parent's
+    ``dispatch`` span covers them in aggregate.  Returns ``call``
+    unchanged when uninstrumented.
     """
     if obs is None:
         return call
@@ -745,7 +799,7 @@ class SerialExecutor:
 
     With a :class:`~repro.core.resilience.RetryPolicy` the loop retries
     failed jobs with backoff and quarantines poison jobs (their cells
-    yield NaN) under the same contract as the pool executors; with
+    yield NaN) under the same contract as the pool executor; with
     ``policy=None`` (the default) the first failure raises.
     """
 
@@ -753,7 +807,8 @@ class SerialExecutor:
 
     def __init__(self, policy: RetryPolicy | None = None):
         self.policy = policy
-        #: receives resilience event records (JobRetried/JobQuarantined)
+        #: receives resilience event records (JobRetried/JobQuarantined,
+        #: and on the pool WorkerLost/ExecutorDegraded)
         self.on_event: Callable | None = None
         #: per-run resilience summary (see resilience.new_stats)
         self.resilience: dict = new_stats()
@@ -768,7 +823,8 @@ class SerialExecutor:
 
     def run(self, jobs: Sequence[CampaignJob],
             evaluator: CampaignEvaluator) -> list[JobResult]:
-        """All ``(point, repeat, accuracy)`` results, in job order."""
+        """All ``(point, repeat, accuracy)`` results (the materialized
+        form of :meth:`run_iter`)."""
         return list(self.run_iter(jobs, evaluator))
 
     def run_iter(self, jobs: Sequence[CampaignJob],
@@ -777,30 +833,23 @@ class SerialExecutor:
         in job order (pre-generated plans make order irrelevant to the
         values — only to the streaming sequence)."""
         self.resilience = new_stats()
-        call = _traced_evaluate(evaluator.run_job, self.obs)
-        for job, (kind, value) in supervised_serial(
-                jobs, call, self.policy, key=_task_key,
-                on_event=self._emit):
-            if kind == "ok":
-                yield value
-            else:
-                yield job.point_index, job.repeat_index, float("nan")
+        yield from self._run_in_process(jobs, evaluator, _make_reducer(1))
+
+    def _run_in_process(self, tasks: Sequence, evaluator: CampaignEvaluator,
+                        reduce) -> Iterator[JobResult]:
+        """The supervised in-process loop: runs ``tasks`` on the caller's
+        evaluator under the retry/quarantine contract and feeds each
+        outcome through ``reduce`` (see :func:`_make_reducer`)."""
+        call = _traced_evaluate(partial(_run_task, evaluator), self.obs)
+        for task, outcome in supervised_serial(tasks, call, self.policy,
+                                               key=_task_key,
+                                               on_event=self._emit):
+            yield from reduce(task, outcome)
 
 
 _WORKER_EVALUATOR: CampaignEvaluator | None = None
 #: attached shared-memory blocks, kept referenced so the mappings survive
 _WORKER_SHM: list = []
-
-
-def _init_worker(payload: dict) -> None:
-    """Pool initializer: build the worker-local evaluator exactly once."""
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = CampaignEvaluator(
-        payload["model"], payload["x_test"], payload["y_test"],
-        batch_size=payload["batch_size"],
-        continue_time_across_layers=payload["continue_time"],
-        backend=payload["backend"],
-        copy_data=False)  # the pickled arrays are already process-private
 
 
 def _attach_rep(registry: SharedPlaneRegistry, descriptor: dict
@@ -812,8 +861,8 @@ def _attach_rep(registry: SharedPlaneRegistry, descriptor: dict
     return descriptor["tag"], (array, tuple(descriptor["extra"]))
 
 
-def _init_worker_shm(payload: dict) -> None:
-    """Pool initializer for the shared-memory executor: attach, don't copy.
+def _worker_init(payload: dict) -> None:
+    """Pool initializer: attach, don't copy.
 
     Besides the test set, the worker attaches the parent's published
     fault-free prefix activation planes (and, when available, the derived
@@ -855,34 +904,9 @@ def _init_worker_shm(payload: dict) -> None:
     _WORKER_EVALUATOR = evaluator
 
 
-def _run_worker_job(job: CampaignJob) -> JobResult:
-    return _WORKER_EVALUATOR.run_job(job)
-
-
-def _run_worker_shard(task: tuple[CampaignJob, int, int]
-                      ) -> tuple[int, int, int, int]:
-    """Evaluate one shard of one job: (point, repeat, correct, total)."""
-    job, shard, n_shards = task
-    correct, total = _WORKER_EVALUATOR.evaluate_plan_counts(
-        job.plan, shard, n_shards)
-    return job.point_index, job.repeat_index, correct, total
-
-
-def _payload_nbytes(payload: dict) -> int:
-    """Serialized size of a worker initializer payload.
-
-    Arrays are counted at ``nbytes`` instead of being pickled: serializing
-    a multi-megabyte test set per :meth:`run_iter` call just to measure it
-    would dwarf the metric's value (on fork start, nothing is pickled at
-    all).  Called inside the transient-state stash so the model component
-    reflects what a worker actually receives, not the caller's warm
-    caches.
-    """
-    arrays = sum(value.nbytes for value in payload.values()
-                 if isinstance(value, np.ndarray))
-    rest = {key: value for key, value in payload.items()
-            if not isinstance(value, np.ndarray)}
-    return arrays + len(pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL))
+def _run_worker_task(task):
+    """Pool task function: :func:`_run_task` on the worker's evaluator."""
+    return _run_task(_WORKER_EVALUATOR, task)
 
 
 @contextmanager
@@ -911,47 +935,58 @@ def _transient_state_stashed(model: Sequential):
                 setattr(layer, attr, value)
 
 
-class MultiprocessingExecutor:
-    """Process-pool executor with worker-local models.
+class SharedMemoryExecutor(SerialExecutor):
+    """Process-pool executor whose test set *and* prefix activations live
+    in shared memory.
 
-    The model and test set ship to each worker once (pool initializer);
-    jobs only carry their fault plans.  Results stream back unordered as
-    they complete.  They are bit-identical to the serial executor because
-    plans are pre-generated and the per-batch arithmetic is unchanged.
+    The parent publishes ``x_test``/``y_test`` plus its cached fault-free
+    prefix activation batches (and the first suffix layer's derived
+    im2col/packed input representations) as planes in a
+    :class:`SharedPlaneRegistry`; workers attach everything zero-copy in
+    their initializer.  The pickled per-worker payload carries only the
+    model and block descriptors — independent of dataset size — and no
+    worker ever recomputes the fault-free prefix.  Jobs only carry their
+    fault plans, and results stream back unordered as they complete,
+    bit-identical to the serial executor because plans are pre-generated
+    and the per-batch arithmetic is unchanged.
 
     When the job grid is smaller than the pool, evaluation splits at the
     batch level instead: each worker scores a shard of the test batches
     and the parent reduces the integer ``(correct, total)`` counts.
 
+    Planes are fingerprinted against the evaluator's data + weights and
+    kept alive across ``run`` calls of the same campaign (e.g. the
+    per-layer sweeps of a Fig. 4 grid republish nothing); a fingerprint
+    change republishes, a failed or abandoned run releases immediately,
+    and a ``weakref`` finalizer unlinks whatever remains when the
+    executor is garbage-collected or the interpreter exits.
+
     With a :class:`~repro.core.resilience.RetryPolicy` the pool runs
     under a :class:`~repro.core.resilience.PoolSupervisor`: failed jobs
     retry with backoff and are quarantined (NaN cells) after
     ``max_attempts``; lost workers trigger a pool rebuild that
-    re-dispatches only the in-flight jobs; and when a rung keeps failing
-    the executor walks down its :attr:`ladder` — ultimately running the
-    remaining jobs in-process — so a campaign always completes with
+    re-dispatches only the in-flight jobs; and when the pool keeps
+    failing (or its planes cannot be published) the executor degrades
+    to the in-process loop it inherits from :class:`SerialExecutor`
+    (``shared_memory → serial``), so a campaign always completes with
     bit-identical accuracies for every cell that completes anywhere.
     ``policy=None`` (the default) keeps the legacy semantics: one
     attempt, first failure raises.
     """
 
-    name = "multiprocessing"
-    #: degradation ladder, first rung first; the final "serial" rung
-    #: runs on the caller's evaluator and cannot lose workers
-    ladder: tuple[str, ...] = ("multiprocessing", "serial")
+    name = "shared_memory"
 
     def __init__(self, n_jobs: int | None = None,
                  policy: RetryPolicy | None = None):
+        super().__init__(policy)
         if not n_jobs or n_jobs <= 0:
             n_jobs = int(os.environ.get("REPRO_N_JOBS", 0) or 0)
         self.n_jobs = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
-        self.policy = policy
-        #: serialized size of the per-worker initializer payload on the
-        #: most recent pooled run, arrays counted at ``nbytes`` (0 after a
-        #: serial fallback, None before any run) — see _payload_nbytes
+        #: pickled size of the per-worker initializer payload on the most
+        #: recent pooled run, measured without the caller's warm caches
+        #: (0 after a serial fallback, None before any run)
         self.payload_bytes: int | None = None
-        #: prefix-plane metrics of the most recent pooled run (only the
-        #: shared-memory executor populates this)
+        #: prefix-plane metrics of the most recent pooled run
         self.prefix_plane: dict | None = None
         #: event hook: ``on_warning(message)`` is invoked for non-fatal
         #: conditions a caller should surface (e.g. a grid that cannot
@@ -959,48 +994,9 @@ class MultiprocessingExecutor:
         #: API (:mod:`repro.api`) wires this to its typed
         #: ``RunWarning`` events; ``None`` stays silent.
         self.on_warning: Callable[[str], None] | None = None
-        #: event hook for typed resilience records (JobRetried,
-        #: JobQuarantined, WorkerLost, ExecutorDegraded); campaigns tap
-        #: this to journal events, the API mirrors them as run events
-        self.on_event: Callable | None = None
-        #: per-run resilience summary (see resilience.new_stats)
-        self.resilience: dict = new_stats()
-        #: the observing run's repro.obs.Observability (campaigns set
-        #: this for the duration of run(); None = uninstrumented).
-        #: Pool workers never see it — only the parent-side serial
-        #: paths trace per-cell evaluate spans.
-        self.obs = None
-
-    def _notify(self, message: str) -> None:
-        if self.on_warning is not None:
-            self.on_warning(message)
-
-    def _emit(self, record) -> None:
-        note_stats(self.resilience, record)
-        if self.on_event is not None:
-            self.on_event(record)
-
-    def _make_payload(self, evaluator: CampaignEvaluator
-                      ) -> tuple[dict, Callable[[bool], None]]:
-        """Build the initializer payload.
-
-        Returns
-        -------
-        (dict, callable)
-            The payload and a ``cleanup(success)`` hook invoked after the
-            run — ``success`` is False when the run raised or was
-            abandoned, letting subclasses release resources they would
-            otherwise keep cached for the next run.
-        """
-        payload = {
-            "model": evaluator.model,
-            "x_test": np.asarray(evaluator.x_test),
-            "y_test": np.asarray(evaluator.y_test),
-            "batch_size": evaluator.batch_size,
-            "continue_time": evaluator.injector.continue_time_across_layers,
-            "backend": evaluator.backend,
-        }
-        return payload, lambda success: None
+        self._registry: SharedPlaneRegistry | None = None
+        self._payload: dict | None = None
+        self._prefix_info: dict | None = None
 
     def _shard_count(self, n_pending: int, n_batches: int) -> int:
         """Shards per job when the grid underfills the pool, else 1."""
@@ -1008,11 +1004,11 @@ class MultiprocessingExecutor:
             return 1
         return min(n_batches, math.ceil(self.n_jobs / n_pending))
 
-    def run(self, jobs: Sequence[CampaignJob],
-            evaluator: CampaignEvaluator) -> list[JobResult]:
-        """Evaluate ``jobs`` and return all ``(point, repeat, accuracy)``
-        results (the materialized form of :meth:`run_iter`)."""
-        return list(self.run_iter(jobs, evaluator))
+    def _pool_functions(self) -> tuple[Callable, Callable]:
+        """The pool's ``(initializer, task function)``, looked up late
+        from the module globals so tests (and the chaos harness) can
+        substitute them."""
+        return _worker_init, _run_worker_task
 
     def run_iter(self, jobs: Sequence[CampaignJob],
                  evaluator: CampaignEvaluator) -> Iterator[JobResult]:
@@ -1021,7 +1017,7 @@ class MultiprocessingExecutor:
         Results arrive *unordered* but are bit-identical to the serial
         executor for every cell: plans are pre-generated and the
         per-batch arithmetic is unchanged — which is also why worker
-        loss, retries, and executor degradation can never change a
+        loss, retries, and degradation to serial can never change a
         value, only where and when it is computed.  Pools of one worker
         (or single-job grids that cannot shard) fall back to the
         in-process serial loop.  Quarantined jobs yield NaN for their
@@ -1029,214 +1025,74 @@ class MultiprocessingExecutor:
         """
         jobs = list(jobs)
         self.resilience = new_stats()
-        n_shards = self._shard_count(len(jobs), self._n_batches(evaluator))
+        self.payload_bytes = 0
+        self.prefix_plane = None
+        n_batches = math.ceil(len(evaluator.x_test) / evaluator.batch_size)
+        n_shards = self._shard_count(len(jobs), n_batches)
+        reduce = _make_reducer(n_shards)
         if self.n_jobs == 1 or (len(jobs) <= 1 and n_shards <= 1):
-            if self.n_jobs > 1:
-                self._notify(
+            if self.n_jobs > 1 and self.on_warning is not None:
+                self.on_warning(
                     f"grid of {len(jobs)} job(s) cannot use the "
                     f"{self.n_jobs}-worker pool; falling back to the "
                     "in-process serial loop")
-            self.payload_bytes = 0
-            self.prefix_plane = None  # this run attached no planes
-            yield from self._run_rung_serial(jobs, evaluator, sharded=False,
-                                             reduce=self._make_reducer(
-                                                 False, 1))
+            yield from self._run_in_process(jobs, evaluator, reduce)
             return
-        if n_shards > 1:
-            tasks: list = [(job, shard, n_shards)
-                           for job in jobs for shard in range(n_shards)]
-            sharded = True
-        else:
-            tasks = jobs
-            sharded = False
-        # the cross-rung reducer: shard counts accumulated on one rung
-        # finish reducing on the next, so degradation mid-cell is exact
-        reduce = self._make_reducer(sharded, n_shards)
-        modes = list(self.ladder)
-        if self.policy is None or not self.policy.degrade:
-            modes = modes[:1]
-        remaining = tasks
-        for rung, mode in enumerate(modes):
-            if mode == "serial":
-                yield from self._run_rung_serial(remaining, evaluator,
-                                                 sharded=sharded,
-                                                 reduce=reduce)
-                return
-            try:
-                payload, initializer, cleanup = self._payload_for_mode(
-                    mode, evaluator)
-            except Exception as error:
-                if rung + 1 >= len(modes):
-                    raise
-                self._emit(ExecutorDegraded(
-                    from_mode=mode, to_mode=modes[rung + 1],
-                    reason=f"worker payload setup failed: {error!r}"))
-                continue
-            job_fn, shard_fn = self._pool_functions(mode)
+        tasks: list = (jobs if n_shards == 1 else
+                       [(job, shard, n_shards)
+                        for job in jobs for shard in range(n_shards)])
+        degrade = self.policy is not None and self.policy.degrade
+        try:
+            payload = self._make_payload(evaluator)
+        except Exception as error:
+            if not degrade:
+                raise
+            self._emit(ExecutorDegraded(
+                from_mode=self.name, to_mode="serial",
+                reason=f"worker payload setup failed: {error!r}"))
+            yield from self._run_in_process(tasks, evaluator, reduce)
+            return
+        initializer, task_fn = self._pool_functions()
+        with _transient_state_stashed(evaluator.model):
+            self.payload_bytes = len(pickle.dumps(
+                payload, protocol=pickle.HIGHEST_PROTOCOL))
+
+        def pool_factory():
+            import multiprocessing
             with _transient_state_stashed(evaluator.model):
-                self.payload_bytes = _payload_nbytes(payload)
+                return multiprocessing.Pool(self.n_jobs,
+                                            initializer=initializer,
+                                            initargs=(payload,))
 
-            def pool_factory(payload=payload, initializer=initializer):
-                import multiprocessing
-                with _transient_state_stashed(evaluator.model):
-                    return multiprocessing.Pool(self.n_jobs,
-                                                initializer=initializer,
-                                                initargs=(payload,))
-
-            window = (self.n_jobs
-                      if self.policy is not None
-                      and self.policy.job_timeout is not None
-                      else 2 * self.n_jobs)
-            supervisor = PoolSupervisor(
-                pool_factory, shard_fn if sharded else job_fn, remaining,
-                self.policy, key=_task_key, on_event=self._emit,
-                window=window)
-            stream = supervisor.run()
-            rung_done = False
-            try:
-                for task, outcome in stream:
-                    yield from reduce(task, outcome)
-                rung_done = True
-            except SupervisorGaveUp as failure:
-                if rung + 1 >= len(modes):
-                    raise
-                remaining = supervisor.unfinished()
-                self._emit(ExecutorDegraded(from_mode=mode,
-                                            to_mode=modes[rung + 1],
-                                            reason=str(failure)))
-            finally:
-                stream.close()
-                cleanup(rung_done)
-                if not rung_done and mode == "shared_memory":
-                    # the planes this run advertised were just released
-                    self.prefix_plane = None
-            if rung_done:
-                return
-
-    def _run_rung_serial(self, tasks: Sequence, evaluator: CampaignEvaluator,
-                         *, sharded: bool, reduce) -> Iterator[JobResult]:
-        """The bottom rung (and the tiny-grid fallback): run the
-        remaining tasks on the caller's evaluator under the same
-        retry/quarantine contract."""
-        if sharded:
-            def call(task):
-                job, shard, n_shards = task
-                correct, total = evaluator.evaluate_plan_counts(
-                    job.plan, shard, n_shards)
-                return job.point_index, job.repeat_index, correct, total
-        else:
-            call = evaluator.run_job
-        call = _traced_evaluate(call, self.obs)
-        for task, outcome in supervised_serial(tasks, call, self.policy,
-                                               key=_task_key,
-                                               on_event=self._emit):
-            yield from reduce(task, outcome)
-
-    @staticmethod
-    def _make_reducer(sharded: bool, n_shards: int):
-        """``reduce(task, outcome) -> iterator of JobResult``.
-
-        Unsharded: pass results through, NaN for quarantined jobs.
-        Sharded: sum integer ``(correct, total)`` per cell and emit the
-        cell once complete — ``sum(correct)/sum(total)`` equals the
-        unsharded accuracy bit-for-bit; a quarantined shard quarantines
-        its whole cell (one NaN, later shards of that cell ignored).
-        The reducer's state lives across rungs of the degradation
-        ladder, so a cell split between two rungs still reduces exactly.
-        """
-        if not sharded:
-            def reduce(task, outcome):
-                kind, value = outcome
-                if kind == "ok":
-                    yield value
-                else:
-                    yield task.point_index, task.repeat_index, float("nan")
-            return reduce
-
-        cells: dict[tuple[int, int], list[int]] = {}
-        dead: set[tuple[int, int]] = set()
-
-        def reduce(task, outcome):
-            coord = _task_key(task)
-            kind, value = outcome
-            if kind != "ok":
-                if coord not in dead:
-                    dead.add(coord)
-                    cells.pop(coord, None)
-                    yield coord[0], coord[1], float("nan")
-                return
-            if coord in dead:
-                return  # a straggler shard of a quarantined cell
-            entry = cells.setdefault(coord, [0, 0, n_shards])
-            entry[0] += value[2]
-            entry[1] += value[3]
-            entry[2] -= 1
-            if entry[2] == 0:
-                del cells[coord]
-                yield coord[0], coord[1], entry[0] / entry[1]
-        return reduce
-
-    def _payload_for_mode(self, mode: str, evaluator: CampaignEvaluator
-                          ) -> tuple[dict, Callable, Callable[[bool], None]]:
-        """``(payload, initializer, cleanup)`` for one ladder rung.
-
-        Subclasses add rungs by handling their mode and delegating the
-        rest to ``super()``; the chaos harness wraps the returned pieces
-        to inject failures without touching dispatch logic.
-        """
-        if mode != "multiprocessing":
-            raise ValueError(f"unknown executor mode {mode!r}")
-        payload, cleanup = MultiprocessingExecutor._make_payload(
-            self, evaluator)
-        return payload, _init_worker, cleanup
-
-    def _pool_functions(self, mode: str) -> tuple[Callable, Callable]:
-        """The (job, shard) functions dispatched to pool workers, looked
-        up late from the module globals so tests (and the chaos harness)
-        can substitute them."""
-        return _run_worker_job, _run_worker_shard
-
-    @staticmethod
-    def _n_batches(evaluator: CampaignEvaluator) -> int:
-        return math.ceil(len(evaluator.x_test) / evaluator.batch_size)
-
-
-class SharedMemoryExecutor(MultiprocessingExecutor):
-    """Pool executor whose test set *and* prefix activations live in
-    shared memory.
-
-    The parent publishes ``x_test``/``y_test`` plus its cached fault-free
-    prefix activation batches (and the first suffix layer's derived
-    im2col/packed input representations) as planes in a
-    :class:`SharedPlaneRegistry`; workers attach everything zero-copy in
-    their initializer.  The pickled per-worker payload carries only the
-    model and block descriptors — independent of dataset size — and no
-    worker ever recomputes the fault-free prefix.
-
-    Planes are fingerprinted against the evaluator's data + weights and
-    kept alive across ``run`` calls of the same campaign (e.g. the
-    per-layer sweeps of a Fig. 4 grid republish nothing); a fingerprint
-    change republishes, a failed or abandoned run releases immediately,
-    and a ``weakref`` finalizer unlinks whatever remains when the
-    executor is garbage-collected or the interpreter exits.
-    """
-
-    name = "shared_memory"
-    ladder: tuple[str, ...] = ("shared_memory", "multiprocessing", "serial")
-
-    def __init__(self, n_jobs: int | None = None,
-                 policy: RetryPolicy | None = None):
-        super().__init__(n_jobs, policy)
-        self._registry: SharedPlaneRegistry | None = None
-        self._payload: dict | None = None
-        self._prefix_info: dict | None = None
-
-    def _payload_for_mode(self, mode: str, evaluator: CampaignEvaluator
-                          ) -> tuple[dict, Callable, Callable[[bool], None]]:
-        if mode != "shared_memory":
-            return super()._payload_for_mode(mode, evaluator)
-        payload, cleanup = self._make_payload(evaluator)
-        return payload, _init_worker_shm, cleanup
+        window = (self.n_jobs
+                  if self.policy is not None
+                  and self.policy.job_timeout is not None
+                  else 2 * self.n_jobs)
+        supervisor = PoolSupervisor(pool_factory, task_fn, tasks,
+                                    self.policy, key=_task_key,
+                                    on_event=self._emit, window=window)
+        stream = supervisor.run()
+        done = False
+        try:
+            for task, outcome in stream:
+                yield from reduce(task, outcome)
+            done = True
+        except SupervisorGaveUp as failure:
+            if not degrade:
+                raise
+            self._emit(ExecutorDegraded(from_mode=self.name,
+                                        to_mode="serial",
+                                        reason=str(failure)))
+        finally:
+            stream.close()
+            if not done:
+                # a failed or abandoned run unlinks the planes it
+                # advertised instead of caching them for the next run
+                self.release_planes()
+                self.prefix_plane = None
+        if not done:
+            yield from self._run_in_process(supervisor.unfinished(),
+                                            evaluator, reduce)
 
     def release_planes(self) -> None:
         """Unlink every published plane now (idempotent).  Called on
@@ -1293,19 +1149,17 @@ class SharedMemoryExecutor(MultiprocessingExecutor):
         return {"split": split, "n_batches": len(batches),
                 "batches": descriptors, "reps": reps}
 
-    def _make_payload(self, evaluator: CampaignEvaluator
-                      ) -> tuple[dict, Callable[[bool], None]]:
-        def cleanup(success: bool) -> None:
-            if not success:
-                self.release_planes()
-
+    def _make_payload(self, evaluator: CampaignEvaluator) -> dict:
+        """The pool initializer's payload: the model plus plane
+        descriptors, publishing the planes unless the previous run's
+        still match the evaluator's fingerprint."""
         fingerprint = evaluator.plane_fingerprint()
         if (self._registry is not None and self._payload is not None
                 and self._registry.fingerprint == fingerprint):
             # campaign-aware caching: same data/weights/geometry — the
             # planes published for the previous run are still exact
             self.prefix_plane = dict(self._prefix_info, reused=True)
-            return self._payload, cleanup
+            return self._payload
         self.release_planes()
         registry = SharedPlaneRegistry(fingerprint=fingerprint)
         registry.on_warning = self.on_warning
@@ -1336,7 +1190,7 @@ class SharedMemoryExecutor(MultiprocessingExecutor):
             "bytes": registry.nbytes,
         }
         self.prefix_plane = dict(self._prefix_info, reused=False)
-        return payload, cleanup
+        return payload
 
 
 def _publish_rep(registry: SharedPlaneRegistry, tag: str, rep) -> dict:
@@ -1364,25 +1218,23 @@ def _strip_transient_state(model: Sequential) -> None:
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "multiprocessing": MultiprocessingExecutor,
     "shared_memory": SharedMemoryExecutor,
-    "shm": SharedMemoryExecutor,
 }
 
 
 def get_executor(executor, n_jobs: int | None = None,
                  policy: RetryPolicy | None = None):
-    """Resolve an executor by name ('serial' / 'multiprocessing' /
-    'shared_memory') or pass executor objects through.  ``policy``
-    (a :class:`~repro.core.resilience.RetryPolicy`) arms retries,
-    per-job timeouts, and the degradation ladder; ``None`` keeps the
-    legacy raise-on-first-failure behavior."""
+    """Resolve an executor by name ('serial' / 'shared_memory') or pass
+    executor objects through.  ``policy`` (a
+    :class:`~repro.core.resilience.RetryPolicy`) arms retries, per-job
+    timeouts, and degradation to serial; ``None`` keeps the legacy
+    raise-on-first-failure behavior."""
     if not isinstance(executor, str):
         return executor
     cls = _EXECUTORS.get(executor)
     if cls is None:
-        raise ValueError(f"unknown executor {executor!r}; use 'serial', "
-                         "'multiprocessing' or 'shared_memory'")
+        raise ValueError(f"unknown executor {executor!r}; use 'serial' "
+                         "or 'shared_memory'")
     if cls is SerialExecutor:
         return cls(policy=policy)
     return cls(n_jobs, policy=policy)

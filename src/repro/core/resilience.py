@@ -14,8 +14,7 @@ Three cooperating pieces:
     Deterministic knobs: attempts per job, exponential backoff, an
     optional per-job wall-clock timeout, a stall watchdog, a pool
     rebuild budget, and whether the executor may *degrade*
-    (``shared_memory`` → ``multiprocessing`` → ``serial``) when a pool
-    keeps failing.  ``policy=None`` everywhere means the legacy
+    (``shared_memory`` → ``serial``) when the pool keeps failing.  ``policy=None`` everywhere means the legacy
     semantics: one attempt, first failure raises.
 :class:`PoolSupervisor`
     Wraps one ``multiprocessing.Pool`` rung: dispatches tasks with
@@ -92,10 +91,10 @@ class RetryPolicy:
         degradation ladder to move on.  Timeout rebuilds are bounded by
         per-job attempts instead and do not count here.
     degrade:
-        Whether the pool executors may fall down their ladder
-        (``shared_memory`` → ``multiprocessing`` → ``serial``) when a
-        rung keeps failing.  With ``False`` the first rung's failure
-        raises :class:`SupervisorGaveUp`.
+        Whether the pool executor may fall down its ladder
+        (``shared_memory`` → ``serial``) when the pool keeps failing.
+        With ``False`` the pool's failure raises
+        :class:`SupervisorGaveUp`.
     """
 
     max_attempts: int = 3

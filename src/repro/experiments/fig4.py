@@ -59,21 +59,21 @@ def layer_sweeps(model: Sequential, test: Dataset, spec_factory,
 
     The campaign engine options (``executor``/``n_jobs``/``backend``/
     ``cache_bytes``) pass straight through, so every Fig. 4 scenario can
-    run on the pool executors and the packed backend — all bit-identical
+    run on the pool executor and the packed backend — all bit-identical
     to serial/float.  ``progress(series, done, total, cell)`` and
     ``journal_for(series) -> path`` are the streaming hooks of the
     :mod:`repro.api` layer: one callback / journal per series curve.
     """
-    campaign = _campaign(model, test, rows, cols, executor, n_jobs, backend,
-                         cache_bytes)
     results: dict[str, SweepResult] = {}
-    for name in (*layer_names, "combined"):
-        campaign_progress, journal = _series_hooks(progress, journal_for,
-                                                   name)
-        results[name] = campaign.run(
-            spec_factory, xs, repeats=repeats, seed=seed,
-            layers=None if name == "combined" else [name], label=name,
-            journal=journal, progress=campaign_progress)
+    with _campaign(model, test, rows, cols, executor, n_jobs, backend,
+                   cache_bytes) as campaign:
+        for name in (*layer_names, "combined"):
+            campaign_progress, journal = _series_hooks(progress,
+                                                       journal_for, name)
+            results[name] = campaign.run(
+                spec_factory, xs, repeats=repeats, seed=seed,
+                layers=None if name == "combined" else [name], label=name,
+                journal=journal, progress=campaign_progress)
     return results
 
 
@@ -89,16 +89,16 @@ def line_sweeps(model: Sequential, test: Dataset, spec_factory, counts,
     'combined' series: ``spec_factory(count)`` marks that many faulty
     lines on one layer's crossbar at a time.
     """
-    campaign = _campaign(model, test, rows, cols, executor, n_jobs, backend,
-                         cache_bytes)
     results = {}
-    for name in layer_names:
-        campaign_progress, journal = _series_hooks(progress, journal_for,
-                                                   name)
-        results[name] = campaign.run(
-            spec_factory, xs=list(counts), repeats=repeats, seed=seed,
-            layers=[name], label=name, journal=journal,
-            progress=campaign_progress)
+    with _campaign(model, test, rows, cols, executor, n_jobs, backend,
+                   cache_bytes) as campaign:
+        for name in layer_names:
+            campaign_progress, journal = _series_hooks(progress,
+                                                       journal_for, name)
+            results[name] = campaign.run(
+                spec_factory, xs=list(counts), repeats=repeats, seed=seed,
+                layers=[name], label=name, journal=journal,
+                progress=campaign_progress)
     return results
 
 

@@ -33,7 +33,7 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
 
     The campaign engine options (``executor``/``n_jobs``/``backend``/
     ``cache_bytes``) pass straight through, so the nine-architecture
-    grids can run on the pool executors and the packed backend — all
+    grids can run on the pool executor and the packed backend — all
     bit-identical to serial/float.  ``progress(series, done, total,
     cell)`` and ``journal_for(series) -> path`` stream/journal one model
     curve at a time (each model is its own campaign grid).
@@ -45,15 +45,17 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
     results: dict[str, SweepResult] = {}
     for name in models:
         model = trained_zoo_model(name)
-        campaign = FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
-                                 executor=executor, n_jobs=n_jobs,
-                                 backend=backend, cache_bytes=cache_bytes)
         campaign_progress = None
         if progress is not None:
             def campaign_progress(done, total, cell, _name=name):
                 progress(_name, done, total, cell)
         journal = journal_for(name) if journal_for is not None else None
-        results[name] = campaign.run(spec_factory, xs, repeats=repeats,
-                                     seed=seed, label=name, journal=journal,
-                                     progress=campaign_progress)
+        with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
+                           executor=executor, n_jobs=n_jobs,
+                           backend=backend,
+                           cache_bytes=cache_bytes) as campaign:
+            results[name] = campaign.run(spec_factory, xs, repeats=repeats,
+                                         seed=seed, label=name,
+                                         journal=journal,
+                                         progress=campaign_progress)
     return results

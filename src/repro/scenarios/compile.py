@@ -9,7 +9,7 @@ curves at that checkpoint's age and flattened into plain
 :class:`~repro.core.faults.FaultSpec` lists.  The resulting
 :class:`CompiledGrid` plugs straight into
 :meth:`repro.core.FaultCampaign.run` — cells ride the
-serial/multiprocessing/shared-memory executors, the packed backend, the
+serial/shared-memory executors, the packed backend, the
 JSONL journals and the activation-plane caches unchanged, and stay
 bit-identical under fixed seeds because compilation is a pure function
 of the scenario (no RNG is consumed; mask draws still happen per-job in

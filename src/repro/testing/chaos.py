@@ -3,16 +3,15 @@
 The fault injector injects faults into *models*; this module injects
 faults into the *engine running the campaign* — the same inversion
 SpikeFI applies at the framework level.  A :class:`ChaosSpec` names the
-failures; the chaos executors (:class:`ChaosMultiprocessingExecutor`,
-:class:`ChaosSharedMemoryExecutor`) are the real pool executors with
-their worker entry points wrapped so those failures happen at precise
-grid cells:
+failures; :class:`ChaosSharedMemoryExecutor` is the real pool executor
+with its worker entry points wrapped so those failures happen at
+precise grid cells:
 
 * SIGKILL the worker holding cell *k* (a lost worker mid-grid);
 * raise once in a worker (a transient evaluation failure → retry);
 * raise *every* time a cell is attempted (a poison job → quarantine);
-* raise in the pool initializer of a given rung (broken worker
-  start-up → the degradation ladder);
+* raise in the pool initializer (broken worker start-up → degradation
+  to serial);
 * sleep through a cell's wall-clock budget (a stuck worker → timeout).
 
 One-shot failures coordinate across respawned workers through claim
@@ -21,9 +20,9 @@ one attempt dies no matter which worker draws the cell or how often the
 pool is rebuilt.  Poison cells carry no token: they fail on every
 attempt, which is what makes them poison.
 
-Everything here rides the executors' public extension seams
-(``_payload_for_mode`` / ``_pool_functions``); dispatch, supervision,
-and recovery logic run completely unmodified — that is the point.
+Everything here rides the executor's extension seam
+(``_pool_functions``); dispatch, supervision, and recovery logic run
+completely unmodified — that is the point.
 """
 
 from __future__ import annotations
@@ -31,14 +30,15 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from ..core import engine as _engine
-from ..core.engine import MultiprocessingExecutor, SharedMemoryExecutor
+from ..core.engine import SharedMemoryExecutor
 
-__all__ = ["ChaosSpec", "ChaosError", "ChaosMultiprocessingExecutor",
-           "ChaosSharedMemoryExecutor", "truncate_last_line"]
+__all__ = ["ChaosSpec", "ChaosError", "ChaosSharedMemoryExecutor",
+           "truncate_last_line"]
 
 
 class ChaosError(RuntimeError):
@@ -64,9 +64,9 @@ class ChaosSpec:
     #: sleep ``slow_seconds`` in this cell (once → per-job timeout)
     slow_job: tuple[int, int] | None = None
     slow_seconds: float = 5.0
-    #: ladder rungs whose pool initializer raises (every worker, every
-    #: rebuild) — e.g. ("shared_memory",) forces a degradation
-    fail_init_modes: tuple[str, ...] = field(default=())
+    #: raise in the pool initializer (every worker, every rebuild),
+    #: which forces the degradation to serial
+    fail_init: bool = False
 
     def claim(self, tag: str) -> bool:
         """Atomically claim a one-shot failure; True exactly once per
@@ -83,20 +83,20 @@ class ChaosSpec:
 _CHAOS: ChaosSpec | None = None
 
 
-def _chaos_init(payload: dict) -> None:
-    """Pool initializer: arm the spec, then run the rung's real one."""
+def _chaos_init(chaos: ChaosSpec, payload: dict) -> None:
+    """Pool initializer: arm the spec, then run the real one."""
     global _CHAOS
-    _CHAOS = payload["chaos"]
-    if payload["mode"] in _CHAOS.fail_init_modes:
-        raise ChaosError(f"injected initializer failure "
-                         f"({payload['mode']} rung)")
-    payload["init_fn"](payload["inner"])
+    _CHAOS = chaos
+    if chaos.fail_init:
+        raise ChaosError("injected initializer failure")
+    _engine._worker_init(payload)
 
 
-def _chaos_before(point: int, repeat: int) -> None:
-    """Fire any failure aimed at this cell, before evaluating it."""
+def _chaos_run_task(task):
+    """Fire any failure aimed at this task's cell, then evaluate it."""
     spec = _CHAOS
-    coord = (point, repeat)
+    coord = _engine._task_key(task)
+    point, repeat = coord
     if spec.poison_job == coord:
         raise ChaosError(f"injected poison job at {coord}")
     if spec.kill_job == coord and spec.claim(f"kill-{point}-{repeat}"):
@@ -105,43 +105,18 @@ def _chaos_before(point: int, repeat: int) -> None:
         raise ChaosError(f"injected transient failure at {coord}")
     if spec.slow_job == coord and spec.claim(f"slow-{point}-{repeat}"):
         time.sleep(spec.slow_seconds)
+    return _engine._run_worker_task(task)
 
 
-def _chaos_run_job(job):
-    _chaos_before(job.point_index, job.repeat_index)
-    return _engine._run_worker_job(job)
-
-
-def _chaos_run_shard(task):
-    job = task[0]
-    _chaos_before(job.point_index, job.repeat_index)
-    return _engine._run_worker_shard(task)
-
-
-class _ChaosMixin:
-    """Wrap an executor's worker entry points with failure injection."""
+class ChaosSharedMemoryExecutor(SharedMemoryExecutor):
+    """:class:`SharedMemoryExecutor` with injected failures."""
 
     def __init__(self, *args, chaos: ChaosSpec, **kwargs):
         super().__init__(*args, **kwargs)
         self.chaos = chaos
 
-    def _payload_for_mode(self, mode, evaluator):
-        payload, initializer, cleanup = super()._payload_for_mode(
-            mode, evaluator)
-        wrapped = {"chaos": self.chaos, "mode": mode,
-                   "init_fn": initializer, "inner": payload}
-        return wrapped, _chaos_init, cleanup
-
-    def _pool_functions(self, mode):
-        return _chaos_run_job, _chaos_run_shard
-
-
-class ChaosMultiprocessingExecutor(_ChaosMixin, MultiprocessingExecutor):
-    """:class:`MultiprocessingExecutor` with injected failures."""
-
-
-class ChaosSharedMemoryExecutor(_ChaosMixin, SharedMemoryExecutor):
-    """:class:`SharedMemoryExecutor` with injected failures."""
+    def _pool_functions(self):
+        return partial(_chaos_init, self.chaos), _chaos_run_task
 
 
 def truncate_last_line(path) -> None:

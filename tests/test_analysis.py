@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (RuntimeSample, accuracy, ascii_bars, ascii_plot,
-                            critical_x, degradation, extrapolate,
-                            markdown_table, measure, speedup_table,
-                            top_k_accuracy, write_csv)
+from repro.analysis import (RuntimeSample, accuracy, ascii_plot, critical_x,
+                            degradation, extrapolate, markdown_table, measure,
+                            speedup_table, top_k_accuracy, write_csv)
 
 
 def test_accuracy_basics():
@@ -52,15 +51,6 @@ def test_ascii_plot_contains_series_markers():
 def test_ascii_plot_empty_rejected():
     with pytest.raises(ValueError):
         ascii_plot({})
-
-
-def test_ascii_bars_log_scale():
-    text = ascii_bars({"X-Fault": 100000.0, "FLIM": 10.0, "vanilla": 5.0},
-                      log=True, unit="s")
-    lines = text.splitlines()
-    xfault_fill = lines[0].count("#")
-    vanilla_fill = lines[2].count("#")
-    assert xfault_fill > vanilla_fill
 
 
 def test_write_csv_roundtrip(tmp_path):

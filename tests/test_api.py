@@ -112,6 +112,8 @@ def test_resolve_applies_defaults_quick_then_user():
     (dict(n_jobs=-1), "n_jobs"),
     (dict(cache_bytes=-5), "cache_bytes"),
     (dict(resume=True), "--journal"),
+    (dict(executor="multiprocessing"), "unknown executor"),
+    (dict(executor="shm"), "unknown executor"),
 ])
 def test_request_validation(kwargs, match):
     with pytest.raises(ApiError, match=match):
@@ -178,7 +180,7 @@ def test_pool_fallback_emits_warning_event():
     events = []
     api.run("sweep",
             params=dict(rates=[0.3], repeats=1, images=60, rows=8, cols=4),
-            executor="multiprocessing", n_jobs=2, on_event=events.append)
+            executor="shared_memory", n_jobs=2, on_event=events.append)
     warnings_seen = [e for e in events if isinstance(e, RunWarning)]
     assert any("serial" in w.message for w in warnings_seen)
 

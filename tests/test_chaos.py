@@ -1,8 +1,8 @@
 """Chaos suite: every engine recovery path converges to the serial
 ground truth.
 
-The chaos executors (repro.testing.chaos) SIGKILL workers, poison jobs,
-break initializers, and stall cells at chosen grid coordinates; these
+The chaos executor (repro.testing.chaos) SIGKILLs workers, poisons jobs,
+breaks initializers, and stalls cells at chosen grid coordinates; these
 tests assert the campaigns still complete — bit-identical to the serial
 executor wherever a cell completes at all — and that the supervision
 layer reports what happened through typed events and result meta.
@@ -15,8 +15,7 @@ from repro import nn
 from repro.binary import QuantDense
 from repro.core import (FaultCampaign, FaultSpec, RetryPolicy,
                         SupervisorGaveUp)
-from repro.testing import (ChaosMultiprocessingExecutor,
-                           ChaosSharedMemoryExecutor, ChaosSpec)
+from repro.testing import ChaosSharedMemoryExecutor, ChaosSpec
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +77,8 @@ def _attachable(name: str) -> bool:
 def test_sigkill_mid_grid_completes_bit_identical(trained_setup, reference,
                                                   tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(1, 0))
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
                                                     **KWARGS)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
@@ -108,8 +107,8 @@ def test_sigkill_under_shared_memory_releases_planes(trained_setup,
 def test_poison_job_quarantined_with_typed_events(trained_setup, reference,
                                                   tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), poison_job=(2, 0))
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     events = []
     executor.on_event = events.append
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
@@ -127,8 +126,8 @@ def test_poison_job_quarantined_with_typed_events(trained_setup, reference,
 def test_transient_failure_retried_without_quarantine(trained_setup,
                                                       reference, tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), fail_job=(1, 1))
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
                                                     **KWARGS)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
@@ -142,7 +141,7 @@ def test_stuck_job_times_out_and_retries(trained_setup, reference,
                                          tmp_path):
     chaos = ChaosSpec(scratch=str(tmp_path), slow_job=(0, 1),
                       slow_seconds=30.0)
-    executor = ChaosMultiprocessingExecutor(
+    executor = ChaosSharedMemoryExecutor(
         n_jobs=2, policy=_policy(job_timeout=1.0, stall_timeout=5.0),
         chaos=chaos)
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
@@ -154,18 +153,16 @@ def test_stuck_job_times_out_and_retries(trained_setup, reference,
 
 # -- the degradation ladder -----------------------------------------------
 
-def test_broken_shm_initializer_degrades_to_multiprocessing(
-        trained_setup, reference, tmp_path):
-    chaos = ChaosSpec(scratch=str(tmp_path),
-                      fail_init_modes=("shared_memory",))
+def test_broken_shm_initializer_degrades_to_serial(trained_setup, reference,
+                                                   tmp_path):
+    chaos = ChaosSpec(scratch=str(tmp_path), fail_init=True)
     executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
                                          chaos=chaos)
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
                                                     **KWARGS)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
-    assert result.meta["resilience"]["degraded"] == \
-        ["shared_memory->multiprocessing"]
-    assert executor._registry is None  # the failed rung's planes released
+    assert result.meta["resilience"]["degraded"] == ["shared_memory->serial"]
+    assert executor._registry is None  # the failed pool's planes released
 
 
 def test_unlinked_plane_mid_run_degrades_and_completes(trained_setup,
@@ -199,8 +196,7 @@ def test_unlinked_plane_mid_run_degrades_and_completes(trained_setup,
 def test_no_degrade_raises_supervisor_gave_up(trained_setup, tmp_path):
     import os
 
-    chaos = ChaosSpec(scratch=str(tmp_path),
-                      fail_init_modes=("shared_memory",))
+    chaos = ChaosSpec(scratch=str(tmp_path), fail_init=True)
     executor = ChaosSharedMemoryExecutor(
         n_jobs=2, policy=_policy(degrade=False), chaos=chaos)
     campaign = _campaign(trained_setup, executor)
@@ -215,11 +211,11 @@ def test_no_degrade_raises_supervisor_gave_up(trained_setup, tmp_path):
         assert set(os.listdir(shm_dir)) - before == set()
     # nothing stale survives the crash: the next run republishes planes
     # from scratch rather than reusing the dead run's fingerprint
-    payload, cleanup = executor._make_payload(campaign._evaluator)
+    executor._make_payload(campaign._evaluator)
     try:
         assert executor.prefix_plane["reused"] is False
     finally:
-        cleanup(False)
+        executor.release_planes()
 
 
 # -- journaled chaos runs -------------------------------------------------
@@ -233,8 +229,8 @@ def test_journaled_chaos_run_records_events_and_resumes(trained_setup,
     chaos = ChaosSpec(scratch=str(tmp_path / "scratch"), kill_job=(0, 0))
     (tmp_path / "scratch").mkdir()
     journal = tmp_path / "sweep.jsonl"
-    executor = ChaosMultiprocessingExecutor(n_jobs=2, policy=_policy(),
-                                            chaos=chaos)
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
+                                         chaos=chaos)
     model, x, y = trained_setup
     campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
                              executor=executor)

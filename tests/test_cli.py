@@ -107,7 +107,7 @@ def test_sweep_parallel_with_journal_smoke(capsys, tmp_path):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "baseline:" in out
-    assert "[multiprocessing/float]" in out
+    assert "[shared_memory/float]" in out
     assert "0 cells resumed" in out
 
     # reusing a journal requires --resume ...
@@ -140,6 +140,13 @@ def test_sweep_shared_memory_executor_smoke(capsys, tmp_path):
 def test_experiments_run_only_through_run(argv):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("executor", ["multiprocessing", "shm"])
+def test_removed_executor_names_exit_2(executor):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "sweep", "--executor", executor])
     assert exit_info.value.code == 2
 
 

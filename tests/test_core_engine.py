@@ -1,14 +1,16 @@
 """Tests for the job-based campaign engine (executors, caching, seeding)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.binary import QuantDense
 from repro.core import (CampaignEvaluator, FaultCampaign, FaultGenerator,
-                        FaultInjector, FaultSpec, MultiprocessingExecutor,
-                        SerialExecutor, SharedMemoryExecutor, build_jobs,
-                        get_executor, plan_has_faults)
+                        FaultInjector, FaultSpec, SerialExecutor,
+                        SharedMemoryExecutor, build_jobs, get_executor,
+                        plan_has_faults)
 
 
 @pytest.fixture(scope="module")
@@ -77,19 +79,6 @@ def test_engine_matches_legacy_triple_loop(trained_setup):
     np.testing.assert_array_equal(result.accuracies, legacy)
 
 
-def test_serial_and_multiprocessing_bit_identical(trained_setup):
-    model, x, y = trained_setup
-    kwargs = dict(xs=[0.0, 0.2, 0.4], repeats=3, seed=11)
-    serial = FaultCampaign(model, x, y, rows=8, cols=4,
-                           executor="serial").run(FaultSpec.bitflip, **kwargs)
-    parallel = FaultCampaign(model, x, y, rows=8, cols=4,
-                             executor="multiprocessing",
-                             n_jobs=2).run(FaultSpec.bitflip, **kwargs)
-    np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
-    assert serial.baseline == parallel.baseline
-    assert parallel.meta["executor"] == "multiprocessing"
-
-
 def test_shared_memory_bit_identical_to_serial(trained_setup):
     """The zero-copy shm executor must match serial on both backends."""
     model, x, y = trained_setup
@@ -108,18 +97,19 @@ def test_shared_memory_bit_identical_to_serial(trained_setup):
 
 def test_shared_memory_payload_smaller_than_pickled(trained_setup):
     """The shm payload must not scale with the test set: it ships block
-    descriptors, not arrays."""
+    descriptors, not arrays, so it stays flat as the test images grow
+    16-fold and below what pickling the test set would ship."""
     model, x, y = trained_setup
     kwargs = dict(xs=[0.0, 0.3], repeats=2, seed=1)
     sizes = {}
-    for executor in ("multiprocessing", "shared_memory"):
-        campaign = FaultCampaign(model, x, y, rows=8, cols=4,
-                                 executor=executor, n_jobs=2)
-        campaign.run(FaultSpec.bitflip, **kwargs)
-        sizes[executor] = campaign._executor.payload_bytes
-    assert sizes["shared_memory"] < sizes["multiprocessing"]
-    # the gap is at least the test-set arrays themselves
-    assert sizes["multiprocessing"] - sizes["shared_memory"] > x.nbytes // 2
+    for copies in (1, 16):
+        x_many, y_many = np.tile(x, (copies, 1)), np.tile(y, copies)
+        with FaultCampaign(model, x_many, y_many, rows=8, cols=4,
+                           executor="shared_memory", n_jobs=2) as campaign:
+            campaign.run(FaultSpec.bitflip, **kwargs)
+            sizes[copies] = campaign._executor.payload_bytes
+    assert 0 < sizes[1] <= sizes[16] < sizes[1] + 64  # only shapes widen
+    assert sizes[16] < len(pickle.dumps((x_many, y_many)))
 
 
 def test_batch_level_split_when_grid_underfills_pool(trained_setup):
@@ -129,9 +119,8 @@ def test_batch_level_split_when_grid_underfills_pool(trained_setup):
     kwargs = dict(xs=[0.35], repeats=1, seed=11)
     serial = FaultCampaign(model, x, y, rows=8, cols=4,
                            batch_size=16).run(FaultSpec.bitflip, **kwargs)
-    for executor in ("multiprocessing", "shared_memory"):
-        campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=16,
-                                 executor=executor, n_jobs=2)
+    with FaultCampaign(model, x, y, rows=8, cols=4, batch_size=16,
+                       executor="shared_memory", n_jobs=2) as campaign:
         assert campaign._executor._shard_count(1, 7) == 2
         result = campaign.run(FaultSpec.bitflip, **kwargs)
         np.testing.assert_array_equal(serial.accuracies, result.accuracies)
@@ -155,7 +144,7 @@ def test_shard_counts_sum_to_full_evaluation(trained_setup):
 
 
 def test_shard_count_policy():
-    executor = MultiprocessingExecutor(n_jobs=4)
+    executor = SharedMemoryExecutor(n_jobs=4)
     assert executor._shard_count(0, 10) == 1   # nothing to run
     assert executor._shard_count(8, 10) == 1   # grid already fills the pool
     assert executor._shard_count(1, 1) == 1    # a single batch cannot split
@@ -164,7 +153,7 @@ def test_shard_count_policy():
     assert executor._shard_count(1, 3) == 3    # capped by batch count
 
 
-def test_multiprocessing_preserves_caller_caches(trained_setup):
+def test_pool_preserves_caller_caches(trained_setup):
     """Spinning up a pool must not discard the caller's warm layer caches
     (mixed serial/parallel use would otherwise thrash them)."""
     model, x, y = trained_setup
@@ -177,7 +166,11 @@ def test_multiprocessing_preserves_caller_caches(trained_setup):
     warm_inputs = {layer.name: layer._input_cache.entries()
                    for layer in model.layers_of_type(QuantDense)}
     assert any(warm_inputs.values()), "test premise: caches must be warm"
-    MultiprocessingExecutor(n_jobs=2).run(jobs, evaluator)
+    executor = SharedMemoryExecutor(n_jobs=2)
+    try:
+        executor.run(jobs, evaluator)
+    finally:
+        executor.release_planes()
     for layer in model.layers_of_type(QuantDense):
         assert layer._input_cache.entries() == warm_inputs[layer.name]
 
@@ -201,10 +194,9 @@ def test_evaluator_snapshot_immune_to_caller_mutation(trained_setup):
 
 def test_repro_n_jobs_env_default(monkeypatch):
     monkeypatch.setenv("REPRO_N_JOBS", "2")
-    assert MultiprocessingExecutor().n_jobs == 2
     assert SharedMemoryExecutor().n_jobs == 2
     monkeypatch.delenv("REPRO_N_JOBS")
-    assert MultiprocessingExecutor(3).n_jobs == 3
+    assert SharedMemoryExecutor(3).n_jobs == 3
 
 
 def test_executors_stream_results(trained_setup):
@@ -298,13 +290,14 @@ def test_evaluator_prefix_cache_is_read_only(trained_setup):
 
 def test_get_executor_resolution():
     assert isinstance(get_executor("serial"), SerialExecutor)
-    executor = get_executor("multiprocessing", n_jobs=3)
-    assert isinstance(executor, MultiprocessingExecutor)
+    executor = get_executor("shared_memory", n_jobs=3)
+    assert isinstance(executor, SharedMemoryExecutor)
     assert executor.n_jobs == 3
     passthrough = SerialExecutor()
     assert get_executor(passthrough) is passthrough
-    with pytest.raises(ValueError):
-        get_executor("threads")
+    for name in ("threads", "multiprocessing", "shm"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            get_executor(name)
 
 
 def test_unknown_backend_rejected(trained_setup):

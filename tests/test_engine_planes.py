@@ -103,9 +103,9 @@ def test_worker_init_adopts_prefix_planes(trained_setup, worker_globals):
     model, x, y = trained_setup
     evaluator = CampaignEvaluator(model, x, y, batch_size=25)
     executor = SharedMemoryExecutor(n_jobs=2)
-    payload, cleanup = executor._make_payload(evaluator)
+    payload = executor._make_payload(evaluator)
     try:
-        engine_mod._init_worker_shm(payload)
+        engine_mod._worker_init(payload)
         worker = engine_mod._WORKER_EVALUATOR
         split = evaluator._baseline_split()
         assert (split, 0, 1) in worker._suffix_batches
@@ -118,20 +118,20 @@ def test_worker_init_adopts_prefix_planes(trained_setup, worker_globals):
         # worker results match the parent evaluator bit-for-bit
         assert worker.run_job(jobs[0]) == evaluator.run_job(jobs[0])
     finally:
-        cleanup(False)
+        executor.release_planes()
 
 
 def test_worker_init_refuses_stale_planes(trained_setup, worker_globals):
     model, x, y = trained_setup
     evaluator = CampaignEvaluator(model, x, y, batch_size=25)
     executor = SharedMemoryExecutor(n_jobs=2)
-    payload, cleanup = executor._make_payload(evaluator)
+    payload = executor._make_payload(evaluator)
     try:
         tampered = dict(payload, planes_fingerprint="someone-elses-campaign")
         with pytest.raises(ValueError, match="stale shared-memory plane"):
-            engine_mod._init_worker_shm(tampered)
+            engine_mod._worker_init(tampered)
     finally:
-        cleanup(False)
+        executor.release_planes()
 
 
 def test_packed_rep_planes_published(trained_setup, worker_globals):
@@ -141,18 +141,18 @@ def test_packed_rep_planes_published(trained_setup, worker_globals):
     evaluator = CampaignEvaluator(model, x, y, batch_size=25,
                                   backend="packed")
     executor = SharedMemoryExecutor(n_jobs=2)
-    payload, cleanup = executor._make_payload(evaluator)
+    payload = executor._make_payload(evaluator)
     try:
         assert payload["prefix"]["reps"] is not None
         assert len(payload["prefix"]["reps"]) == 12
-        engine_mod._init_worker_shm(payload)
+        engine_mod._worker_init(payload)
         worker = engine_mod._WORKER_EVALUATOR
         jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 1, 0, 8, 4)
         worker.run_job(jobs[0])
         stats = worker.input_cache_stats()
         assert stats["hits"] > 0 and stats["misses"] == 0
     finally:
-        cleanup(False)
+        executor.release_planes()
 
 
 # -- executor lifecycle: caching, crashes, interrupts ---------------------
@@ -179,14 +179,14 @@ def test_planes_cached_across_runs_and_released_on_close(trained_setup):
     campaign.close()  # idempotent
 
 
-def _crash(job):  # module-level: must pickle by reference into workers
+def _crash(task):  # module-level: must pickle by reference into workers
     raise RuntimeError("worker died")
 
 
 def test_planes_released_when_worker_crashes(trained_setup, monkeypatch):
     """A worker failure aborts the run AND unlinks every plane."""
     model, x, y = trained_setup
-    monkeypatch.setattr(engine_mod, "_run_worker_job", _crash)
+    monkeypatch.setattr(engine_mod, "_run_worker_task", _crash)
     evaluator = CampaignEvaluator(model, x, y, batch_size=25)
     executor = SharedMemoryExecutor(n_jobs=2)
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3, 0.4], 2, 0, 8, 4)

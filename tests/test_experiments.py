@@ -7,6 +7,8 @@ benchmark-scale runtimes.  The claims that need paper-scale workloads
 live in ``benchmarks/bench_paper_claims.py``.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,27 @@ def test_fig4e_rows_milder_than_columns(lenet, tiny_test):
     rows = fig4.line_sweeps(lenet, tiny_test, _rows, (16,), 3,
                             layer_names=("conv1",))["conv1"]
     assert rows.mean()[0] >= cols.mean()[0] - 0.05
+
+
+@pytest.mark.parametrize("sweep,spec_factory,xs", [
+    (fig4.layer_sweeps, FaultSpec.bitflip, (0.0, 0.3)),
+    (fig4.line_sweeps, _columns, (0, 2)),
+])
+def test_sweep_helpers_free_caches_on_return(tiny_test, sweep, spec_factory,
+                                             xs):
+    """Campaign memory is freed by scope, not by the cyclic GC: with
+    collection off, no layer still holds input-representation entries
+    once a sweep helper returns."""
+    model = trained_lenet()
+    gc.disable()
+    try:
+        sweep(model, tiny_test, spec_factory, xs, 2, layer_names=("conv1",))
+        leftover = {layer.name: len(layer._input_cache)
+                    for layer in model.all_layers()
+                    if hasattr(layer, "_input_cache")}
+    finally:
+        gc.enable()
+    assert not any(leftover.values()), leftover
 
 
 def test_fig4f_runtime_shape():

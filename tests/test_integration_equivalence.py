@@ -212,7 +212,7 @@ def test_packed_backend_falls_back_for_product_and_same_padding(rng):
     np.testing.assert_array_equal(packed_out, float_out)
 
 
-def test_serial_and_multiprocessing_sweeps_bit_identical(rng):
+def test_serial_and_shared_memory_sweeps_bit_identical(rng):
     """Same seeds -> bit-identical SweepResult across executors (§IV)."""
     from repro.core import FaultCampaign
 
@@ -222,9 +222,9 @@ def test_serial_and_multiprocessing_sweeps_bit_identical(rng):
     kwargs = dict(xs=[0.0, 0.2, 0.5], repeats=3, seed=9)
     serial = FaultCampaign(model, x, y, rows=ROWS, cols=COLS,
                            executor="serial").run(FaultSpec.bitflip, **kwargs)
-    parallel = FaultCampaign(model, x, y, rows=ROWS, cols=COLS,
-                             executor="multiprocessing",
-                             n_jobs=2).run(FaultSpec.bitflip, **kwargs)
+    with FaultCampaign(model, x, y, rows=ROWS, cols=COLS,
+                       executor="shared_memory", n_jobs=2) as campaign:
+        parallel = campaign.run(FaultSpec.bitflip, **kwargs)
     np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
     assert serial.baseline == parallel.baseline
 

@@ -263,7 +263,7 @@ def test_instrumented_runs_bit_identical_to_uninstrumented(trained_setup):
     the exact same accuracies with and without instrumentation."""
     model, x, y = trained_setup
     combos = [("serial", "float"), ("serial", "packed"),
-              ("multiprocessing", "float"), ("shared_memory", "packed")]
+              ("shared_memory", "float"), ("shared_memory", "packed")]
     for executor, backend in combos:
         plain = FaultCampaign(model, x, y, rows=8, cols=4,
                               executor=executor, n_jobs=2,

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.core import CampaignJournal, RetryPolicy, SupervisorGaveUp
-from repro.core.engine import MultiprocessingExecutor
+from repro.core.engine import _make_reducer
 from repro.core.resilience import (JobQuarantined, JobRetried, PoolSupervisor,
                                    WorkerLost, new_stats, note_stats,
                                    supervised_serial)
@@ -205,7 +205,7 @@ class _Cell:
 
 
 def test_reducer_sums_shards_and_emits_complete_cells():
-    reduce = MultiprocessingExecutor._make_reducer(True, 2)
+    reduce = _make_reducer(2)
     cell = _Cell(0, 0)
     assert list(reduce((cell, 0, 2), ("ok", (0, 0, 40, 50)))) == []
     assert list(reduce((cell, 1, 2), ("ok", (0, 0, 45, 50)))) == \
@@ -213,7 +213,7 @@ def test_reducer_sums_shards_and_emits_complete_cells():
 
 
 def test_reducer_quarantines_whole_cell_once():
-    reduce = MultiprocessingExecutor._make_reducer(True, 2)
+    reduce = _make_reducer(2)
     cell = _Cell(1, 0)
     assert list(reduce((cell, 0, 2), ("ok", (1, 0, 40, 50)))) == []
     nan_results = list(reduce((cell, 1, 2), ("quarantined", "boom")))

@@ -307,8 +307,6 @@ def test_run_scenario_different_seeds_differ():
 
 @pytest.mark.parametrize("executor,backend", [
     ("serial", "packed"),
-    ("multiprocessing", "float"),
-    ("multiprocessing", "packed"),
     ("shared_memory", "float"),
     ("shared_memory", "packed"),
 ])

@@ -68,7 +68,7 @@ EXAMPLE_EVENTS = [
                error="TimeoutError"),
     JobQuarantined(point=1, repeat=2, attempts=3, error="boom"),
     WorkerLost(reason="SIGKILL", in_flight=2),
-    ExecutorDegraded(from_mode="shared_memory", to_mode="multiprocessing",
+    ExecutorDegraded(from_mode="shared_memory", to_mode="serial",
                      reason="init failed"),
     JobStateChanged(job_id="job-abc", state="running", error=""),
     RunFinished(report=EXAMPLE_REPORT),
@@ -125,8 +125,7 @@ if HAVE_HYPOTHESIS:
         RunRequest,
         experiment=names,
         params=param_dicts,
-        executor=st.sampled_from(["serial", "multiprocessing",
-                                  "shared_memory"]),
+        executor=st.sampled_from(["serial", "shared_memory"]),
         n_jobs=st.one_of(st.none(), st.integers(0, 64)),
         backend=st.sampled_from(["float", "packed"]),
         cache_bytes=st.one_of(st.none(), st.integers(0, 1 << 40)),
@@ -255,10 +254,11 @@ def test_malformed_payloads_rejected(label, decoder, payload):
 
 def test_request_values_validated_after_decode():
     from repro.api import ApiError
-    payload = wire.encode_request(RunRequest("fig4a"))
-    payload["executor"] = "carrier-pigeon"
-    with pytest.raises(ApiError):
-        wire.decode_request(payload)
+    for executor in ("carrier-pigeon", "multiprocessing", "shm"):
+        payload = wire.encode_request(RunRequest("fig4a"))
+        payload["executor"] = executor
+        with pytest.raises(ApiError, match="unknown executor"):
+            wire.decode_request(payload)
 
 
 def test_canonical_result_strips_only_bookkeeping():
