@@ -15,23 +15,16 @@ REPEATS = 3
 TEST_IMAGES = 200
 
 
-def test_ablation_crossbar_size(benchmark, lenet, mnist_test, results_dir):
+def test_ablation_crossbar_size(lenet, mnist_test, results_dir):
     test = mnist_test.subset(TEST_IMAGES)
-
-    def run():
-        outcomes = []
-        for rows, cols in GEOMETRIES:
-            rate = STUCK_CELLS / (rows * cols)
-            campaign = FaultCampaign(lenet, test.x, test.y,
-                                     rows=rows, cols=cols)
-            result = campaign.run(
-                lambda _x: FaultSpec.stuck_at(rate,
-                                              polarity=StuckPolarity.RANDOM),
-                xs=[0], repeats=REPEATS, label=f"{rows}x{cols}")
-            outcomes.append(((rows, cols), result))
-        return outcomes
-
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = []
+    for rows, cols in GEOMETRIES:
+        rate = STUCK_CELLS / (rows * cols)
+        campaign = FaultCampaign(lenet, test.x, test.y, rows=rows, cols=cols)
+        result = campaign.run(
+            lambda _x: FaultSpec.stuck_at(rate, polarity=StuckPolarity.RANDOM),
+            xs=[0], repeats=REPEATS, label=f"{rows}x{cols}")
+        outcomes.append(((rows, cols), result))
 
     rows_out = []
     print(f"\n=== Ablation: crossbar size at {STUCK_CELLS} stuck cells ===")
@@ -47,47 +40,3 @@ def test_ablation_crossbar_size(benchmark, lenet, mnist_test, results_dir):
     accuracies = [result.mean()[0] for _, result in outcomes]
     # more cells -> lower per-cell coverage -> (weakly) better accuracy
     assert accuracies[-1] >= accuracies[0] - 0.02
-
-
-def test_ablation_mask_caching(benchmark, lenet, mnist_test, results_dir):
-    """Paper claim: offline mask generation 'significantly improves
-    performance because the expensive mapping and distribution of faults
-    are performed once and reused over the whole simulation'."""
-    import time
-
-    import numpy as np
-
-    from repro.core import FaultGenerator, FaultInjector
-
-    test = mnist_test.subset(TEST_IMAGES)
-    generator = FaultGenerator(FaultSpec.bitflip(0.1), rows=40, cols=10, seed=0)
-
-    def cached():
-        plan = generator.generate(lenet)       # generated once...
-        injector = FaultInjector()
-        with injector.injecting(lenet, plan):
-            for _ in range(5):                 # ...reused across passes
-                lenet.predict(test.x)
-
-    def regenerated():
-        injector = FaultInjector()
-        for _ in range(5):
-            plan = generator.generate(lenet)   # rebuilt every pass
-            with injector.injecting(lenet, plan):
-                lenet.predict(test.x)
-
-    start = time.perf_counter()
-    cached()
-    cached_time = time.perf_counter() - start
-    start = time.perf_counter()
-    regenerated()
-    regen_time = time.perf_counter() - start
-    benchmark.pedantic(cached, rounds=1, iterations=1)
-
-    print("\n=== Ablation: offline vs per-pass mask generation ===")
-    print(f"  cached masks:      {cached_time:.3f}s / 5 passes")
-    print(f"  regenerated masks: {regen_time:.3f}s / 5 passes")
-    write_csv(results_dir / "ablation_mask_caching.csv",
-              ["mode", "seconds"],
-              [("cached", cached_time), ("regenerated", regen_time)])
-    assert np.isfinite(cached_time) and np.isfinite(regen_time)

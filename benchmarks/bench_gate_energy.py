@@ -10,13 +10,10 @@ from repro.analysis import markdown_table, write_csv
 from repro.lim import estimate_model_cost
 
 
-def test_gate_family_cost(benchmark, lenet, results_dir):
-    def run():
-        return {gate: estimate_model_cost(lenet, rows=40, cols=10,
-                                          gate_family=gate)
-                for gate in ("imply", "magic")}
-
-    costs = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_gate_family_cost(lenet, results_dir):
+    costs = {gate: estimate_model_cost(lenet, rows=40, cols=10,
+                                       gate_family=gate)
+             for gate in ("imply", "magic")}
 
     rows = []
     for gate, layer_costs in costs.items():

@@ -19,29 +19,25 @@ BANKS = 3
 STUCK_RATE = 0.08
 
 
-def test_mitigation_column_remap(benchmark, lenet, mnist_test, results_dir):
+def test_mitigation_column_remap(lenet, mnist_test, results_dir):
     test = mnist_test.subset(TEST_IMAGES)
     injector = FaultInjector()
     rows, cols, filters = 40, 16, 10  # 6 spare columns on dense1
 
-    def run():
-        outcomes = []
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            masks = LayerMasks(rows=rows, cols=cols)
-            for col in rng.choice(cols, size=3, replace=False):
-                masks.stuck_mask[:, col] = True
-                masks.stuck_values[:, col] = rng.integers(0, 2)
-            with injector.injecting(lenet, {"dense1": masks}):
-                damaged = lenet.evaluate(test.x, test.y)
-            perm = remap_columns(masks, filters)
-            remapped_masks = apply_column_permutation(masks, perm)
-            with injector.injecting(lenet, {"dense1": remapped_masks}):
-                repaired = lenet.evaluate(test.x, test.y)
-            outcomes.append((damaged, repaired))
-        return outcomes
-
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        masks = LayerMasks(rows=rows, cols=cols)
+        for col in rng.choice(cols, size=3, replace=False):
+            masks.stuck_mask[:, col] = True
+            masks.stuck_values[:, col] = rng.integers(0, 2)
+        with injector.injecting(lenet, {"dense1": masks}):
+            damaged = lenet.evaluate(test.x, test.y)
+        perm = remap_columns(masks, filters)
+        remapped_masks = apply_column_permutation(masks, perm)
+        with injector.injecting(lenet, {"dense1": remapped_masks}):
+            repaired = lenet.evaluate(test.x, test.y)
+        outcomes.append((damaged, repaired))
     damaged = np.mean([d for d, _ in outcomes])
     repaired = np.mean([r for _, r in outcomes])
     rows_out = [("3 dead columns, no mitigation", 100 * damaged),
@@ -53,22 +49,19 @@ def test_mitigation_column_remap(benchmark, lenet, mnist_test, results_dir):
     assert repaired > damaged
 
 
-def test_mitigation_majority_vote(benchmark, lenet, mnist_test, results_dir):
+def test_mitigation_majority_vote(lenet, mnist_test, results_dir):
     test = mnist_test.subset(TEST_IMAGES)
     spec = FaultSpec.stuck_at(STUCK_RATE)
     plans = [FaultGenerator(spec, rows=40, cols=10, seed=s).generate(lenet)
              for s in range(BANKS)]
 
-    def run():
-        injector = FaultInjector()
-        singles = []
-        for plan in plans:
-            with injector.injecting(lenet, plan):
-                singles.append(lenet.evaluate(test.x, test.y))
-        voted = majority_vote_predict(lenet, test.x, plans)
-        return singles, float((voted == test.y).mean())
-
-    singles, voted = benchmark.pedantic(run, rounds=1, iterations=1)
+    injector = FaultInjector()
+    singles = []
+    for plan in plans:
+        with injector.injecting(lenet, plan):
+            singles.append(lenet.evaluate(test.x, test.y))
+    voted = float((majority_vote_predict(lenet, test.x, plans)
+                   == test.y).mean())
     rows_out = [(f"bank {i}", 100 * acc) for i, acc in enumerate(singles)]
     rows_out.append((f"majority vote over {BANKS} banks", 100 * voted))
     print(f"\n=== Mitigation: majority vote (stuck-at {STUCK_RATE:.0%}) ===")

@@ -1,10 +1,14 @@
-"""Shared fixtures for the pytest-benchmark ablation and kernel scripts.
+"""Shared fixtures for the on-demand ``bench_*`` pytest modules.
 
-Each of those ``bench_*`` modules times one ablation or kernel, prints
-its table and writes a CSV under ``artifacts/results/``.  The paper's
-figures and tables are registry entries instead (``repro run fig4a
---out fig4a.json``); ``bench_paper_claims.py`` checks their paper-scale
-claims.
+The ablation, gate-energy and mitigation modules each run one study,
+assert its claim, print its table and write a CSV under
+``artifacts/results/``.  None of them times anything: wall-clock
+performance is measured by ``perfbench/`` alone.  The paper's figures
+and tables are registry entries instead (``repro run fig4a --out
+fig4a.json``); ``bench_paper_claims.py`` checks their paper-scale
+claims.  Run them all with::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q
 
 Trained models come from the weight cache (``repro.experiments.common``);
 the first run trains them (~15 minutes for all nine zoo models), later

@@ -4,14 +4,23 @@ The paper measures FLIM and vanilla Larq on fifty full passes of the
 10,000-image MNIST test set, but "estimate[s] the total run time of
 X-Fault based on five images" — the device-level simulator is too slow to
 run in full.  :func:`extrapolate` reproduces that protocol.
+:func:`measure_interleaved` times the fast platforms warm and in turn,
+so a cold first run or a drift in host speed does not decide their ratio.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
-__all__ = ["RuntimeSample", "measure", "extrapolate", "speedup_table"]
+import numpy as np
+
+__all__ = ["RuntimeSample", "measure", "measure_interleaved", "extrapolate",
+           "speedup_table"]
+
+#: timed runs per platform in :func:`measure_interleaved`
+INTERLEAVED_TRIALS = 5
 
 
 @dataclass(frozen=True)
@@ -34,18 +43,38 @@ class RuntimeSample:
                 f" = {self.seconds_per_image * 1e3:.4g} ms/image{note}")
 
 
-def measure(platform: str, fn, images: int, repeat: int = 1) -> RuntimeSample:
-    """Time ``fn()`` (which processes ``images`` images) ``repeat`` times.
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
-    The best (minimum) wall-clock time is reported, the standard defence
-    against scheduler noise on a busy machine.
+
+def measure(platform: str, fn, images: int) -> RuntimeSample:
+    """Time one call of ``fn()``, which processes ``images`` images.
+
+    For workloads too slow to repeat (the device-level baselines, which
+    are extrapolated from a handful of images).
     """
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
+    return RuntimeSample(platform, _timed(fn), images)
+
+
+def measure_interleaved(fns: dict[str, Callable[[], object]],
+                        images: int) -> list[RuntimeSample]:
+    """Time each ``platform -> fn`` warm and in turn; report the medians.
+
+    Every ``fn()`` (each processing ``images`` images) first runs once
+    untimed, in order; then the platforms take turns for
+    :data:`INTERLEAVED_TRIALS` timed rounds, so a drift in host speed
+    lands on all of them alike.  Samples come back in ``fns`` order.
+    """
+    for fn in fns.values():
         fn()
-        best = min(best, time.perf_counter() - start)
-    return RuntimeSample(platform, best, images)
+    times: dict[str, list[float]] = {platform: [] for platform in fns}
+    for _ in range(INTERLEAVED_TRIALS):
+        for platform, fn in fns.items():
+            times[platform].append(_timed(fn))
+    return [RuntimeSample(platform, float(np.median(seconds)), images)
+            for platform, seconds in times.items()]
 
 
 def extrapolate(sample: RuntimeSample, total_images: int) -> RuntimeSample:

@@ -634,10 +634,6 @@ class SharedPlaneRegistry:
         """Total bytes of the published (owned) blocks."""
         return sum(shm.size for shm in self._owned)
 
-    @property
-    def plane_count(self) -> int:
-        return len(self._owned)
-
     def publish(self, array: np.ndarray, label: str = "") -> dict:
         """Copy ``array`` into a new shared-memory block.
 

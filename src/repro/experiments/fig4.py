@@ -11,7 +11,8 @@ crossbar per layer.
 
 from __future__ import annotations
 
-from ..analysis.runtime import RuntimeSample, extrapolate, measure, speedup_table
+from ..analysis.runtime import (RuntimeSample, extrapolate, measure,
+                                measure_interleaved, speedup_table)
 from ..core import FaultCampaign, FaultInjector, FaultGenerator, FaultSpec, SweepResult
 from ..data import Dataset
 from ..lim import CrossbarConfig, XFaultSimulator
@@ -110,18 +111,21 @@ def run_fig4f(model: Sequential, test: Dataset, passes: int = 3,
     """Fig. 4f: runtime of X-Fault vs FLIM vs vanilla on the test set.
 
     Protocol mirrors the paper: vanilla and FLIM run ``passes`` full
-    passes over the test set (the paper uses fifty); the device-level
-    baselines are measured on a handful of images and extrapolated to the
-    full workload ("we estimate the total run time of X-Fault based on
-    five images").  Two device baselines are reported:
+    passes over the test set (the paper uses fifty), warm and in turn,
+    and report the median of
+    :data:`~repro.analysis.runtime.INTERLEAVED_TRIALS` runs each; the
+    device-level baselines are timed once on a handful of images and
+    extrapolated to the full workload ("we estimate the total run time
+    of X-Fault based on five images").  Two device baselines are
+    reported:
 
     * ``X-Fault`` — gate-serial evaluation, X-Fault's per-memristor cost
       model (the paper's comparison point);
     * ``device-tile`` — our tile-vectorized device simulator, a faster
       but still device-granular execution.
 
-    During the FLIM measurement the injection mechanism maps the
-    operations but injects no actual faults.
+    During each FLIM run the injection mechanism attaches, maps the
+    operations but injects no actual faults, and detaches.
     """
     images = len(test.x) * passes
 
@@ -129,14 +133,17 @@ def run_fig4f(model: Sequential, test: Dataset, passes: int = 3,
         for _ in range(passes):
             model.predict(test.x)
 
-    vanilla = measure("vanilla", run_vanilla, images)
-
     generator = FaultGenerator(FaultSpec.bitflip(0.0), rows=rows, cols=cols,
                                seed=seed)
     plan = generator.generate(model)
     injector = FaultInjector(force_hooks=True)
-    with injector.injecting(model, plan):
-        flim = measure("FLIM", run_vanilla, images)
+
+    def run_flim():
+        with injector.injecting(model, plan):
+            run_vanilla()
+
+    vanilla, flim = measure_interleaved(
+        {"vanilla": run_vanilla, "FLIM": run_flim}, images)
 
     config = CrossbarConfig(rows=rows, cols=cols, gate_family=gate_family,
                             seed=seed)

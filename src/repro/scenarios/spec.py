@@ -199,11 +199,6 @@ class FaultClause:
                                     "clauses; line faults are whole-line "
                                     "events already")
 
-    @property
-    def lifetime_driven(self) -> bool:
-        """Whether any parameter follows the endurance curves."""
-        return isinstance(self.rate, str) or isinstance(self.count, str)
-
     def lower(self, point: LifetimePoint, rows: int, cols: int) -> FaultSpec:
         """Resolve this clause at one lifetime checkpoint into a
         :class:`~repro.core.faults.FaultSpec` the campaign engine runs."""

@@ -63,11 +63,6 @@ class JobStore:
         records.sort(key=lambda record: record.seq)
         return records
 
-    def next_seq(self) -> int:
-        """The submission sequence number for a new job."""
-        records = self.load_records()
-        return 1 + max((record.seq for record in records), default=0)
-
     # -- results --------------------------------------------------------
     def save_result(self, job_id: str, report_payload: dict) -> None:
         atomic_write_text(self.result_path(job_id),

@@ -5,7 +5,9 @@ import pytest
 
 from repro.analysis import (RuntimeSample, accuracy, ascii_plot, critical_x,
                             degradation, extrapolate, markdown_table, measure,
-                            speedup_table, top_k_accuracy, write_csv)
+                            measure_interleaved, speedup_table,
+                            top_k_accuracy, write_csv)
+from repro.analysis.runtime import INTERLEAVED_TRIALS
 
 
 def test_accuracy_basics():
@@ -70,7 +72,7 @@ def test_markdown_table_shape():
 
 
 def test_measure_and_extrapolate():
-    sample = measure("fast", lambda: sum(range(1000)), images=10, repeat=2)
+    sample = measure("fast", lambda: sum(range(1000)), images=10)
     assert sample.seconds >= 0.0
     assert sample.seconds_per_image == sample.seconds / 10
     scaled = extrapolate(sample, 1000)
@@ -78,6 +80,15 @@ def test_measure_and_extrapolate():
     assert scaled.seconds == pytest.approx(sample.seconds * 100)
     assert scaled.extrapolated_from == 10
     assert "extrapolated" in scaled.describe()
+    # Fig. 4f's protocol: one untimed warm-up round, then the platforms
+    # take turns for every timed round
+    calls = []
+    samples = measure_interleaved(
+        {"vanilla": lambda: calls.append("vanilla"),
+         "FLIM": lambda: calls.append("FLIM")}, images=10)
+    assert calls == ["vanilla", "FLIM"] * (1 + INTERLEAVED_TRIALS)
+    assert [s.platform for s in samples] == ["vanilla", "FLIM"]
+    assert all(s.images == 10 for s in samples)
 
 
 def test_speedup_table_reference():

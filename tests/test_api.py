@@ -270,10 +270,16 @@ def test_end_of_life_registry_matches_legacy_driver():
     model, test = _lenet_test(60)
     direct = run_scenario("end-of-life", model, test.x, test.y, repeats=1,
                           rows=8, cols=4)
+    events = []
     report = api.run("end-of-life",
-                     params=dict(repeats=1, images=60, rows=8, cols=4))
+                     params=dict(repeats=1, images=60, rows=8, cols=4),
+                     on_event=events.append)
     np.testing.assert_array_equal(report.raw.accuracies, direct.accuracies)
     assert report.baseline == direct.baseline
+    # one CellDone per grid cell (x one repeat), one CheckpointDone per age
+    kinds = [type(event) for event in events]
+    assert kinds.count(CellDone) == len(direct.grid.cells)
+    assert kinds.count(CheckpointDone) == direct.grid.n_checkpoints
 
 
 @pytest.mark.parametrize("executor,backend", [

@@ -1,5 +1,7 @@
 """Property-based and unit tests for the packed XNOR/popcount kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,14 +36,20 @@ def test_xnor_accumulate_equals_dot(length, seed):
     assert got == int(np.dot(a, b))
 
 
-@given(st.integers(1, 20), st.integers(1, 100), st.integers(1, 12),
+@given(st.integers(0, 40), st.integers(1, 320), st.integers(0, 24),
+       st.one_of(st.just(bitops._BLOCK_WORDS), st.integers(1, 64)),
        st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_binary_matmul_equals_float_gemm(m, k, n, seed):
+@settings(max_examples=120, deadline=None)
+def test_binary_matmul_equals_float_gemm(m, k, n, block_words, seed):
+    """Empty products included; K spans up to 5 words and is mostly not a
+    multiple of 64, so the shared pad bits must cancel.  A small
+    ``_BLOCK_WORDS`` splits the rows into several blocks (at the default
+    every LeNet shape fits in one)."""
     rng = np.random.default_rng(seed)
     a = rng.choice([-1.0, 1.0], size=(m, k)).astype(np.float32)
     b = rng.choice([-1.0, 1.0], size=(k, n)).astype(np.float32)
-    got = bitops.binary_matmul(a, b)
+    with mock.patch.object(bitops, "_BLOCK_WORDS", block_words):
+        got = bitops.binary_matmul(a, b)
     np.testing.assert_array_equal(got, (a @ b).astype(np.int64))
 
 

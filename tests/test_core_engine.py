@@ -77,6 +77,7 @@ def test_engine_matches_legacy_triple_loop(trained_setup):
     campaign = FaultCampaign(model, x, y, rows=8, cols=4)
     result = campaign.run(FaultSpec.bitflip, xs=xs, repeats=repeats, seed=0)
     np.testing.assert_array_equal(result.accuracies, legacy)
+    assert result.baseline == model.evaluate(x, y)
 
 
 def test_shared_memory_bit_identical_to_serial(trained_setup):

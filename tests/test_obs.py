@@ -231,11 +231,26 @@ def test_activated_scopes_the_ambient_observability():
 SWEEP = dict(xs=[0.0, 0.3], repeats=2, seed=11)
 
 
-def test_campaign_spans_and_metrics_under_fake_clock(trained_setup):
-    model, x, y = trained_setup
+def _observed_sweep(model, x, y, batches):
+    """Run SWEEP under a FakeClock on ``batches`` copies of the test set,
+    one copy per test batch."""
     obs = Observability(clock=FakeClock(tick=0.5))
-    campaign = FaultCampaign(model, x, y, rows=8, cols=4, obs=obs)
+    campaign = FaultCampaign(model, np.tile(x, (batches, 1)),
+                             np.tile(y, batches), rows=8, cols=4,
+                             batch_size=len(x), obs=obs)
     campaign.run(FaultSpec.bitflip, **SWEEP)
+    return obs
+
+
+@pytest.mark.parametrize("batches", [1, 4])
+def test_campaign_spans_and_metrics_under_fake_clock(trained_setup,
+                                                     batches):
+    """Telemetry costs a fixed number of spans and counter updates per
+    cell, however many test batches a cell evaluates: this is the gate
+    on telemetry overhead (perfbench's ``trace.overhead_pct`` is the
+    wall-clock view)."""
+    model, x, y = trained_setup
+    obs = _observed_sweep(model, x, y, batches)
     names = [record.name for record in obs.tracer.spans]
     assert names.count("campaign") == 1
     assert names.count("plan") == 1
@@ -256,6 +271,17 @@ def test_campaign_spans_and_metrics_under_fake_clock(trained_setup):
     assert snapshot["counters"]["repro_cells_resumed_total"] == 0.0
     assert "repro_input_cache_hit_rate" in snapshot["gauges"]
     assert snapshot["counters"]["repro_jobs_retried_total"] == 0.0
+    # the one-batch run traces the same spans, at the same FakeClock
+    # times, and counts the same events — except input-cache lookups,
+    # which happen once per batch
+    reference = _observed_sweep(model, x, y, 1)
+    assert obs.tracer.spans == reference.tracer.spans
+    per_batch = {"repro_input_cache_hits_total",
+                 "repro_input_cache_misses_total"}
+    counters = reference.metrics.snapshot()["counters"]
+    assert ({k: v for k, v in snapshot["counters"].items()
+             if k not in per_batch}
+            == {k: v for k, v in counters.items() if k not in per_batch})
 
 
 def test_instrumented_runs_bit_identical_to_uninstrumented(trained_setup):
