@@ -24,8 +24,11 @@ six zoo stories        ``fresh-device`` .. ``row-driver-failure``, each a
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
+from .. import obs as _obs
 from .errors import ApiError
 from .events import CheckpointDone
 from .registry import REGISTRY, Experiment, Param, experiment
@@ -48,17 +51,27 @@ _MODELS = Param("models", "strs", None,
 _QUICK_MNIST = dict(images=60, repeats=1, rows=8, cols=4)
 
 
+def _setup_span(name: str):
+    """A span of the ambient run's trace (``data``, ``model``), or a
+    no-op outside a run."""
+    obs = _obs.current()
+    return nullcontext() if obs is None else obs.span(name)
+
+
 def _lenet_mnist(images: int):
     from ..experiments.common import get_mnist, trained_lenet
-    model = trained_lenet()
-    _, test = get_mnist()
-    return model, test.subset(images)
+    with _setup_span("model"):
+        model = trained_lenet()
+    with _setup_span("data"):
+        _, test = get_mnist()
+        return model, test.subset(images)
 
 
 def _imagenet_test(images: int):
     from ..experiments.common import get_imagenet
-    _, test = get_imagenet()
-    return test.subset(images)
+    with _setup_span("data"):
+        _, test = get_imagenet()
+        return test.subset(images)
 
 
 def _multi_meta(results: dict) -> dict:

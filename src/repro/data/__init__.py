@@ -8,9 +8,9 @@
 """
 
 from . import synth_imagenet, synth_mnist
-from .datasets import Dataset
+from .datasets import Dataset, LazyDataset
 from .synth_imagenet import load_synth_imagenet
-from .synth_mnist import load_synth_mnist
+from .synth_mnist import lazy_synth_mnist, load_synth_mnist
 
-__all__ = ["Dataset", "load_synth_mnist", "load_synth_imagenet",
-           "synth_mnist", "synth_imagenet"]
+__all__ = ["Dataset", "LazyDataset", "lazy_synth_mnist", "load_synth_mnist",
+           "load_synth_imagenet", "synth_mnist", "synth_imagenet"]

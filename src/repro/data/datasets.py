@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "LazyDataset"]
 
 
 @dataclass
@@ -66,3 +68,44 @@ class Dataset:
         std = self.x.std(axis=(0, 1, 2), keepdims=True) + 1e-7
         return Dataset(((self.x - mean) / std).astype(np.float32),
                        self.y, self.class_names)
+
+
+class LazyDataset(Dataset):
+    """A :class:`Dataset` whose images render in order, on demand.
+
+    Images render only up to the longest prefix any caller has asked
+    for: ``subset(60)`` renders 60 of them, ``x`` all of them.
+    ``render(count)`` returns the leading ``count`` images (each the
+    same whatever ``count`` is) and every label, so ``len`` and ``y``
+    need no image.  Rendering holds a lock, so threads may share one
+    instance.
+    """
+
+    def __init__(self,
+                 render: Callable[[int], tuple[np.ndarray, np.ndarray]]):
+        self._render = render
+        self._x, self.y = render(0)  # _x: the longest prefix rendered
+        self.class_names: list[str] = []
+        self._lock = threading.Lock()
+
+    @property  # type: ignore[override]
+    def x(self) -> np.ndarray:
+        return self._prefix(len(self.y))
+
+    def _prefix(self, count: int) -> np.ndarray:
+        with self._lock:
+            if len(self._x) < count:
+                self._x = self._render(count)[0]
+            x = self._x
+        return x if len(x) == count else x[:count]
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __repr__(self) -> str:
+        return f"LazyDataset({len(self._x)} of {len(self)} images rendered)"
+
+    def subset(self, n: int, seed: int | None = None) -> Dataset:
+        if seed is None and n < len(self):
+            return Dataset(self._prefix(n).copy(), self.y[:n].copy())
+        return super().subset(n, seed)

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DIGIT_STROKES", "render_digit", "generate_dataset", "load_synth_mnist"]
+from .datasets import LazyDataset
+
+__all__ = ["DIGIT_STROKES", "render_digit", "generate_dataset",
+           "lazy_synth_mnist", "load_synth_mnist"]
 
 
 def _arc(cx, cy, rx, ry, start_deg, end_deg, points=24):
@@ -63,11 +66,15 @@ def _transform(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def render_digit(digit: int, rng: np.random.Generator, size: int = 28) -> np.ndarray:
-    """Render one jittered digit as a float32 image in [0, 1]."""
+    """Render one jittered digit as a float32 image in [0, 1].
+
+    Each stroke point adds a Gaussian blob.  The blob factors into
+    exp(-dx²/2σ²)·exp(-dy²/2σ²), so the image is one product of two
+    (points × size) tables rather than points × size² ``exp`` calls.
+    """
     if digit not in DIGIT_STROKES:
         raise ValueError(f"digit must be 0..9, got {digit}")
     thickness = rng.uniform(0.55, 1.05)
-    yy, xx = np.mgrid[0:size, 0:size]
     points = []
     for stroke in DIGIT_STROKES[digit]:
         pts = _transform(stroke, rng) * (size - 1)
@@ -77,34 +84,56 @@ def render_digit(digit: int, rng: np.random.Generator, size: int = 28) -> np.nda
             for t in np.linspace(0, 1, 3, endpoint=False)
         ], axis=0))
     all_points = np.concatenate(points, axis=0)
-    dist2 = ((xx[None] - all_points[:, 0, None, None]) ** 2
-             + (yy[None] - all_points[:, 1, None, None]) ** 2)
-    image = np.exp(-dist2 / (2 * thickness ** 2)).sum(axis=0).astype(np.float32)
+    grid = np.arange(size)
+    width = 2 * thickness ** 2
+    across = np.exp(-(grid - all_points[:, 0, None]) ** 2 / width)
+    down = np.exp(-(grid - all_points[:, 1, None]) ** 2 / width)
+    image = np.einsum("py,px->yx", down, across).astype(np.float32)
     image = np.clip(image, 0.0, 1.0)
     image += rng.normal(0.0, 0.06, image.shape).astype(np.float32)
     return np.clip(image, 0.0, 1.0)
 
 
-def generate_dataset(n: int, seed: int = 0, size: int = 28
+def generate_dataset(n: int, seed: int = 0, size: int = 28,
+                     count: int | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Generate ``n`` images with balanced class labels (shuffled)."""
+    """Generate ``n`` images with balanced class labels (shuffled).
+
+    ``count`` renders only the leading ``count`` images and still
+    returns all ``n`` labels.  Each image draws from the generator after
+    the previous one, so a prefix equals the same prefix of the full
+    split, bit for bit.
+    """
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 10
     rng.shuffle(labels)
-    images = np.empty((n, size, size, 1), dtype=np.float32)
-    for i, digit in enumerate(labels):
+    count = n if count is None else min(count, n)
+    images = np.empty((count, size, size, 1), dtype=np.float32)
+    for i, digit in enumerate(labels[:count]):
         images[i, :, :, 0] = render_digit(int(digit), rng, size)
     return images, labels.astype(np.int64)
+
+
+def _lazy_split(n: int, seed: int) -> LazyDataset:
+    # looks generate_dataset up at each render, so a wrapper installed
+    # later (perfbench's trace) still sees every image
+    return LazyDataset(lambda count: generate_dataset(n, seed, count=count))
+
+
+def lazy_synth_mnist(n_train: int = 4000, n_test: int = 1000, seed: int = 42
+                     ) -> tuple[LazyDataset, LazyDataset]:
+    """(train, test) — the MNIST-substitute splits, rendered on demand.
+
+    Train and test are drawn from disjoint seeds so the test set measures
+    generalization over the jitter distribution, not memorization.
+    """
+    return _lazy_split(n_train, seed), _lazy_split(n_test, seed + 10_000)
 
 
 def load_synth_mnist(n_train: int = 4000, n_test: int = 1000, seed: int = 42
                      ) -> tuple[tuple[np.ndarray, np.ndarray],
                                 tuple[np.ndarray, np.ndarray]]:
-    """(x_train, y_train), (x_test, y_test) — the MNIST-substitute splits.
-
-    Train and test are drawn from disjoint seeds so the test set measures
-    generalization over the jitter distribution, not memorization.
-    """
-    train = generate_dataset(n_train, seed=seed)
-    test = generate_dataset(n_test, seed=seed + 10_000)
-    return train, test
+    """(x_train, y_train), (x_test, y_test) of :func:`lazy_synth_mnist`,
+    fully rendered."""
+    train, test = lazy_synth_mnist(n_train, n_test, seed)
+    return (train.x, train.y), (test.x, test.y)

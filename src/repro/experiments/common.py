@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .. import nn
-from ..data import Dataset, load_synth_imagenet, load_synth_mnist
+from ..data import Dataset, lazy_synth_mnist, load_synth_imagenet
 from ..models import build_lenet, build_model
 from ..models.zoo import MODEL_BUILDERS
 
@@ -49,9 +49,13 @@ def cache_dir() -> Path:
 @lru_cache(maxsize=4)
 def get_mnist(n_train: int = 3000, n_test: int = MNIST_TEST_SIZE,
               seed: int = 42) -> tuple[Dataset, Dataset]:
-    """(train, test) synthetic-MNIST datasets (memoized per process)."""
-    (x_tr, y_tr), (x_te, y_te) = load_synth_mnist(n_train, n_test, seed)
-    return Dataset(x_tr, y_tr), Dataset(x_te, y_te)
+    """(train, test) synthetic-MNIST datasets (memoized per process).
+
+    Both splits render on demand (:class:`repro.data.LazyDataset`):
+    ``test.subset(60)`` renders 60 images, and the training split
+    renders only when :func:`trained_lenet` misses its weight cache.
+    """
+    return lazy_synth_mnist(n_train, n_test, seed)
 
 
 @lru_cache(maxsize=4)

@@ -250,6 +250,33 @@ def test_fig4a_registry_matches_legacy_driver():
         assert report.raw[label].baseline == result.baseline
 
 
+def test_fig4a_quick_renders_only_the_images_it_evaluates(monkeypatch):
+    """A cold process renders the 60 test images ``fig4a --quick``
+    evaluates and, with warm weights, no training image.  Set-up shows
+    in the run's telemetry as ``data`` and ``model`` phases."""
+    from functools import lru_cache
+
+    from repro.data import synth_mnist
+    from repro.experiments import common
+    common.trained_lenet()  # warm weights
+    generate = synth_mnist.generate_dataset
+    rendered = {}
+
+    def counting(n, seed=0, size=28, count=None):
+        images, labels = generate(n, seed, size, count)
+        rendered[seed] = rendered.get(seed, 0) + len(images)
+        return images, labels
+
+    monkeypatch.setattr(synth_mnist, "generate_dataset", counting)
+    # an empty memo stands in for get_mnist's (as after cache_clear());
+    # the process-wide one, and the splits it holds, come back afterwards
+    monkeypatch.setattr(common, "get_mnist",
+                        lru_cache(maxsize=4)(common.get_mnist.__wrapped__))
+    report = api.run("fig4a", quick=True)
+    assert rendered == {42: 0, 10_042: 60}
+    assert {"data", "model"} <= set(report.meta["telemetry"]["phases"])
+
+
 def test_fig5a_registry_matches_legacy_driver():
     from repro.core import FaultSpec
     from repro.experiments import fig5, get_imagenet
