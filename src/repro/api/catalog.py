@@ -279,9 +279,10 @@ def _tiny_runtime_workload(seed: int):
 def _fig4f(ctx, model, images, passes, xfault_images, serial_images,
            rows, cols, gate, seed):
     from ..experiments import fig4
-    if ctx.request.executor != "serial":
+    if ctx.request.executor != "serial" or ctx.request.backend != "float":
         ctx.warn("fig4f is a wall-clock runtime measurement; it always "
-                 "runs serially and ignores executor/backend options")
+                 "runs serially on the float backend and ignores "
+                 "executor/backend options")
     if model == "tiny":
         workload, test = _tiny_runtime_workload(seed)
     else:

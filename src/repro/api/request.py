@@ -25,6 +25,11 @@ EXECUTORS = ("serial", "shared_memory")
 BACKENDS = ("float", "packed")
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """One validated experiment-run request.
@@ -91,22 +96,27 @@ class RunRequest:
         if self.backend not in BACKENDS:
             raise ApiError(f"unknown backend {self.backend!r}; "
                            f"use one of {list(BACKENDS)}")
-        if self.n_jobs is not None and (not isinstance(self.n_jobs, int)
+        if self.n_jobs is not None and (not _is_int(self.n_jobs)
                                         or self.n_jobs < 0):
             raise ApiError(f"n_jobs must be a non-negative int or None, "
                            f"got {self.n_jobs!r}")
         if self.cache_bytes is not None and (
-                not isinstance(self.cache_bytes, int) or self.cache_bytes < 0):
+                not _is_int(self.cache_bytes) or self.cache_bytes < 0):
             raise ApiError(f"cache_bytes must be a non-negative int or "
                            f"None, got {self.cache_bytes!r}")
+        for flag in ("resume", "quick", "degrade"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ApiError(f"{flag} must be a bool, got "
+                               f"{getattr(self, flag)!r}")
         if self.resume and self.journal is None:
             raise ApiError("resume requires a journal path "
                            "(--journal PATH); nothing to resume")
-        if not isinstance(self.retries, int) or self.retries < 0:
+        if not _is_int(self.retries) or self.retries < 0:
             raise ApiError(f"retries must be a non-negative int, "
                            f"got {self.retries!r}")
         if self.job_timeout is not None and (
                 not isinstance(self.job_timeout, (int, float))
+                or isinstance(self.job_timeout, bool)
                 or self.job_timeout <= 0):
             raise ApiError(f"job_timeout must be a positive number of "
                            f"seconds or None, got {self.job_timeout!r}")

@@ -50,26 +50,17 @@ Every quantized layer carries an ``execution_backend`` attribute:
     gain), or for ``same``-padded convolutions (zero padding has no
     bipolar encoding).
 
-Inference input caching: when a layer sees a *read-only* input array
-(``x.flags.writeable == False``) at inference time, it memoizes the
-derived im2col / packed representation keyed on array identity.  The
-campaign engine exploits this by replaying the same read-only activation
-batches across repetitions — the expensive patch extraction and packing
-then happen once per campaign instead of once per repetition.  Writeable
-arrays are never cached, so ordinary training/prediction is unaffected.
-
-The memo store is an :class:`InputRepCache` per layer: an LRU cache with
-per-owner budgets.  Ad-hoc (ownerless) use keeps the legacy bound of
-:data:`_INPUT_CACHE_SLOTS` entries; a campaign evaluator registers itself
-as an owner and sizes its budget to the campaign's batch count under a
-configurable byte cap, so a suffix split with dozens of test batches no
-longer cycles a fixed FIFO at a 0% hit rate — and two campaigns sharing
-one model cannot evict each other's entries.
+Inference input memo: a campaign evaluator replays the same read-only
+activation batches through the model in every repetition, so the
+derived im2col columns (float) or packed words (packed) of those batches
+are worth keeping.  The evaluator owns that memo
+(:class:`repro.core.engine.CampaignEvaluator`) and lends it to the
+quantized layers only while it evaluates (``_input_memo``); a layer
+outside an evaluation, or fed any array the evaluator does not replay,
+memoizes nothing, so ordinary training/prediction is unaffected.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -77,137 +68,7 @@ from ..nn import initializers, ops
 from ..nn.layers import Layer
 from . import bitops, quantizers
 
-__all__ = ["InputRepCache", "QuantLayer", "QuantConv2D", "QuantDense"]
-
-#: memoized read-only input representations per layer for *uncoordinated*
-#: use (no owner registered); campaigns size their own budget via
-#: :meth:`InputRepCache.configure`
-_INPUT_CACHE_SLOTS = 8
-
-
-def _rep_nbytes(value) -> int:
-    """Byte footprint of a cached representation (arrays, or tuples of
-    arrays and shape metadata)."""
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, (tuple, list)):
-        return sum(_rep_nbytes(item) for item in value)
-    return 0
-
-
-class InputRepCache:
-    """Per-layer LRU cache of derived inference-input representations.
-
-    Entries are keyed on ``(tag, input-array identity)`` and grouped by
-    *owner* — typically a campaign evaluator's token (a ``weakref.ref``),
-    or ``None`` for ad-hoc use.  Each owner has its own slot/byte budget
-    and its own LRU eviction order, so concurrent campaigns sharing one
-    model never evict each other's entries.  Lookups match entries from
-    any owner (array identity cannot collide across datasets), but hits
-    and misses are charged to the owner doing the lookup.
-
-    Only read-only arrays (``x.flags.writeable == False``) are ever
-    stored or counted: a writeable array may mutate after memoization,
-    so it is silently ignored — exactly the legacy FIFO contract.
-    """
-
-    def __init__(self):
-        #: LRU order, oldest first: (owner, tag, x, value, nbytes)
-        self._entries: list[tuple] = []
-        #: owner -> (max entries, max bytes | None)
-        self._budgets: dict = {}
-        #: owner -> [hits, misses]
-        self._stats: dict = {}
-
-    # -- bookkeeping -----------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> list[tuple]:
-        """Snapshot of the raw entry tuples, oldest first (testing aid)."""
-        return list(self._entries)
-
-    def configure(self, owner, slots: int,
-                  max_bytes: int | None = None) -> None:
-        """Set ``owner``'s budget: at most ``slots`` entries and (when not
-        ``None``) at most ``max_bytes`` bytes of cached representations."""
-        self._budgets[owner] = (slots, max_bytes)
-        self._stats.setdefault(owner, [0, 0])
-
-    def stats(self, owner=None) -> dict:
-        """Hit/miss counters and current footprint for one owner."""
-        self._purge_dead_owners()
-        hits, misses = self._stats.get(owner, (0, 0))
-        mine = [entry for entry in self._entries if entry[0] is owner]
-        total = hits + misses
-        return {"hits": hits, "misses": misses, "entries": len(mine),
-                "bytes": sum(entry[4] for entry in mine),
-                "hit_rate": hits / total if total else 0.0}
-
-    # -- lookup/insert ---------------------------------------------------
-    def get(self, tag: str, x: np.ndarray, owner=None):
-        """Cached representation for ``(tag, x)`` or ``None``; charges the
-        hit or miss to ``owner`` and refreshes the entry's LRU position."""
-        # purge before the writeable early-return so a dropped campaign's
-        # pinned entries are released by ordinary (uncached) inference too
-        self._purge_dead_owners()
-        if x.flags.writeable:
-            return None  # never cached, so not a miss either
-        for index, entry in enumerate(self._entries):
-            if entry[1] == tag and entry[2] is x:
-                self._entries.append(self._entries.pop(index))
-                self._stats.setdefault(owner, [0, 0])[0] += 1
-                return entry[3]
-        self._stats.setdefault(owner, [0, 0])[1] += 1
-        return None
-
-    def peek(self, tag: str, x: np.ndarray):
-        """:meth:`get` without LRU or statistics side effects (used by the
-        campaign engine's plane publisher)."""
-        for entry in self._entries:
-            if entry[1] == tag and entry[2] is x:
-                return entry[3]
-        return None
-
-    def put(self, tag: str, x: np.ndarray, value, owner=None) -> None:
-        """Memoize ``value`` for ``(tag, x)`` under ``owner``'s budget."""
-        if x.flags.writeable:
-            return  # only immutable-by-contract arrays are safe to memoize
-        self._purge_dead_owners()
-        self._entries.append((owner, tag, x, value, _rep_nbytes(value)))
-        self._evict(owner)
-
-    # -- eviction --------------------------------------------------------
-    def drop_owner(self, owner) -> None:
-        """Release one owner's entries, budget, and counters — other
-        owners' cached representations are untouched (a campaign closing
-        must not thrash its neighbours)."""
-        self._entries = [e for e in self._entries if e[0] is not owner]
-        self._budgets.pop(owner, None)
-        self._stats.pop(owner, None)
-
-    def _purge_dead_owners(self) -> None:
-        """Drop entries/budgets of garbage-collected evaluator tokens."""
-        def dead(owner) -> bool:
-            return isinstance(owner, weakref.ref) and owner() is None
-
-        if any(dead(entry[0]) for entry in self._entries):
-            self._entries = [e for e in self._entries if not dead(e[0])]
-        for owner in [o for o in self._budgets if dead(o)]:
-            self._budgets.pop(owner, None)
-            self._stats.pop(owner, None)
-
-    def _evict(self, owner) -> None:
-        """LRU-evict ``owner``'s entries until within its budget."""
-        slots, max_bytes = self._budgets.get(owner,
-                                             (_INPUT_CACHE_SLOTS, None))
-        while True:
-            mine = [entry for entry in self._entries if entry[0] is owner]
-            if len(mine) <= slots and (
-                    max_bytes is None
-                    or sum(entry[4] for entry in mine) <= max_bytes):
-                return
-            self._entries.remove(mine[0])
+__all__ = ["QuantLayer", "QuantConv2D", "QuantDense"]
 
 
 class QuantLayer(Layer):
@@ -225,11 +86,9 @@ class QuantLayer(Layer):
         self._built_input_shape: tuple[int, ...] | None = None
         #: (kernel_fault_hook token, packed words | None, reduction length)
         self._packed_kernel_cache: tuple | None = None
-        #: LRU store of derived input representations (im2col / packing)
-        self._input_cache = InputRepCache()
-        #: budget owner charged for cache traffic (set per evaluation by
-        #: the campaign evaluator's scope; ``None`` = ad-hoc default)
-        self._cache_owner = None
+        #: ``memo(layer, tag, x, derive) -> rep``, lent by a campaign
+        #: evaluator for the duration of one evaluation; ``None`` otherwise
+        self._input_memo = None
 
     # -- fault-injection plumbing ---------------------------------------
     def clear_fault_hooks(self) -> None:
@@ -291,11 +150,15 @@ class QuantLayer(Layer):
         self._packed_kernel_cache = (token, words, length)
         return words, length
 
-    def _input_cache_get(self, tag: str, x: np.ndarray):
-        return self._input_cache.get(tag, x, owner=self._cache_owner)
+    def _derived_input(self, tag: str, x: np.ndarray, derive):
+        """``derive()`` — the ``tag`` representation of input ``x`` —
+        through the lent input memo when there is one."""
+        if self._input_memo is None:
+            return derive()
+        return self._input_memo(self, tag, x, derive)
 
-    def _input_cache_put(self, tag: str, x: np.ndarray, value) -> None:
-        self._input_cache.put(tag, x, value, owner=self._cache_owner)
+    def _quantize_input(self, x: np.ndarray) -> np.ndarray:
+        return self.input_quantizer.quantize(x) if self.input_quantizer else x
 
     # -- LIM geometry ----------------------------------------------------
     @property
@@ -399,19 +262,20 @@ class QuantConv2D(QuantLayer):
         kwords, length = self._packed_kernel_words()
         if kwords is None:
             return None
-        cached = self._input_cache_get("packed", x)
-        if cached is None:
-            # sign-threshold first: im2col then gathers uint8, not float32,
-            # and packing happens directly from the {0,1} bit planes
-            bits = (x >= 0).astype(np.uint8)
-            cols_bits, (oh, ow) = ops.im2col(
-                bits, self.kernel_size, self.kernel_size, self.stride,
-                self.padding)
-            cached = (bitops.pack_bits(cols_bits), (oh, ow))
-            self._input_cache_put("packed", x, cached)
-        xwords, (oh, ow) = cached
+        xwords, (oh, ow) = self._derived_input(
+            "packed", x, lambda: self._packed_input(x))
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32).reshape(x.shape[0], oh, ow, self.filters)
+
+    def _packed_input(self, x) -> tuple[np.ndarray, tuple[int, int]]:
+        # sign-threshold first: im2col then gathers uint8, not float32,
+        # and packing happens directly from the {0,1} bit planes
+        cols_bits, shape = self._im2col((x >= 0).astype(np.uint8))
+        return bitops.pack_bits(cols_bits), shape
+
+    def _im2col(self, x) -> tuple[np.ndarray, tuple[int, int]]:
+        return ops.im2col(x, self.kernel_size, self.kernel_size,
+                          self.stride, self.padding)
 
     def forward(self, x, training=False):
         if not training and self._packed_eligible():
@@ -422,16 +286,12 @@ class QuantConv2D(QuantLayer):
                     out = out + self.params["bias"]
                 return out
         qkernel = self._quantize_kernel()
-        cached = None if training else self._input_cache_get("cols", x)
-        if cached is None:
-            qx = self.input_quantizer.quantize(x) if self.input_quantizer else x
-            cached = ops.im2col(qx, self.kernel_size, self.kernel_size,
-                                self.stride, self.padding)
-            if not training:
-                self._input_cache_put("cols", x, cached)
+        if training:
+            qx = self._quantize_input(x)
+            cols, (oh, ow) = self._im2col(qx)
         else:
-            qx = None
-        cols, (oh, ow) = cached
+            cols, (oh, ow) = self._derived_input(
+                "cols", x, lambda: self._im2col(self._quantize_input(x)))
         qw = qkernel.reshape(-1, self.filters)
         flat = cols @ qw
         if self.product_fault_hook is not None:
@@ -501,10 +361,8 @@ class QuantDense(QuantLayer):
         kwords, length = self._packed_kernel_words()
         if kwords is None:
             return None
-        xwords = self._input_cache_get("packed", x)
-        if xwords is None:
-            xwords, _ = bitops.pack_sign(x)
-            self._input_cache_put("packed", x, xwords)
+        xwords = self._derived_input("packed", x,
+                                     lambda: bitops.pack_sign(x)[0])
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32)
 
@@ -516,7 +374,7 @@ class QuantDense(QuantLayer):
                 if self.use_bias:
                     out = out + self.params["bias"]
                 return out
-        qx = self.input_quantizer.quantize(x) if self.input_quantizer else x
+        qx = self._quantize_input(x)
         qkernel = self._quantize_kernel()
         out = qx @ qkernel
         if self.product_fault_hook is not None:

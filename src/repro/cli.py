@@ -111,16 +111,26 @@ def _event_renderer(show_cells: bool, stream=None):
     return render
 
 
-def _cache_bytes(args) -> int | None:
-    return (args.cache_cap * 2 ** 20 if args.cache_cap is not None
-            else None)
-
-
 def _default_executor(args) -> str:
     if args.executor is not None:
         return args.executor
     serial = args.jobs is None or args.jobs == 1
     return "serial" if serial else "shared_memory"
+
+
+def _request(args, **extra):
+    """The RunRequest of ``run``/``submit`` from the shared engine flags
+    (see :func:`_add_engine_arguments`); ``extra`` adds the rest."""
+    from . import api
+    return api.RunRequest(
+        experiment=args.experiment,
+        params=_parse_param_tokens(args.param),
+        executor=_default_executor(args), n_jobs=args.jobs or None,
+        backend=args.backend,
+        cache_bytes=(args.cache_cap * 2 ** 20
+                     if args.cache_cap is not None else None),
+        quick=args.quick, retries=args.retries,
+        job_timeout=args.job_timeout, degrade=not args.no_degrade, **extra)
 
 
 # -- registry commands: run / list / describe -----------------------------
@@ -139,15 +149,8 @@ def _parse_param_tokens(tokens) -> dict:
 
 def _cmd_run(args) -> int:
     from . import api
-    request = api.RunRequest(
-        experiment=args.experiment,
-        params=_parse_param_tokens(args.param),
-        executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
-        journal=args.journal, resume=args.resume, quick=args.quick,
-        retries=args.retries, job_timeout=args.job_timeout,
-        degrade=not args.no_degrade)
-    handle = api.submit(request)
+    handle = api.submit(_request(args, journal=args.journal,
+                                 resume=args.resume))
     handle.subscribe(_event_renderer(
         show_cells=args.progress or bool(args.journal)))
     report = handle.run()
@@ -265,15 +268,8 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     """Submit an experiment to a running service; prints the job id
     (bare, on stdout) so shells can capture it."""
-    from . import api
-    request = api.RunRequest(
-        experiment=args.experiment,
-        params=_parse_param_tokens(args.param),
-        executor=_default_executor(args), n_jobs=args.jobs or None,
-        backend=args.backend, cache_bytes=_cache_bytes(args),
-        quick=args.quick, retries=args.retries,
-        job_timeout=args.job_timeout, degrade=not args.no_degrade)
-    record = _service_client(args).submit(request, durable=args.durable)
+    record = _service_client(args).submit(_request(args),
+                                          durable=args.durable)
     print(f"queued {record.request.experiment} as {record.job_id}"
           + (" (durable)" if record.durable else ""), file=sys.stderr)
     print(record.job_id)
@@ -436,7 +432,7 @@ def _cmd_cost(args) -> int:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The engine options of ``repro run``."""
+    """The engine options ``repro run`` and ``repro submit`` share."""
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="run the campaign on N worker processes "
                              "(default: 1 = in-process serial; 0 = all "
@@ -453,18 +449,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "uint64 XNOR/popcount (bit-identical)")
     parser.add_argument("--cache-cap", type=int, default=None,
                         metavar="MiB",
-                        help="byte cap (in MiB), per quantized layer, "
-                             "for the campaign's derived "
-                             "input-representation cache (im2col / "
-                             "packed words); default 256")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="stream completed cells into a JSONL "
-                             "journal; rerun with --resume to continue "
-                             "an interrupted campaign (multi-series "
-                             "experiments derive one sibling file per "
-                             "series)")
-    parser.add_argument("--resume", action="store_true",
-                        help="allow continuing existing --journal files")
+                        help="byte cap (in MiB) on the campaign's whole "
+                             "derived-input memo (im2col / packed words "
+                             "of the batches it replays); default 256")
     parser.add_argument("--retries", type=int, default=2, metavar="N",
                         help="extra attempts per campaign cell before it "
                              "is quarantined as NaN (default 2; 0 still "
@@ -505,6 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, metavar="PATH",
                        help="write the RunReport JSON to PATH")
     _add_engine_arguments(p_run)
+    p_run.add_argument("--journal", default=None, metavar="PATH",
+                       help="stream completed cells into a JSONL "
+                            "journal; rerun with --resume to continue "
+                            "an interrupted campaign (multi-series "
+                            "experiments derive one sibling file per "
+                            "series)")
+    p_run.add_argument("--resume", action="store_true",
+                       help="allow continuing existing --journal files")
     p_run.set_defaults(func=_cmd_run)
 
     def _add_service_arguments(p, with_job: bool = True) -> None:
@@ -540,17 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="journal the campaign in the server's "
                                "store so a killed server resumes it")
     _add_service_arguments(p_submit, with_job=False)
-    p_submit.add_argument("--jobs", type=int, default=None, metavar="N")
-    p_submit.add_argument("--executor", default=None,
-                          choices=["serial", "shared_memory"])
-    p_submit.add_argument("--backend", default="float",
-                          choices=["float", "packed"])
-    p_submit.add_argument("--cache-cap", type=int, default=None,
-                          metavar="MiB")
-    p_submit.add_argument("--retries", type=int, default=2, metavar="N")
-    p_submit.add_argument("--job-timeout", type=float, default=None,
-                          metavar="SECONDS")
-    p_submit.add_argument("--no-degrade", action="store_true")
+    _add_engine_arguments(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
     p_status = sub.add_parser(

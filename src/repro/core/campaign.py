@@ -112,14 +112,11 @@ class FaultCampaign:
     backend:
         ``"float"`` or ``"packed"`` — see :mod:`repro.binary.layers`.
     cache_bytes:
-        Byte cap, per quantized layer, for this campaign's share of the
-        derived input-representation caches (im2col / packed words);
-        ``None`` selects
+        Byte cap on this campaign's whole derived-input memo: the im2col
+        columns / packed words of the activation batches it replays in
+        every repetition (see :class:`repro.core.engine.CampaignEvaluator`).
+        The memo fills until the cap and never evicts; ``None`` selects
         :data:`repro.core.engine.DEFAULT_INPUT_CACHE_BYTES` (256 MiB).
-        In practice only the prefix-split layer sees cacheable inputs,
-        so this is the effective campaign footprint.  The cache is sized
-        to the campaign's batch count and keyed per evaluator, so
-        concurrent campaigns on one model never thrash each other.
     policy:
         A :class:`~repro.core.resilience.RetryPolicy` arming retries,
         per-job timeouts, poison-job quarantine, and the pool's
@@ -168,19 +165,17 @@ class FaultCampaign:
     def close(self) -> None:
         """Release everything this campaign holds: shared-memory planes
         published by its executor (unlinked from ``/dev/shm``) and its
-        *own* memoized state — other campaigns sharing the model keep
-        their cache entries (see
-        :meth:`CampaignEvaluator.release_owned`).  Idempotent; also
-        usable as a context manager (``with FaultCampaign(...)``).
+        memoized state (:meth:`clear_caches`).  Idempotent; also usable
+        as a context manager (``with FaultCampaign(...)``).
         """
         release = getattr(self._executor, "release_planes", None)
         if release is not None:
             release()
-        self._evaluator.release_owned()
+        self._evaluator.clear_caches()
 
     def input_cache_stats(self) -> dict:
-        """Hit/miss statistics of this campaign's input-representation
-        cache traffic (see :meth:`CampaignEvaluator.input_cache_stats`)."""
+        """Hit/miss statistics of this campaign's derived-input memo
+        (see :meth:`CampaignEvaluator.input_cache_stats`)."""
         return self._evaluator.input_cache_stats()
 
     def baseline_accuracy(self) -> float:
@@ -194,8 +189,8 @@ class FaultCampaign:
 
     def clear_caches(self) -> None:
         """Release memoized evaluation state (baseline, prefix activations,
-        layer input/kernel caches) — e.g. before discarding the campaign
-        in a long-lived process."""
+        derived-input memo, packed kernels) — e.g. before discarding the
+        campaign in a long-lived process."""
         self._evaluator.clear_caches()
 
     def run(self, spec_factory: Callable[[float], list[FaultSpec] | FaultSpec],

@@ -35,9 +35,11 @@ Redundant-work elimination
   cached, batch by batch, as read-only arrays; each job then only runs
   the suffix.  For LeNet this skips the unmapped CMOS conv0 + pooling
   stack — roughly half the inference — in every repetition;
-* the read-only activation batches are *identically the same objects*
-  across jobs, which arms the quantized layers' input-representation
-  caches (im2col / bit-packing reuse, see :mod:`repro.binary.layers`).
+* the **derived inputs** of those batches — the im2col columns (float)
+  or packed words (packed) the first layer fed them computes — are
+  memoized per batch: the activation batches are *identically the same
+  objects* across jobs, so the memo keys on their identity (see
+  :mod:`repro.binary.layers`).
 
 The evaluator takes a **defensive snapshot** of the test set at
 construction: mutating the caller's arrays afterwards can never desync the
@@ -60,7 +62,7 @@ Executors
     A process pool (default ``n_jobs=os.cpu_count()``, overridable with
     the ``REPRO_N_JOBS`` environment variable).  The test set **and the
     parent's cached fault-free prefix activation batches** (plus the
-    first suffix layer's derived im2col/packed input representations)
+    first suffix layer's derived inputs from the evaluator's memo)
     live in :mod:`multiprocessing.shared_memory` planes that workers
     attach **zero-copy** in their initializer — the per-worker payload
     shrinks to the model plus a few block descriptors, independent of
@@ -71,12 +73,12 @@ Executors
     failure, on :meth:`FaultCampaign.close`, or at interpreter exit.
 
 The pool executor *streams* results back through :meth:`run_iter`, so
-callers can journal/report progress as cells finish, and preserves the
-caller's warm layer caches: the model's transient state is stripped only
-for the duration of worker start-up and restored afterwards.  Under a
-:class:`~repro.core.resilience.RetryPolicy` a pool that keeps failing
-degrades to the serial loop (``shared_memory → serial``), which computes
-the same values.
+callers can journal/report progress as cells finish.  Layers hold no
+warm input state (the memo lives on the evaluator), so worker start-up
+strips the model's scratch state once and the caller's evaluator keeps
+its memo.  Under a :class:`~repro.core.resilience.RetryPolicy` a pool
+that keeps failing degrades to the serial loop (``shared_memory →
+serial``), which computes the same values.
 
 Batch-level parallelism
 -----------------------
@@ -121,11 +123,9 @@ __all__ = [
     "plan_has_faults",
 ]
 
-#: default byte cap for one evaluator's derived-input-representation
-#: cache *per quantized layer* (overridable per campaign:
-#: ``FaultCampaign(cache_bytes=...)`` or the CLI ``--cache-cap``).  In
-#: practice only the prefix-split layer ever sees cacheable (read-only)
-#: inputs, so the per-layer cap is the effective campaign footprint.
+#: default byte cap on one evaluator's whole derived-input memo (im2col
+#: columns / packed words of the batches it replays), overridable per
+#: campaign: ``FaultCampaign(cache_bytes=...)`` or the CLI ``--cache-cap``
 DEFAULT_INPUT_CACHE_BYTES = 256 << 20
 
 #: job result: (point index, repeat index, accuracy)
@@ -206,11 +206,10 @@ class CampaignEvaluator:
 
     The evaluator snapshots ``x_test``/``y_test`` at construction
     (``copy_data=True``, the default) and marks the snapshot read-only, so
-    the layer-level input caches may key on identity and later caller-side
-    mutations cannot silently serve stale prefix activations.  Pool
-    workers attaching shared-memory arrays pass ``copy_data=False`` to
-    stay zero-copy; such arrays must never be written while the
-    evaluator lives.
+    later caller-side mutations cannot silently serve stale prefix
+    activations.  Pool workers attaching shared-memory arrays pass
+    ``copy_data=False`` to stay zero-copy; such arrays must never be
+    written while the evaluator lives.
 
     Cache invalidation keys on ``model.weights_version``, which training
     steps and ``load_state_dict`` bump.  Code that mutates
@@ -230,8 +229,7 @@ class CampaignEvaluator:
         self.model = model
         self.batch_size = batch_size
         self.backend = backend
-        #: per-layer byte cap for this evaluator's share of the derived
-        #: input-representation caches (see repro.binary.layers)
+        #: byte cap on the whole derived-input memo
         self.cache_bytes = (DEFAULT_INPUT_CACHE_BYTES if cache_bytes is None
                             else cache_bytes)
         self.x_test = np.array(x_test) if copy_data else x_test.view()
@@ -243,10 +241,13 @@ class CampaignEvaluator:
         #: (split, shard, n_shards) -> list of (activation batch, label batch)
         self._suffix_batches: dict[tuple[int, int, int],
                                    list[tuple[np.ndarray, np.ndarray]]] = {}
+        #: the derived-input memo: id(batch) -> (batch, {(layer, tag):
+        #: im2col columns / packed words}) for every activation batch in
+        #: ``_suffix_batches`` (holding the batch keeps its id unique); it
+        #: fills up to ``cache_bytes`` and never evicts
+        self._memo: dict[int, tuple[np.ndarray, dict]] = {}
+        self._memo_counts = {"hits": 0, "misses": 0, "bytes": 0}
         self._weights_version = getattr(model, "weights_version", None)
-        #: budget/statistics token identifying this evaluator in the
-        #: layers' input caches without keeping it alive
-        self._cache_token = weakref.ref(self)
         self._plane_fingerprint: str | None = None
         #: how many times a prefix was evaluated from ``x_test`` from
         #: scratch (0 on workers that adopted published prefix planes)
@@ -260,100 +261,87 @@ class CampaignEvaluator:
             self._weights_version = version
 
     def clear_caches(self) -> None:
-        """Release every memoized evaluation artifact: the baseline, the
-        prefix activation batches, and the layers' input/kernel caches.
-
-        This is the aggressive, whole-model wipe (other evaluators
-        sharing the model lose their cache entries too); use
-        :meth:`release_owned` to drop only this evaluator's share.
-        """
+        """Release every memoized evaluation artifact — the baseline, the
+        prefix activation batches and the derived-input memo — and the
+        model's per-layer scratch state (packed kernels)."""
         self._baseline = None
         self._suffix_batches.clear()
+        self._memo.clear()
+        self._memo_counts = dict.fromkeys(self._memo_counts, 0)
         self._plane_fingerprint = None
         _strip_transient_state(self.model)
 
-    def release_owned(self) -> None:
-        """Drop this evaluator's own memoized state — the baseline, the
-        prefix activation batches, and *its* entries/budget in the
-        layers' input caches — without touching other evaluators' cached
-        representations or the layers' kernel caches."""
-        self._baseline = None
-        self._suffix_batches.clear()
-        self._plane_fingerprint = None
-        for layer in self.model.all_layers():
-            cache = getattr(layer, "_input_cache", None)
-            if hasattr(cache, "drop_owner"):
-                cache.drop_owner(self._cache_token)
-
     @contextmanager
-    def _backend_scope(self):
-        """Run with this evaluator's backend, restore the previous one after.
+    def _evaluation_scope(self):
+        """Backend + input-memo scope for one evaluation.
 
-        The campaign must not permanently re-mode a shared model — two
-        campaigns with different backends on one model would otherwise
-        silently override each other.
+        The quantized layers run on this evaluator's backend and memoize
+        through :meth:`_memoized`; both are restored afterwards, so a
+        campaign never permanently re-modes a model and a layer outside
+        an evaluation memoizes nothing.
         """
-        previous = [(layer, layer.execution_backend)
-                    for layer in self.model.all_layers()
-                    if hasattr(layer, "execution_backend")]
-        self.model.set_execution_backend(self.backend)
+        lent = [(layer, layer.execution_backend, layer._input_memo)
+                for layer in self.model.all_layers()
+                if hasattr(layer, "_input_memo")]
+        for layer, _, _ in lent:
+            layer.execution_backend = self.backend
+            layer._input_memo = self._memoized
         try:
             yield
         finally:
-            for layer, saved in previous:
-                layer.execution_backend = saved
+            for layer, backend, memo in lent:
+                layer.execution_backend = backend
+                layer._input_memo = memo
 
-    @contextmanager
-    def _evaluation_scope(self):
-        """Backend + cache-ownership scope for one evaluation.
+    def _memoized(self, layer, tag: str, x: np.ndarray, derive):
+        """``derive()`` — ``layer``'s ``tag`` representation of input
+        ``x`` — memoized when ``x`` is a batch this evaluator replays and
+        the memo still has room under ``cache_bytes``."""
+        entry = self._memo.get(id(x))
+        if entry is None:
+            return derive()  # not a replayed batch: memoize nothing
+        reps = entry[1]
+        key = (layer, tag)
+        if key in reps:
+            self._memo_counts["hits"] += 1
+            return reps[key]
+        self._memo_counts["misses"] += 1
+        rep = derive()
+        self._memo_put(reps, key, rep)
+        return rep
 
-        Besides selecting the execution backend, the scope registers this
-        evaluator as the budget owner of every layer's input cache, sized
-        to the campaign: enough slots for all test batches (instead of the
-        ad-hoc 8-slot default) under the ``cache_bytes`` cap.  Ownership
-        is restored afterwards, so interleaved campaigns on one model
-        charge their own budgets and never evict each other's entries.
-        """
-        n_batches = math.ceil(len(self.x_test) / self.batch_size)
-        owned: list[tuple] = []
-        for layer in self.model.all_layers():
-            cache = getattr(layer, "_input_cache", None)
-            if hasattr(cache, "configure"):
-                cache.configure(self._cache_token,
-                                slots=max(8, 2 * n_batches),
-                                max_bytes=self.cache_bytes)
-                owned.append((layer, layer._cache_owner))
-                layer._cache_owner = self._cache_token
-        try:
-            with self._backend_scope():
-                yield
-        finally:
-            for layer, saved in owned:
-                layer._cache_owner = saved
+    def _memo_put(self, reps: dict, key: tuple, rep) -> None:
+        nbytes = _rep_array(rep).nbytes
+        if self._memo_counts["bytes"] + nbytes <= self.cache_bytes:
+            reps[key] = rep
+            self._memo_counts["bytes"] += nbytes
+
+    def _replay(self, key: tuple[int, int, int],
+                batches: list[tuple[np.ndarray, np.ndarray]]
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Keep ``batches`` as the activations of split/shard ``key`` and
+        give each one a memo slot."""
+        self._suffix_batches[key] = batches
+        for z, _ in batches:
+            if id(z) not in self._memo:
+                self._memo[id(z)] = (z, {})
+        return batches
 
     def input_cache_stats(self) -> dict:
-        """Aggregate hit/miss statistics of this evaluator's share of the
-        layers' input-representation caches.
+        """Hit/miss statistics and footprint of the derived-input memo.
 
         Returns
         -------
         dict
-            ``{"hits", "misses", "entries", "bytes", "hit_rate"}`` summed
-            over all layers; ``hit_rate`` is ``hits / (hits + misses)``
-            (0.0 before any lookup).  Only lookups charged to this
-            evaluator are counted — concurrent campaigns on the same
-            model report independent statistics.
+            ``{"hits", "misses", "entries", "bytes", "hit_rate"}``;
+            ``hit_rate`` is ``hits / (hits + misses)`` (0.0 before any
+            lookup).  Only lookups of replayed batches count.
         """
-        totals = {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
-        for layer in self.model.all_layers():
-            cache = getattr(layer, "_input_cache", None)
-            if hasattr(cache, "stats"):
-                for key, value in cache.stats(self._cache_token).items():
-                    if key in totals:
-                        totals[key] += value
-        lookups = totals["hits"] + totals["misses"]
-        totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-        return totals
+        hits, misses = self._memo_counts["hits"], self._memo_counts["misses"]
+        return {"hits": hits, "misses": misses,
+                "entries": sum(len(reps) for _, reps in self._memo.values()),
+                "bytes": self._memo_counts["bytes"],
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0}
 
     def plane_fingerprint(self) -> str:
         """Digest identifying the activation planes this evaluator would
@@ -414,11 +402,9 @@ class CampaignEvaluator:
         full = self._suffix_batches.get((split, 0, 1))
         if full is not None:
             # a shard is every n_shards-th global batch of the full list
-            batches = full[shard::n_shards]
-        else:
-            batches = self._compute_batches(split, shard, n_shards)
-        self._suffix_batches[key] = batches
-        return batches
+            return self._replay(key, full[shard::n_shards])
+        return self._replay(key, self._compute_batches(split, shard,
+                                                       n_shards))
 
     def _compute_batches(self, split: int, shard: int, n_shards: int
                          ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -472,29 +458,20 @@ class CampaignEvaluator:
             One ``(activations, labels)`` pair per *global* test batch,
             in batch order; the activation arrays must be read-only.
         reps : list of (str, object), optional
-            The derived input representation (``"cols"`` im2col matrix or
-            ``"packed"`` uint64 words) of each batch for
-            ``model.layers[split]``, pre-seeding that layer's input cache
-            so even the one-time im2col/packing cost is shared.
+            The derived input (``"cols"`` im2col matrix or ``"packed"``
+            uint64 words) of each batch for ``model.layers[split]``,
+            pre-seeding the memo so even the one-time im2col/packing
+            cost is shared.
 
         The caller is responsible for the batches matching this
         evaluator's data and weights — plane publishers enforce that with
         the :meth:`plane_fingerprint` check at attach time.
         """
         self._check_weights_version()
-        batches = list(batches)
-        self._suffix_batches[(split, 0, 1)] = batches
-        if not reps or split >= len(self.model.layers):
-            return
-        layer = self.model.layers[split]
-        cache = getattr(layer, "_input_cache", None)
-        if not hasattr(cache, "configure"):
-            return
-        n_batches = math.ceil(len(self.x_test) / self.batch_size)
-        cache.configure(self._cache_token, slots=max(8, 2 * n_batches),
-                        max_bytes=self.cache_bytes)
-        for (z, _), (tag, value) in zip(batches, reps):
-            cache.put(tag, z, value, owner=self._cache_token)
+        batches = self._replay((split, 0, 1), list(batches))
+        for (z, _), (tag, rep) in zip(batches, reps or ()):
+            self._memo_put(self._memo[id(z)][1],
+                           (self.model.layers[split], tag), rep)
 
     def _suffix_counts(self, split: int, shard: int = 0, n_shards: int = 1
                        ) -> tuple[int, int]:
@@ -683,15 +660,6 @@ class SharedPlaneRegistry:
         array.flags.writeable = False
         return array
 
-    def discard(self, descriptor: dict) -> None:
-        """Unlink one published plane early (e.g. a partially built set
-        that will never be shipped).  Unknown names are ignored."""
-        for shm in list(self._owned):
-            if shm.name == descriptor.get("name"):
-                self._owned.remove(shm)
-                _release_shared_blocks([shm])
-                return
-
     def release(self) -> None:
         """Close every mapping and unlink the owned blocks (idempotent).
         Cleanup failures are surfaced through :attr:`on_warning` (or a
@@ -861,8 +829,8 @@ def _worker_init(payload: dict) -> None:
     """Pool initializer: attach, don't copy.
 
     Besides the test set, the worker attaches the parent's published
-    fault-free prefix activation planes (and, when available, the derived
-    im2col/packed input representations) and installs them via
+    fault-free prefix activation planes (and, when available, their
+    derived im2col/packed inputs) and installs them via
     :meth:`CampaignEvaluator.adopt_prefix` — the worker never recomputes
     the prefix.  Every attach verifies the plane fingerprint; a stale
     plane aborts worker start-up instead of silently mixing data.
@@ -877,7 +845,7 @@ def _worker_init(payload: dict) -> None:
         batch_size=payload["batch_size"],
         continue_time_across_layers=payload["continue_time"],
         backend=payload["backend"],
-        copy_data=False)
+        copy_data=False, cache_bytes=payload["cache_bytes"])
     prefix = payload.get("prefix")
     if prefix is not None:
         batch_size = payload["batch_size"]
@@ -905,39 +873,13 @@ def _run_worker_task(task):
     return _run_task(_WORKER_EVALUATOR, task)
 
 
-@contextmanager
-def _transient_state_stashed(model: Sequential):
-    """Strip per-layer scratch state for the duration of the block, then
-    restore it.
-
-    Worker start-up must not pickle (or fork-inherit) the caller's warm
-    im2col/packing caches — but it must not *discard* them either: a
-    serial evaluator sharing the model would silently lose its warm state
-    every time a pool spins up.
-    """
-    saved: list[tuple[object, dict]] = []
-    for layer in model.all_layers():
-        entry = {attr: getattr(layer, attr)
-                 for attr in ("_packed_kernel_cache", "_input_cache", "_cache")
-                 if hasattr(layer, attr)}
-        if entry:
-            saved.append((layer, entry))
-    _strip_transient_state(model)
-    try:
-        yield
-    finally:
-        for layer, entry in saved:
-            for attr, value in entry.items():
-                setattr(layer, attr, value)
-
-
 class SharedMemoryExecutor(SerialExecutor):
     """Process-pool executor whose test set *and* prefix activations live
     in shared memory.
 
     The parent publishes ``x_test``/``y_test`` plus its cached fault-free
     prefix activation batches (and the first suffix layer's derived
-    im2col/packed input representations) as planes in a
+    im2col/packed inputs from the evaluator's memo) as planes in a
     :class:`SharedPlaneRegistry`; workers attach everything zero-copy in
     their initializer.  The pickled per-worker payload carries only the
     model and block descriptors — independent of dataset size — and no
@@ -1049,16 +991,16 @@ class SharedMemoryExecutor(SerialExecutor):
             yield from self._run_in_process(tasks, evaluator, reduce)
             return
         initializer, task_fn = self._pool_functions()
-        with _transient_state_stashed(evaluator.model):
-            self.payload_bytes = len(pickle.dumps(
-                payload, protocol=pickle.HIGHEST_PROTOCOL))
+        # workers must not pickle (or fork-inherit) packed kernels or a
+        # training batch; the evaluator's memo is not on the model
+        _strip_transient_state(evaluator.model)
+        self.payload_bytes = len(pickle.dumps(
+            payload, protocol=pickle.HIGHEST_PROTOCOL))
 
         def pool_factory():
             import multiprocessing
-            with _transient_state_stashed(evaluator.model):
-                return multiprocessing.Pool(self.n_jobs,
-                                            initializer=initializer,
-                                            initargs=(payload,))
+            return multiprocessing.Pool(self.n_jobs, initializer=initializer,
+                                        initargs=(payload,))
 
         window = (self.n_jobs
                   if self.policy is not None
@@ -1104,8 +1046,8 @@ class SharedMemoryExecutor(SerialExecutor):
                         registry: SharedPlaneRegistry) -> dict:
         """Publish the evaluator's fault-free prefix activation batches
         (computing them once, in the parent) plus the first suffix
-        layer's derived input representations when that layer memoizes
-        one (see :mod:`repro.binary.layers`).
+        layer's derived input of every batch when the memo holds them
+        all (see :meth:`CampaignEvaluator._memoized`).
 
         At ``split == 0`` (a fully mapped model: no fault-free prefix)
         the activation batches are byte-for-byte slices of ``x_test``,
@@ -1120,28 +1062,21 @@ class SharedMemoryExecutor(SerialExecutor):
             if split > 0:
                 descriptors = [registry.publish(z, label=f"prefix{index}")
                                for index, (z, _) in enumerate(batches)]
-            reps: list[dict] | None = None
+            found = []
             layers = evaluator.model.layers
-            if split < len(layers) and hasattr(layers[split],
-                                               "_input_cache"):
-                layer = layers[split]
-                reps = []
+            if split < len(layers) and hasattr(layers[split], "_input_memo"):
                 for z, _ in batches:
                     # one forward memoizes exactly the representation the
                     # workers will look up — shared code path, no drift
-                    layer.forward(z, training=False)
-                    for tag in ("packed", "cols"):
-                        rep = layer._input_cache.peek(tag, z)
-                        if rep is not None:
-                            reps.append(_publish_rep(registry, tag, rep))
-                            break
-                    else:
-                        # this layer memoizes nothing: drop the partially
-                        # published set — nobody will ever attach it
-                        for published in reps:
-                            registry.discard(published["array"])
-                        reps = None
-                        break
+                    layers[split].forward(z, training=False)
+                    found.append(next(
+                        ((tag, rep) for (layer, tag), rep
+                         in evaluator._memo[id(z)][1].items()
+                         if layer is layers[split]), None))
+            reps = None
+            if found and all(entry is not None for entry in found):
+                reps = [_publish_rep(registry, tag, rep)
+                        for tag, rep in found]
         return {"split": split, "n_batches": len(batches),
                 "batches": descriptors, "reps": reps}
 
@@ -1173,6 +1108,7 @@ class SharedMemoryExecutor(SerialExecutor):
                 "continue_time":
                     evaluator.injector.continue_time_across_layers,
                 "backend": evaluator.backend,
+                "cache_bytes": evaluator.cache_bytes,
             }
         except Exception:
             registry.release()
@@ -1189,25 +1125,26 @@ class SharedMemoryExecutor(SerialExecutor):
         return payload
 
 
+def _rep_array(rep) -> np.ndarray:
+    """The array of one derived input: a conv's ``(array, (oh, ow))``
+    tuple or a dense layer's bare word array."""
+    return rep[0] if isinstance(rep, tuple) else rep
+
+
 def _publish_rep(registry: SharedPlaneRegistry, tag: str, rep) -> dict:
-    """Decompose one memoized input representation into a plane descriptor
-    (``(array, (oh, ow))`` conv tuples or bare dense word arrays)."""
-    if isinstance(rep, tuple):
-        array, extra = rep
-    else:
-        array, extra = rep, None
-    return {"tag": tag, "array": registry.publish(array, label=f"rep-{tag}"),
+    """Decompose one memoized derived input into a plane descriptor."""
+    extra = rep[1] if isinstance(rep, tuple) else None
+    return {"tag": tag,
+            "array": registry.publish(_rep_array(rep), label=f"rep-{tag}"),
             "extra": extra}
 
 
 def _strip_transient_state(model: Sequential) -> None:
-    """Drop per-layer scratch state (training caches, memoized packings)
+    """Drop per-layer scratch state (training caches, packed kernels)
     before pickling a model into worker processes."""
     for layer in model.all_layers():
         if hasattr(layer, "_invalidate_caches"):
             layer._invalidate_caches()
-        if hasattr(layer, "_input_cache"):
-            layer._input_cache = type(layer._input_cache)()
         if hasattr(layer, "_cache"):
             layer._cache = None
 

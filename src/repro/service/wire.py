@@ -105,9 +105,10 @@ def decode_request(payload: Any) -> tuple[RunRequest, bool]:
     """Decode one submission into ``(RunRequest, durable)``.
 
     Strict: unknown fields (including any attempt to name a server-side
-    ``journal`` path) raise :class:`WireError`; field values are then
-    validated by :class:`RunRequest` itself (``ApiError``, equally a
-    ``ValueError``).  The returned request always has
+    ``journal`` path) and a non-string ``executor`` (only Python callers
+    may pass an executor object) raise :class:`WireError`; field values
+    are then validated by :class:`RunRequest` itself (``ApiError``,
+    equally a ``ValueError``).  The returned request always has
     ``journal=None`` — the server's job store assigns journals.
     """
     payload = dict(_require_mapping(payload, "request"))
@@ -118,6 +119,9 @@ def decode_request(payload: Any) -> tuple[RunRequest, bool]:
                         f"{durable!r}")
     if "experiment" not in payload:
         raise WireError("request is missing the 'experiment' field")
+    if not isinstance(payload.get("executor", ""), str):
+        raise WireError(f"request field 'executor' must be a string, got "
+                        f"{payload['executor']!r}")
     return RunRequest(**payload), durable
 
 

@@ -114,6 +114,14 @@ def test_resolve_applies_defaults_quick_then_user():
     (dict(resume=True), "--journal"),
     (dict(executor="multiprocessing"), "unknown executor"),
     (dict(executor="shm"), "unknown executor"),
+    # JSON booleans are not counts, and flags must be real bools
+    (dict(n_jobs=True), "n_jobs"),
+    (dict(cache_bytes=True), "cache_bytes"),
+    (dict(retries=True), "retries"),
+    (dict(job_timeout=True), "job_timeout"),
+    (dict(quick="false"), "quick"),
+    (dict(degrade="no"), "degrade"),
+    (dict(resume=1, journal="sweep.jsonl"), "resume"),
 ])
 def test_request_validation(kwargs, match):
     with pytest.raises(ApiError, match=match):

@@ -143,6 +143,32 @@ def test_experiments_run_only_through_run(argv):
     assert exit_info.value.code == 2
 
 
+def test_run_and_submit_share_engine_flags():
+    """``submit`` takes ``run``'s engine flags, help texts included, and
+    builds the same request from them; only ``run`` journals."""
+    from repro import cli
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+
+    def helps(command):
+        return {action.option_strings[0]: action.help
+                for action in commands[command]._actions
+                if action.option_strings}
+
+    run_helps, submit_helps = helps("run"), helps("submit")
+    for flag in ("--jobs", "--executor", "--backend", "--cache-cap",
+                 "--retries", "--job-timeout", "--no-degrade"):
+        assert submit_helps[flag] and submit_helps[flag] == run_helps[flag]
+    assert "--journal" in run_helps and "--journal" not in submit_helps
+    flags = ["sweep", "--param", "rates=0.1", "--quick", "--jobs", "2",
+             "--backend", "packed", "--cache-cap", "64", "--retries", "0",
+             "--job-timeout", "5", "--no-degrade"]
+    request = cli._request(parser.parse_args(["run", *flags]))
+    assert request == cli._request(parser.parse_args(["submit", *flags]))
+    assert (request.executor, request.n_jobs, request.cache_bytes,
+            request.degrade) == ("shared_memory", 2, 64 << 20, False)
+
+
 @pytest.mark.parametrize("executor", ["multiprocessing", "shm"])
 def test_removed_executor_names_exit_2(executor):
     with pytest.raises(SystemExit) as exit_info:

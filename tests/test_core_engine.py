@@ -155,25 +155,30 @@ def test_shard_count_policy():
 
 
 def test_pool_preserves_caller_caches(trained_setup):
-    """Spinning up a pool must not discard the caller's warm layer caches
-    (mixed serial/parallel use would otherwise thrash them)."""
+    """Spinning up a pool must not discard the caller's warm memo (mixed
+    serial/parallel use would otherwise thrash it)."""
     model, x, y = trained_setup
     # packed backend: dense layers memoize their packed input words (the
     # float dense path derives nothing cacheable)
     evaluator = CampaignEvaluator(model, x, y, backend="packed")
-    evaluator.baseline()  # warm prefix activations + layer input caches
+    evaluator.baseline()  # warm prefix activations + the memo
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 2, 0, 8, 4)
     evaluator.evaluate_plan(jobs[0].plan)  # warm packed-kernel caches too
-    warm_inputs = {layer.name: layer._input_cache.entries()
-                   for layer in model.layers_of_type(QuantDense)}
-    assert any(warm_inputs.values()), "test premise: caches must be warm"
+
+    def memo():
+        return [(batch, key, rep) for batch, (_, reps)
+                in evaluator._memo.items() for key, rep in reps.items()]
+
+    warm = memo()
+    assert warm, "test premise: the memo must be warm"
     executor = SharedMemoryExecutor(n_jobs=2)
     try:
         executor.run(jobs, evaluator)
     finally:
         executor.release_planes()
-    for layer in model.layers_of_type(QuantDense):
-        assert layer._input_cache.entries() == warm_inputs[layer.name]
+    after = memo()
+    assert [entry[:2] for entry in after] == [entry[:2] for entry in warm]
+    assert all(new[2] is old[2] for new, old in zip(after, warm))
 
 
 def test_evaluator_snapshot_immune_to_caller_mutation(trained_setup):
@@ -318,11 +323,13 @@ def test_campaign_leaves_model_unfaulted(trained_setup):
 
 def test_clear_caches_releases_memoized_state(trained_setup):
     model, x, y = trained_setup
-    campaign = FaultCampaign(model, x, y, rows=8, cols=4)
+    campaign = FaultCampaign(model, x, y, rows=8, cols=4, backend="packed")
     campaign.run(FaultSpec.bitflip, xs=[0.0, 0.3], repeats=2)
     assert campaign._evaluator._suffix_batches
+    assert campaign.input_cache_stats()["entries"] > 0
     campaign.clear_caches()
     assert not campaign._evaluator._suffix_batches
     assert campaign._evaluator._baseline is None
-    for layer in model.layers_of_type(QuantDense):
-        assert len(layer._input_cache) == 0
+    assert not campaign._evaluator._memo
+    assert campaign.input_cache_stats() == {
+        "hits": 0, "misses": 0, "entries": 0, "bytes": 0, "hit_rate": 0.0}

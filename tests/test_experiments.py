@@ -8,12 +8,15 @@ live in ``benchmarks/bench_paper_claims.py``.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.core import FaultSpec
+from repro.core import campaign as campaign_module
+from repro.core.engine import CampaignEvaluator
 from repro.experiments import fig4, get_mnist, trained_lenet
 from repro.experiments.tables import table1_setup
 from repro.models.lenet import LENET_MAPPED_LAYERS
@@ -101,20 +104,28 @@ def test_fig4e_rows_milder_than_columns(lenet, tiny_test):
     (fig4.line_sweeps, _columns, (0, 2)),
 ])
 def test_sweep_helpers_free_caches_on_return(tiny_test, sweep, spec_factory,
-                                             xs):
+                                             xs, monkeypatch):
     """Campaign memory is freed by scope, not by the cyclic GC: with
-    collection off, no layer still holds input-representation entries
-    once a sweep helper returns."""
+    collection off, the evaluator and its memo are gone once a sweep
+    helper returns, and no layer still holds the memo it was lent."""
+    evaluators = []
+
+    class Recorded(CampaignEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            evaluators.append(weakref.ref(self))
+
+    monkeypatch.setattr(campaign_module, "CampaignEvaluator", Recorded)
     model = trained_lenet()
     gc.disable()
     try:
         sweep(model, tiny_test, spec_factory, xs, 2, layer_names=("conv1",))
-        leftover = {layer.name: len(layer._input_cache)
-                    for layer in model.all_layers()
-                    if hasattr(layer, "_input_cache")}
+        alive = [ref() for ref in evaluators if ref() is not None]
     finally:
         gc.enable()
-    assert not any(leftover.values()), leftover
+    assert evaluators and not alive
+    assert all(layer._input_memo is None for layer in model.all_layers()
+               if hasattr(layer, "_input_memo"))
 
 
 def test_fig4f_runtime_shape():
@@ -129,6 +140,23 @@ def test_fig4f_runtime_shape():
     assert by_name["X-Fault"] == pytest.approx(1.0)
     assert by_name["FLIM"] > 10.0      # device level must be far slower
     assert by_name["FLIM"] >= by_name["device-tile"]
+
+
+@pytest.mark.parametrize("options", [
+    {"executor": "shared_memory", "n_jobs": 2},
+    {"backend": "packed"},
+], ids=["executor", "backend"])
+def test_fig4f_warns_when_it_ignores_engine_options(options):
+    """fig4f always times the serial float path; any other executor or
+    backend is ignored, and said so."""
+    warnings = []
+    api.run("fig4f", quick=True, **options,
+            on_event=lambda event: warnings.append(event)
+            if isinstance(event, api.RunWarning) else None)
+    assert [event.message for event in warnings] == [
+        "fig4f is a wall-clock runtime measurement; it always runs "
+        "serially on the float backend and ignores executor/backend "
+        "options"]
 
 
 def test_table1_setup_rows():

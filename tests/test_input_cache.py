@@ -1,119 +1,13 @@
-"""Campaign-aware input-representation cache (repro.binary.layers)."""
-
-import weakref
+"""The campaign evaluator's derived-input memo (repro.core.engine)."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.binary import QuantDense
-from repro.binary.layers import _INPUT_CACHE_SLOTS, InputRepCache
 from repro.core import FaultCampaign, FaultSpec
-
-
-def _frozen(shape=(4,), seed=0):
-    array = np.random.default_rng(seed).standard_normal(shape)
-    array = array.astype(np.float32)
-    array.flags.writeable = False
-    return array
-
-
-class _Owner:
-    """Stand-in for an evaluator: something a weakref can point at."""
-
-
-def test_default_budget_keeps_legacy_fifo_bound():
-    cache = InputRepCache()
-    arrays = [_frozen(seed=i) for i in range(12)]
-    for array in arrays:
-        cache.put("cols", array, array * 2)
-    assert len(cache) == _INPUT_CACHE_SLOTS
-    # oldest entries evicted first
-    assert cache.peek("cols", arrays[0]) is None
-    assert cache.peek("cols", arrays[-1]) is not None
-
-
-def test_configured_owner_holds_more_than_the_legacy_bound():
-    cache = InputRepCache()
-    anchor = _Owner()  # the owner must outlive the test body
-    owner = weakref.ref(anchor)
-    cache.configure(owner, slots=32)
-    arrays = [_frozen(seed=i) for i in range(20)]
-    for array in arrays:
-        cache.put("cols", array, array * 2, owner=owner)
-    assert len(cache) == 20
-    assert all(cache.peek("cols", array) is not None for array in arrays)
-
-
-def test_byte_cap_evicts_lru_first():
-    cache = InputRepCache()
-    anchor = _Owner()
-    owner = weakref.ref(anchor)
-    value = np.zeros(256, dtype=np.float32)  # 1 KiB per entry
-    cache.configure(owner, slots=100, max_bytes=3 * value.nbytes)
-    arrays = [_frozen(seed=i) for i in range(5)]
-    for array in arrays:
-        cache.put("cols", array, value.copy(), owner=owner)
-    assert len(cache) == 3
-    assert cache.peek("cols", arrays[0]) is None
-    assert cache.peek("cols", arrays[-1]) is not None
-    assert cache.stats(owner)["bytes"] <= 3 * value.nbytes
-
-
-def test_owners_do_not_evict_each_other():
-    cache = InputRepCache()
-    anchors = (_Owner(), _Owner())
-    a, b = weakref.ref(anchors[0]), weakref.ref(anchors[1])
-    cache.configure(a, slots=4)
-    cache.configure(b, slots=4)
-    a_arrays = [_frozen(seed=i) for i in range(4)]
-    for array in a_arrays:
-        cache.put("cols", array, array, owner=a)
-    # b floods its own budget far beyond a's capacity
-    for i in range(20):
-        cache.put("cols", _frozen(seed=100 + i), i, owner=b)
-    assert all(cache.peek("cols", array) is not None for array in a_arrays)
-    assert cache.stats(b)["entries"] == 4
-
-
-def test_hit_and_miss_accounting_per_owner():
-    cache = InputRepCache()
-    anchor = _Owner()
-    owner = weakref.ref(anchor)
-    cache.configure(owner, slots=8)
-    array = _frozen()
-    assert cache.get("cols", array, owner=owner) is None      # miss
-    cache.put("cols", array, "rep", owner=owner)
-    assert cache.get("cols", array, owner=owner) == "rep"     # hit
-    cache.peek("cols", array)                                  # not counted
-    stats = cache.stats(owner)
-    assert (stats["hits"], stats["misses"]) == (1, 1)
-    assert stats["hit_rate"] == 0.5
-    assert cache.stats(None) == {"hits": 0, "misses": 0, "entries": 0,
-                                 "bytes": 0, "hit_rate": 0.0}
-
-
-def test_writeable_arrays_never_cached_nor_counted():
-    cache = InputRepCache()
-    writable = np.zeros(4, dtype=np.float32)
-    assert cache.get("cols", writable) is None
-    cache.put("cols", writable, "rep")
-    assert len(cache) == 0
-    assert cache.stats(None)["misses"] == 0
-
-
-def test_dead_owner_entries_purged():
-    cache = InputRepCache()
-    anchor = _Owner()
-    owner = weakref.ref(anchor)
-    cache.configure(owner, slots=8)
-    cache.put("cols", _frozen(), "rep", owner=owner)
-    assert len(cache) == 1
-    del anchor  # the owning evaluator is garbage-collected
-    cache.put("cols", _frozen(seed=1), "rep2")  # any put triggers the purge
-    assert all(not isinstance(entry[0], weakref.ref) or entry[0]() is not None
-               for entry in cache.entries())
-    assert cache.stats(owner)["entries"] == 0
+from repro.experiments.common import get_mnist, trained_lenet
+from repro.models.lenet import LENET_MAPPED_LAYERS
 
 
 # -- end-to-end: a >8-batch campaign actually hits ------------------------
@@ -185,3 +79,57 @@ def test_interleaved_campaigns_keep_their_hit_rates(trained_setup):
     before = c2.input_cache_stats()["misses"]
     c2.run(FaultSpec.bitflip, xs=[0.3], repeats=2)
     assert c2.input_cache_stats()["misses"] == before
+
+
+def test_capped_memo_keeps_hitting_the_batches_it_holds(trained_setup):
+    """A cap that fits k of the n replayed batches keeps those k for the
+    whole campaign, so every later pass hits on them (an LRU replaying
+    the n batches in a cycle evicts each one before its reuse)."""
+    model, x, y = trained_setup
+    free = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
+                         backend="packed")
+    free.baseline_accuracy()
+    stats = free.input_cache_stats()
+    assert stats["entries"] == 16
+    per_batch = stats["bytes"] // stats["entries"]
+    k = 5
+    capped = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
+                           backend="packed", cache_bytes=k * per_batch)
+    result = capped.run(FaultSpec.bitflip, xs=[0.3], repeats=3)
+    stats = capped.input_cache_stats()
+    assert (stats["entries"], stats["bytes"]) == (k, k * per_batch)
+    # three faulted passes, then the baseline pass: the first pass fills
+    # the memo, each later one hits on all k batches it holds
+    assert stats["hits"] == 3 * k
+    reference = free.run(FaultSpec.bitflip, xs=[0.3], repeats=3)
+    assert np.array_equal(result.accuracies, reference.accuracies)
+
+
+# -- the memo on the paper's LeNet -----------------------------------------
+
+#: hits of an 800-image LeNet campaign over the five Fig. 4a series at one
+#: rate with two repeats — what the per-layer caches before the memo scored
+LENET_HITS = {"float": 28, "packed": 40}
+
+
+@pytest.mark.parametrize("backend", sorted(LENET_HITS))
+def test_lenet_layer_sweep_memoizes_only_replayed_batches(backend):
+    """conv0 only ever sees fresh slices of the test set (the one-shot
+    prefix pass), so it memoizes nothing, and each entry is made by
+    exactly one miss."""
+    model = trained_lenet()
+    _, test = get_mnist()
+    test = test.subset(800)
+    campaign = FaultCampaign(model, test.x, test.y, backend=backend)
+    for name in (*LENET_MAPPED_LAYERS, "combined"):
+        campaign.run(FaultSpec.bitflip, xs=[0.1], repeats=2,
+                     layers=None if name == "combined" else [name])
+    memoized = {layer.name for _, reps in campaign._evaluator._memo.values()
+                for layer, _ in reps}
+    assert "conv0" not in memoized
+    assert memoized <= set(LENET_MAPPED_LAYERS)
+    stats = campaign.input_cache_stats()
+    assert stats["misses"] == stats["entries"]
+    assert stats["hits"] == LENET_HITS[backend]
+    assert all(layer._input_memo is None for layer in model.all_layers()
+               if hasattr(layer, "_input_memo"))

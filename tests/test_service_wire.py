@@ -218,6 +218,8 @@ def bad_payloads():
         {k: v for k, v in good_request.items() if k != "experiment"}
     yield "request-durable-not-bool", wire.decode_request, \
         {**good_request, "durable": "yes"}
+    yield "request-executor-not-string", wire.decode_request, \
+        {**good_request, "executor": 5}
     yield "request-not-object", wire.decode_request, ["fig4a"]
     yield "event-unknown-type", wire.decode_event, \
         {"event": "CellExploded", "boom": 1}
@@ -259,6 +261,13 @@ def test_request_values_validated_after_decode():
         payload["executor"] = executor
         with pytest.raises(ApiError, match="unknown executor"):
             wire.decode_request(payload)
+    # JSON booleans are not counts, and flags must be real bools
+    for field, value in (("quick", "false"), ("degrade", "no"),
+                         ("job_timeout", True), ("n_jobs", True),
+                         ("retries", True), ("cache_bytes", True)):
+        payload = {**wire.encode_request(RunRequest("sweep")), field: value}
+        with pytest.raises(ApiError, match=field):
+            wire.decode_request(roundtrip(payload))
 
 
 def test_canonical_result_strips_only_bookkeeping():
@@ -291,6 +300,8 @@ def test_malformed_submissions_never_queued(tmp_path):
                           "journal": "/tmp/evil"}).encode(),
               json.dumps({"experiment": "fig4a",
                           "params": {"bogus_param": 1}}).encode(),
+              json.dumps({"experiment": "sweep", "quick": "false"}).encode(),
+              json.dumps({"experiment": "fig4a", "executor": 5}).encode(),
               json.dumps(["fig4a"]).encode()]
     with start_in_thread(tmp_path / "store", workers=1) as port:
         for body in bodies:
