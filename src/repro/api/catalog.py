@@ -80,6 +80,8 @@ def _multi_meta(results: dict) -> dict:
     meta = {"executor": first.meta.get("executor"),
             "backend": first.meta.get("backend"),
             "series": list(results)}
+    if "kernel" in first.meta:
+        meta["kernel"] = first.meta["kernel"]
     resumed = [r.meta["resumed_cells"] for r in results.values()
                if "resumed_cells" in r.meta]
     if resumed:
@@ -293,11 +295,14 @@ def _fig4f(ctx, model, images, passes, xfault_images, serial_images,
         gate_family=gate, seed=seed)
     table = [[platform, float(seconds), float(speedup)]
              for platform, seconds, speedup in outcome["table"]]
-    return ctx.report(
+    report = ctx.report(
         tables={"runtime": {"columns": ["platform", "seconds", "speedup"],
                             "rows": table,
                             "images": int(outcome["images"])}},
         raw=outcome, meta={"workload": model})
+    # name the engine that ran, not the one the request asked for
+    report.engine.update(executor="serial", n_jobs=None, backend="float")
+    return report
 
 
 # -- Fig. 5: model-zoo resilience -----------------------------------------

@@ -11,11 +11,24 @@ passes through :func:`packed_matmul_words` when a layer's execution backend
 is set to ``"packed"``.  Because every partial sum of ±1 terms is a small
 integer (|sum| <= K < 2**24), the float32 GEMM is exact too — the packed
 path is bit-identical to it, just ~64x denser in memory traffic.
+
+:func:`packed_matmul_words` runs a compiled C kernel
+(:mod:`repro.binary.native`), built into the cache directory on the first
+packed GEMM of a process.  :func:`numpy_matmul_words`, the numpy word
+loop, is its reference and its automatic fallback when no compiled
+kernel can be built, loaded or trusted; :func:`kernel` says which one
+this process runs and why.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .native import Kernel
 
 __all__ = [
     "pack_bipolar",
@@ -24,6 +37,8 @@ __all__ = [
     "unpack_bipolar",
     "xnor_accumulate",
     "packed_matmul_words",
+    "numpy_matmul_words",
+    "kernel",
     "binary_matmul",
 ]
 
@@ -153,6 +168,34 @@ def packed_matmul_words(a_words: np.ndarray, b_words: np.ndarray,
 
     Notes
     -----
+    Runs the compiled kernel when this process has one (:func:`kernel`),
+    else :func:`numpy_matmul_words`; both give the same integers.
+    """
+    gemm = kernel().gemm
+    if gemm is None:
+        return numpy_matmul_words(a_words, b_words, length)
+    return gemm(a_words, b_words, length)
+
+
+@functools.cache
+def kernel() -> Kernel:
+    """The packed GEMM this process runs, loaded on first use.
+
+    ``kernel().name`` is ``"c"`` for the compiled kernel or ``"numpy"``
+    for the fallback, whose ``reason`` and ``detail`` say why
+    (:class:`repro.binary.native.Kernel`).  Concurrent first calls may
+    each load; every load gives the same answer.
+    """
+    # imported here: only packed runs pay for the loader's imports
+    from . import native
+    return native.load(numpy_matmul_words)
+
+
+def numpy_matmul_words(a_words: np.ndarray, b_words: np.ndarray,
+                       length: int) -> np.ndarray:
+    """:func:`packed_matmul_words` as a numpy word loop: the compiled
+    kernel's reference and fallback.
+
     Row blocks bound the XOR temporary to ~``_BLOCK_WORDS`` words so
     large im2col matrices do not blow up memory; the block walk is a pure
     reassociation of integer additions, so results do not depend on the

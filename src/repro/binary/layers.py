@@ -39,8 +39,13 @@ Every quantized layer carries an ``execution_backend`` attribute:
     The inference fast path: operands are bit-packed 64-per-uint64 word
     and the GEMM runs as XNOR + popcount
     (:func:`repro.binary.bitops.packed_matmul_words`), the arithmetic the
-    LIM crossbar natively performs.  Weights are packed once per fault
-    plan and cached; activations are packed per batch.  The packed path is
+    LIM crossbar natively performs.  The GEMM is a C kernel compiled into
+    the cache directory on a process's first packed GEMM
+    (:mod:`repro.binary.native`), or the numpy word loop when no compiled
+    kernel can be built or trusted; both give the same integers, and a
+    packed campaign records which one ran (``meta["kernel"]``).  Weights
+    are packed once per fault plan and cached; activations are packed per
+    batch, or come from the evaluator's memo.  The packed path is
     bit-identical to the float path and composes with the kernel and
     output fault hooks (weight stuck-at masks are applied to the binary
     kernel *before* packing).  Layers fall back to the float path

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs as _obs
+from ..binary import bitops
 from ..nn.model import Sequential
 from .engine import (CampaignEvaluator, build_jobs,
                      fingerprint_data_and_weights, get_executor)
@@ -242,7 +243,10 @@ class FaultCampaign:
         SweepResult
             ``accuracies`` is float64 of shape ``(len(xs), repeats)``;
             ``meta`` records executor/backend, journal bookkeeping,
-            prefix-plane metrics, and input-cache statistics.
+            prefix-plane metrics, and input-cache statistics; packed
+            campaigns add ``kernel``, the packed GEMM that ran
+            (``"c"`` or ``"numpy"``, see
+            :func:`repro.binary.bitops.kernel`).
         """
         xs = list(xs)
         total = len(xs) * repeats
@@ -272,6 +276,9 @@ class FaultCampaign:
         obs = self.obs
         cache_before = (self._evaluator.input_cache_stats()
                         if obs is not None else None)
+        # loaded before any pool starts, so forked workers inherit it;
+        # float campaigns never build or load it
+        kernel = bitops.kernel() if self.backend == "packed" else None
         executor_name = getattr(self._executor, "name",
                                 type(self._executor).__name__)
         try:
@@ -330,6 +337,8 @@ class FaultCampaign:
                             "backend": self.backend,
                             "input_cache":
                                 self._evaluator.input_cache_stats()}
+                    if kernel is not None:
+                        meta["kernel"] = kernel.name
                     prefix_plane = getattr(self._executor,
                                            "prefix_plane", None)
                     if prefix_plane is not None:
@@ -350,7 +359,7 @@ class FaultCampaign:
                         meta["resumed_cells"] = resumed
                     if obs is not None:
                         self._fold_metrics(meta, cache_before,
-                                           done - resumed, resumed)
+                                           done - resumed, resumed, kernel)
                     result = SweepResult(
                         label=label, xs=xs, accuracies=accuracies,
                         baseline=self.baseline_accuracy(), meta=meta)
@@ -366,7 +375,7 @@ class FaultCampaign:
         return self.obs.tracer.span(name, **attrs)
 
     def _fold_metrics(self, meta: dict, cache_before: dict,
-                      evaluated: int, resumed: int) -> None:
+                      evaluated: int, resumed: int, kernel) -> None:
         """Fold this run's meta into the campaign's metrics registry.
 
         Counters take per-run deltas (the evaluator's cache stats are
@@ -408,6 +417,11 @@ class FaultCampaign:
                 "repro_prefix_plane_adoptions_total",
                 "runs that reused already-published shared "
                 "planes").inc(1 if plane.get("reused") else 0)
+        if kernel is not None and kernel.gemm is None:
+            registry.counter(
+                "repro_kernel_fallback_total",
+                "packed campaign runs on the numpy GEMM loop instead of "
+                "the compiled kernel", reason=kernel.reason).inc(1)
         stats_to_metrics(meta["resilience"], registry)
 
     def _fingerprint(self) -> str:

@@ -869,8 +869,14 @@ def _worker_init(payload: dict) -> None:
 
 
 def _run_worker_task(task):
-    """Pool task function: :func:`_run_task` on the worker's evaluator."""
-    return _run_task(_WORKER_EVALUATOR, task)
+    """Pool task function: :func:`_run_task` on the worker's evaluator,
+    returned with the ``(hits, misses)`` its memo scored on the task, so
+    the parent's statistics count the workers' lookups too."""
+    before = dict(_WORKER_EVALUATOR._memo_counts)
+    result = _run_task(_WORKER_EVALUATOR, task)
+    after = _WORKER_EVALUATOR._memo_counts
+    return result, (after["hits"] - before["hits"],
+                    after["misses"] - before["misses"])
 
 
 class SharedMemoryExecutor(SerialExecutor):
@@ -1012,8 +1018,12 @@ class SharedMemoryExecutor(SerialExecutor):
         stream = supervisor.run()
         done = False
         try:
-            for task, outcome in stream:
-                yield from reduce(task, outcome)
+            for task, (kind, value) in stream:
+                if kind == "ok":
+                    value, (hits, misses) = value
+                    evaluator._memo_counts["hits"] += hits
+                    evaluator._memo_counts["misses"] += misses
+                yield from reduce(task, (kind, value))
             done = True
         except SupervisorGaveUp as failure:
             if not degrade:

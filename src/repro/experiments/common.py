@@ -7,11 +7,10 @@ are cached as ``.npz`` under the cache directory (``REPRO_CACHE_DIR`` or
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from pathlib import Path
 
 from .. import nn
+from ..cache import cache_dir
 from ..data import Dataset, lazy_synth_mnist, load_synth_imagenet
 from ..models import build_lenet, build_model
 from ..models.zoo import MODEL_BUILDERS
@@ -32,18 +31,6 @@ _TRAIN_SCHEDULE = {
     "binary_densenet45": (5e-3, 8),
     "meliusnet22": (5e-3, 8),
 }
-
-
-def cache_dir() -> Path:
-    """Weight-cache directory (created on demand)."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        path = Path(env)
-    else:
-        repo = Path(__file__).resolve().parents[3]
-        path = repo / "artifacts" / "cache"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 @lru_cache(maxsize=4)

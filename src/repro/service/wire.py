@@ -230,9 +230,10 @@ def canonical_result(payload: dict) -> dict:
     # events/resilience/input_cache/prefix_plane/telemetry record *how*
     # the cells were scheduled, cached, and timed, which legitimately
     # differs between a resumed run (fewer fresh evaluations) and a
-    # direct one
+    # direct one; kernel names the host's packed GEMM, which gives the
+    # same integers either way
     for key in ("journal", "resumed_cells", "events", "resilience",
-                "input_cache", "prefix_plane", "telemetry"):
+                "input_cache", "prefix_plane", "telemetry", "kernel"):
         meta.pop(key, None)
     payload["meta"] = meta
     return payload

@@ -135,6 +135,15 @@ def test_sweep_shared_memory_executor_smoke(capsys, tmp_path):
     assert "[shared_memory/float]" in out
 
 
+def test_fig4f_header_names_the_engine_that_ran(capsys):
+    """fig4f ignores --backend packed and times float serially; the
+    header says so instead of echoing the request."""
+    code, out = run_cli(capsys, "run", "fig4f", "--quick",
+                        "--backend", "packed")
+    assert code == 0
+    assert "[serial/float]" in out.splitlines()[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep"], ["scenarios", "run", "fresh-device"], ["table1"], ["table2"]])
 def test_experiments_run_only_through_run(argv):

@@ -148,15 +148,17 @@ def test_fig4f_runtime_shape():
 ], ids=["executor", "backend"])
 def test_fig4f_warns_when_it_ignores_engine_options(options):
     """fig4f always times the serial float path; any other executor or
-    backend is ignored, and said so."""
+    backend is ignored, said so, and the report names what ran."""
     warnings = []
-    api.run("fig4f", quick=True, **options,
-            on_event=lambda event: warnings.append(event)
-            if isinstance(event, api.RunWarning) else None)
+    report = api.run("fig4f", quick=True, **options,
+                     on_event=lambda event: warnings.append(event)
+                     if isinstance(event, api.RunWarning) else None)
     assert [event.message for event in warnings] == [
         "fig4f is a wall-clock runtime measurement; it always runs "
         "serially on the float backend and ignores executor/backend "
         "options"]
+    assert (report.engine["executor"], report.engine["n_jobs"],
+            report.engine["backend"]) == ("serial", None, "float")
 
 
 def test_table1_setup_rows():

@@ -133,3 +133,29 @@ def test_lenet_layer_sweep_memoizes_only_replayed_batches(backend):
     assert stats["hits"] == LENET_HITS[backend]
     assert all(layer._input_memo is None for layer in model.all_layers()
                if hasattr(layer, "_input_memo"))
+
+
+@pytest.mark.parametrize("executor, n_jobs, hits", [
+    ("serial", None, 12),
+    ("shared_memory", 2, 16),
+])
+def test_pool_workers_memo_hits_reach_the_campaign_stats(executor, n_jobs,
+                                                         hits):
+    """Four cells over four batches: serial misses each batch once and
+    then hits; on the pool the parent misses each batch once while it
+    publishes, and the workers, which adopt the published words, hit on
+    all 16 lookups.  The meta and the run's counters both see them."""
+    from repro.obs import Observability
+    model = trained_lenet()
+    _, test = get_mnist()
+    test = test.subset(800)
+    obs = Observability()
+    with FaultCampaign(model, test.x, test.y, executor=executor,
+                       n_jobs=n_jobs, backend="packed", obs=obs) as campaign:
+        result = campaign.run(FaultSpec.bitflip, xs=[0.1, 0.2], repeats=2,
+                              layers=["conv1"])
+    stats = result.meta["input_cache"]
+    assert (stats["hits"], stats["misses"]) == (hits, 4)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["repro_input_cache_hits_total"] == hits
+    assert counters["repro_input_cache_misses_total"] == 4
