@@ -80,8 +80,8 @@ class RunContext:
 
         Passing the *object* — rather than the name — into
         :class:`~repro.core.FaultCampaign` lets multi-campaign
-        experiments (per-layer grids, the model zoo) share one pool and
-        its published shared-memory planes across campaigns.
+        experiments (per-layer grids, the model zoo) share one executor,
+        its hooks and its resilience counters across campaigns.
         """
         if self._executor_obj is None:
             executor = get_executor(self.request.executor,
@@ -106,12 +106,6 @@ class RunContext:
         return {"executor": self.executor, "n_jobs": self.request.n_jobs,
                 "backend": self.request.backend,
                 "cache_bytes": self.request.cache_bytes}
-
-    def close(self) -> None:
-        """Release executor-held resources (shared-memory planes)."""
-        release = getattr(self._executor_obj, "release_planes", None)
-        if release is not None:
-            release()
 
     # -- progress -------------------------------------------------------
     def progress_for(self, series: str):
@@ -231,8 +225,6 @@ class RunHandle:
         except BaseException:
             self.state = "failed"
             raise
-        finally:
-            context.close()
         if not isinstance(report, RunReport):
             self.state = "failed"
             raise ApiError(

@@ -11,6 +11,7 @@ loads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,9 +118,10 @@ class RunRequest:
         if self.job_timeout is not None and (
                 not isinstance(self.job_timeout, (int, float))
                 or isinstance(self.job_timeout, bool)
+                or not math.isfinite(self.job_timeout)
                 or self.job_timeout <= 0):
-            raise ApiError(f"job_timeout must be a positive number of "
-                           f"seconds or None, got {self.job_timeout!r}")
+            raise ApiError(f"job_timeout must be a finite positive number "
+                           f"of seconds or None, got {self.job_timeout!r}")
 
     def engine(self) -> dict:
         """The request's engine options as a JSON-able dict (recorded on

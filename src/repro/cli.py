@@ -440,9 +440,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default=None,
                         choices=["serial", "shared_memory"],
                         help="executor override (default: serial for "
-                             "--jobs<=1, shared_memory otherwise, which "
-                             "attaches the test set zero-copy in every "
-                             "worker)")
+                             "--jobs<=1, shared_memory otherwise, whose "
+                             "forked workers share the parent's test set "
+                             "and caches)")
     parser.add_argument("--backend", default="float",
                         choices=["float", "packed"],
                         help="inference backend: float GEMM or packed "

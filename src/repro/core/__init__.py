@@ -11,8 +11,8 @@ from .campaign import FaultCampaign, SweepResult
 from .detection import (majority_vote_predict, march_test,
                         masks_from_detection, remap_columns)
 from .engine import (CampaignEvaluator, CampaignJob, SerialExecutor,
-                     SharedMemoryExecutor, SharedPlaneRegistry, build_jobs,
-                     get_executor, plan_has_faults)
+                     SharedMemoryExecutor, build_jobs, get_executor,
+                     plan_has_faults)
 from .faults import FaultSpec, FaultType, Semantics, SpatialMode, StuckPolarity
 from .generator import FaultGenerator, FaultPlan, mapped_layers
 from .injector import FaultInjector
@@ -35,7 +35,7 @@ __all__ = [
     "FaultInjector",
     "FaultCampaign", "SweepResult",
     "CampaignJob", "CampaignEvaluator", "SerialExecutor",
-    "SharedMemoryExecutor", "SharedPlaneRegistry", "CampaignJournal",
+    "SharedMemoryExecutor", "CampaignJournal",
     "build_jobs", "get_executor", "plan_has_faults",
     "RetryPolicy", "SupervisorGaveUp", "JobRetried", "JobQuarantined",
     "WorkerLost", "ExecutorDegraded",

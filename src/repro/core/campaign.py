@@ -22,6 +22,7 @@ it died and reproduces the uninterrupted result exactly
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
@@ -31,8 +32,7 @@ import numpy as np
 from .. import obs as _obs
 from ..binary import bitops
 from ..nn.model import Sequential
-from .engine import (CampaignEvaluator, build_jobs,
-                     fingerprint_data_and_weights, get_executor)
+from .engine import CampaignEvaluator, build_jobs, get_executor
 from .faults import FaultSpec
 from .journal import CampaignJournal
 from .resilience import new_stats
@@ -152,8 +152,8 @@ class FaultCampaign:
             continue_time_across_layers=continue_time_across_layers,
             backend=backend, cache_bytes=cache_bytes)
         # aliases of the evaluator's snapshot — everything the campaign
-        # evaluates, fingerprints, or ships to workers is this data, not
-        # whatever the caller's arrays hold later
+        # evaluates or fingerprints is this data, not whatever the
+        # caller's arrays hold later
         self.x_test = self._evaluator.x_test
         self.y_test = self._evaluator.y_test
 
@@ -164,14 +164,10 @@ class FaultCampaign:
         self.close()
 
     def close(self) -> None:
-        """Release everything this campaign holds: shared-memory planes
-        published by its executor (unlinked from ``/dev/shm``) and its
-        memoized state (:meth:`clear_caches`).  Idempotent; also usable
-        as a context manager (``with FaultCampaign(...)``).
+        """Release this campaign's memoized state (:meth:`clear_caches`).
+        Idempotent; also usable as a context manager
+        (``with FaultCampaign(...)``).
         """
-        release = getattr(self._executor, "release_planes", None)
-        if release is not None:
-            release()
         self._evaluator.clear_caches()
 
     def input_cache_stats(self) -> dict:
@@ -242,10 +238,9 @@ class FaultCampaign:
         -------
         SweepResult
             ``accuracies`` is float64 of shape ``(len(xs), repeats)``;
-            ``meta`` records executor/backend, journal bookkeeping,
-            prefix-plane metrics, and input-cache statistics; packed
-            campaigns add ``kernel``, the packed GEMM that ran
-            (``"c"`` or ``"numpy"``, see
+            ``meta`` records executor/backend, journal bookkeeping and
+            input-cache statistics; packed campaigns add ``kernel``, the
+            packed GEMM that ran (``"c"`` or ``"numpy"``, see
             :func:`repro.binary.bitops.kernel`).
         """
         xs = list(xs)
@@ -339,10 +334,6 @@ class FaultCampaign:
                                 self._evaluator.input_cache_stats()}
                     if kernel is not None:
                         meta["kernel"] = kernel.name
-                    prefix_plane = getattr(self._executor,
-                                           "prefix_plane", None)
-                    if prefix_plane is not None:
-                        meta["prefix_plane"] = prefix_plane
                     # always attach the counters block, zeroed on clean
                     # unsupervised runs — consumers (and journaled
                     # resumes) can rely on its presence
@@ -407,16 +398,6 @@ class FaultCampaign:
         registry.gauge("repro_input_cache_bytes",
                        "bytes pinned by the input-representation "
                        "cache").set(cache.get("bytes", 0))
-        plane = meta.get("prefix_plane")
-        if plane:
-            registry.gauge(
-                "repro_prefix_plane_batches",
-                "shared-memory prefix activation planes "
-                "published").set(plane.get("batches", 0))
-            registry.counter(
-                "repro_prefix_plane_adoptions_total",
-                "runs that reused already-published shared "
-                "planes").inc(1 if plane.get("reused") else 0)
         if kernel is not None and kernel.gemm is None:
             registry.counter(
                 "repro_kernel_fallback_total",
@@ -425,19 +406,25 @@ class FaultCampaign:
         stats_to_metrics(meta["resilience"], registry)
 
     def _fingerprint(self) -> str:
-        """Digest of the evaluator's data snapshot and the model weights
-        (shared helper: :func:`repro.core.engine.
-        fingerprint_data_and_weights`).
+        """SHA-1 digest of the evaluator's test-set snapshot (shape,
+        dtype and bytes of ``x_test`` and ``y_test``) and the model
+        weights.
 
-        Journals store it so a resume against a different test set, a
-        retrained model, or different injection timing is refused instead
-        of silently mixing incompatible accuracies into one result.
-        (Journals written before the digest gained the dtype field are
-        refused on resume, never silently mixed.)
+        Journals store it so a resume against a different test set or a
+        retrained model is refused instead of silently mixing
+        incompatible accuracies into one result.  (Journals written
+        before the digest gained the dtype field are refused on resume,
+        never silently mixed.)
         """
-        return fingerprint_data_and_weights(
-            self._evaluator.x_test, self._evaluator.y_test,
-            self.model).hexdigest()
+        digest = hashlib.sha1()
+        for array in (self._evaluator.x_test, self._evaluator.y_test):
+            digest.update(str(array.shape).encode())
+            digest.update(str(array.dtype).encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        for key, value in sorted(self.model.state_dict().items()):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        return digest.hexdigest()
 
     def _iter_results(self, jobs):
         """Stream results from the executor as cells complete (falling

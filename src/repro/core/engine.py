@@ -60,25 +60,22 @@ Executors
     In-process loop.  Shares the caller's evaluator and all its caches.
 ``shared_memory``
     A process pool (default ``n_jobs=os.cpu_count()``, overridable with
-    the ``REPRO_N_JOBS`` environment variable).  The test set **and the
-    parent's cached fault-free prefix activation batches** (plus the
-    first suffix layer's derived inputs from the evaluator's memo)
-    live in :mod:`multiprocessing.shared_memory` planes that workers
-    attach **zero-copy** in their initializer — the per-worker payload
-    shrinks to the model plus a few block descriptors, independent of
-    dataset size, and no worker recomputes the prefix.  Planes are
-    managed by a :class:`SharedPlaneRegistry`: fingerprinted against
-    data + weights (stale planes are refused like mismatched journals),
-    cached across ``run`` calls of one campaign, and unlinked on
-    failure, on :meth:`FaultCampaign.close`, or at interpreter exit.
+    the ``REPRO_N_JOBS`` environment variable) whose workers share the
+    parent's memory copy-on-write.  The parent warms its evaluator —
+    the baseline, the fault-free prefix activation batches and the
+    first suffix layer's derived inputs — and then *forks* the pool:
+    every worker inherits that evaluator, test set and caches included,
+    so nothing is pickled, copied or published, and no worker
+    recomputes what the parent warmed.  The pool always uses the
+    ``fork`` start method, because the memo keys on object identity,
+    which only a forked address space preserves.
 
 The pool executor *streams* results back through :meth:`run_iter`, so
-callers can journal/report progress as cells finish.  Layers hold no
-warm input state (the memo lives on the evaluator), so worker start-up
-strips the model's scratch state once and the caller's evaluator keeps
-its memo.  Under a :class:`~repro.core.resilience.RetryPolicy` a pool
-that keeps failing degrades to the serial loop (``shared_memory →
-serial``), which computes the same values.
+callers can journal/report progress as cells finish.  Workers write to
+their own copy-on-write pages only, so the caller's evaluator keeps its
+memo.  Under a :class:`~repro.core.resilience.RetryPolicy` a pool that
+keeps failing (or cannot fork) degrades to the serial loop
+(``shared_memory → serial``), which computes the same values.
 
 Batch-level parallelism
 -----------------------
@@ -91,12 +88,8 @@ reduction keeps the accuracy bit-identical to the unsharded division.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import pickle
-import warnings
-import weakref
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -117,7 +110,6 @@ __all__ = [
     "CampaignEvaluator",
     "SerialExecutor",
     "SharedMemoryExecutor",
-    "SharedPlaneRegistry",
     "build_jobs",
     "get_executor",
     "plan_has_faults",
@@ -130,28 +122,6 @@ DEFAULT_INPUT_CACHE_BYTES = 256 << 20
 
 #: job result: (point index, repeat index, accuracy)
 JobResult = tuple[int, int, float]
-
-
-def fingerprint_data_and_weights(x_test: np.ndarray, y_test: np.ndarray,
-                                 model: Sequential) -> "hashlib._Hash":
-    """SHA-1 digest of a test-set snapshot + model weights.
-
-    The single source of truth for both staleness guards — journal
-    resume (:meth:`FaultCampaign._fingerprint`) and shared-memory plane
-    attachment (:meth:`CampaignEvaluator.plane_fingerprint`) — so the
-    two checks can never drift apart in what they cover.  Returns the
-    open hash object; callers append their context-specific fields
-    (grid geometry, backend, timing) before ``hexdigest()``.
-    """
-    digest = hashlib.sha1()
-    for array in (x_test, y_test):
-        digest.update(str(array.shape).encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(np.ascontiguousarray(array).tobytes())
-    for key, value in sorted(model.state_dict().items()):
-        digest.update(key.encode())
-        digest.update(np.ascontiguousarray(value).tobytes())
-    return digest
 
 
 @dataclass(frozen=True)
@@ -204,12 +174,9 @@ def build_jobs(model: Sequential,
 class CampaignEvaluator:
     """Evaluates fault plans on a fixed model + test set, with caching.
 
-    The evaluator snapshots ``x_test``/``y_test`` at construction
-    (``copy_data=True``, the default) and marks the snapshot read-only, so
-    later caller-side mutations cannot silently serve stale prefix
-    activations.  Pool workers attaching shared-memory arrays pass
-    ``copy_data=False`` to stay zero-copy; such arrays must never be
-    written while the evaluator lives.
+    The evaluator snapshots ``x_test``/``y_test`` at construction and
+    marks the snapshot read-only, so later caller-side mutations cannot
+    silently serve stale prefix activations.
 
     Cache invalidation keys on ``model.weights_version``, which training
     steps and ``load_state_dict`` bump.  Code that mutates
@@ -221,8 +188,7 @@ class CampaignEvaluator:
     def __init__(self, model: Sequential, x_test: np.ndarray,
                  y_test: np.ndarray, batch_size: int = 256,
                  continue_time_across_layers: bool = True,
-                 backend: str = "float", copy_data: bool = True,
-                 cache_bytes: int | None = None):
+                 backend: str = "float", cache_bytes: int | None = None):
         if backend not in ("float", "packed"):
             raise ValueError(f"unknown execution backend {backend!r}; "
                              "use 'float' or 'packed'")
@@ -232,9 +198,9 @@ class CampaignEvaluator:
         #: byte cap on the whole derived-input memo
         self.cache_bytes = (DEFAULT_INPUT_CACHE_BYTES if cache_bytes is None
                             else cache_bytes)
-        self.x_test = np.array(x_test) if copy_data else x_test.view()
+        self.x_test = np.array(x_test)
         self.x_test.flags.writeable = False
-        self.y_test = np.array(y_test) if copy_data else y_test.view()
+        self.y_test = np.array(y_test)
         self.y_test.flags.writeable = False
         self.injector = FaultInjector(continue_time_across_layers)
         self._baseline: float | None = None
@@ -248,10 +214,6 @@ class CampaignEvaluator:
         self._memo: dict[int, tuple[np.ndarray, dict]] = {}
         self._memo_counts = {"hits": 0, "misses": 0, "bytes": 0}
         self._weights_version = getattr(model, "weights_version", None)
-        self._plane_fingerprint: str | None = None
-        #: how many times a prefix was evaluated from ``x_test`` from
-        #: scratch (0 on workers that adopted published prefix planes)
-        self.prefix_computations = 0
 
     def _check_weights_version(self) -> None:
         """Drop caches when the model's parameters changed in place."""
@@ -268,8 +230,11 @@ class CampaignEvaluator:
         self._suffix_batches.clear()
         self._memo.clear()
         self._memo_counts = dict.fromkeys(self._memo_counts, 0)
-        self._plane_fingerprint = None
-        _strip_transient_state(self.model)
+        for layer in self.model.all_layers():
+            if hasattr(layer, "_invalidate_caches"):
+                layer._invalidate_caches()
+            if hasattr(layer, "_cache"):
+                layer._cache = None
 
     @contextmanager
     def _evaluation_scope(self):
@@ -307,14 +272,12 @@ class CampaignEvaluator:
             return reps[key]
         self._memo_counts["misses"] += 1
         rep = derive()
-        self._memo_put(reps, key, rep)
-        return rep
-
-    def _memo_put(self, reps: dict, key: tuple, rep) -> None:
-        nbytes = _rep_array(rep).nbytes
+        # a conv's (array, (oh, ow)) tuple or a dense layer's word array
+        nbytes = (rep[0] if isinstance(rep, tuple) else rep).nbytes
         if self._memo_counts["bytes"] + nbytes <= self.cache_bytes:
             reps[key] = rep
             self._memo_counts["bytes"] += nbytes
+        return rep
 
     def _replay(self, key: tuple[int, int, int],
                 batches: list[tuple[np.ndarray, np.ndarray]]
@@ -342,21 +305,6 @@ class CampaignEvaluator:
                 "entries": sum(len(reps) for _, reps in self._memo.values()),
                 "bytes": self._memo_counts["bytes"],
                 "hit_rate": hits / (hits + misses) if hits + misses else 0.0}
-
-    def plane_fingerprint(self) -> str:
-        """Digest identifying the activation planes this evaluator would
-        publish: test-set snapshot, model weights, batch geometry, backend
-        and injection timing.  Attaching a plane published under any other
-        fingerprint is refused (like resuming a mismatched journal)."""
-        self._check_weights_version()
-        if self._plane_fingerprint is None:
-            digest = fingerprint_data_and_weights(self.x_test, self.y_test,
-                                                  self.model)
-            digest.update(f"{self.batch_size}|{self.backend}|"
-                          f"{self.injector.continue_time_across_layers}"
-                          .encode())
-            self._plane_fingerprint = digest.hexdigest()
-        return self._plane_fingerprint
 
     # -- prefix/suffix splitting ----------------------------------------
     def _split_for(self, layer_names) -> int:
@@ -392,7 +340,7 @@ class CampaignEvaluator:
         Cached splits are reused hierarchically before anything runs from
         scratch: a shard view slices the full split's batch list, and a
         deeper split continues forward from the deepest cached shallower
-        split (e.g. from adopted shared-memory prefix planes) — both are
+        split (e.g. the baseline split a pool's parent warmed) — both are
         the same per-batch arithmetic, so results stay bit-identical.
         """
         key = (split, shard, n_shards)
@@ -426,7 +374,6 @@ class CampaignEvaluator:
                 z.flags.writeable = False
                 batches.append((z, labels))
             return batches
-        self.prefix_computations += 1
         prefix = self.model.layers[:split]
         n = len(self.x_test)
         for index, start in enumerate(range(0, n, self.batch_size)):
@@ -439,39 +386,6 @@ class CampaignEvaluator:
             z.flags.writeable = False
             batches.append((z, self.y_test[start:start + self.batch_size]))
         return batches
-
-    def adopt_prefix(self, split: int,
-                     batches: list[tuple[np.ndarray, np.ndarray]],
-                     reps: list[tuple[str, object]] | None = None) -> None:
-        """Install externally computed fault-free prefix activations.
-
-        Pool workers call this with activation batches attached from the
-        parent's shared-memory planes, eliminating the once-per-worker
-        prefix recomputation.
-
-        Parameters
-        ----------
-        split : int
-            Top-level layer index the activations were computed up to
-            (the publisher's :meth:`_baseline_split`).
-        batches : list of (ndarray, ndarray)
-            One ``(activations, labels)`` pair per *global* test batch,
-            in batch order; the activation arrays must be read-only.
-        reps : list of (str, object), optional
-            The derived input (``"cols"`` im2col matrix or ``"packed"``
-            uint64 words) of each batch for ``model.layers[split]``,
-            pre-seeding the memo so even the one-time im2col/packing
-            cost is shared.
-
-        The caller is responsible for the batches matching this
-        evaluator's data and weights — plane publishers enforce that with
-        the :meth:`plane_fingerprint` check at attach time.
-        """
-        self._check_weights_version()
-        batches = self._replay((split, 0, 1), list(batches))
-        for (z, _), (tag, rep) in zip(batches, reps or ()):
-            self._memo_put(self._memo[id(z)][1],
-                           (self.model.layers[split], tag), rep)
 
     def _suffix_counts(self, split: int, shard: int = 0, n_shards: int = 1
                        ) -> tuple[int, int]:
@@ -534,145 +448,6 @@ class CampaignEvaluator:
 
     def run_job(self, job: CampaignJob) -> JobResult:
         return job.point_index, job.repeat_index, self.evaluate_plan(job.plan)
-
-
-# -- shared-memory planes --------------------------------------------------
-
-def _cleanup_warning(warn: Callable[[str], None] | None, message: str) -> None:
-    """Surface a shared-memory cleanup failure: through the caller's
-    ``on_warning`` hook when one is wired, else as a ResourceWarning —
-    never silently (a swallowed unlink failure is a leaked ``psm_*``
-    block until reboot)."""
-    if warn is not None:
-        warn(message)
-    else:
-        warnings.warn(message, ResourceWarning, stacklevel=3)
-
-
-def _release_shared_blocks(blocks: list,
-                           warn: Callable[[str], None] | None = None) -> None:
-    """Close + unlink every owned block (idempotent; finalizer-safe).
-
-    Failures are reported via ``warn``/ResourceWarning but never raised:
-    this runs from ``finally`` blocks and weakref finalizers, where an
-    exception would mask the original error (or abort interpreter
-    shutdown) while still leaking the remaining blocks.
-    """
-    while blocks:
-        shm = blocks.pop()
-        try:
-            shm.close()
-        except Exception as error:
-            _cleanup_warning(warn, "failed to close shared-memory block "
-                                   f"{shm.name}: {error!r}")
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass  # already unlinked (double release, external cleanup)
-        except Exception as error:
-            _cleanup_warning(warn, "failed to unlink shared-memory block "
-                                   f"{shm.name}: {error!r}; it may stay "
-                                   "allocated until reboot")
-
-
-class SharedPlaneRegistry:
-    """Lifecycle manager for shared-memory *planes* — read-only ndarrays
-    published once by a campaign parent and attached zero-copy by workers.
-
-    Parent side: :meth:`publish` copies an array into a freshly created
-    :class:`multiprocessing.shared_memory.SharedMemory` block and returns
-    a picklable descriptor.  Planes stay alive across ``run`` calls of the
-    same campaign (campaign-aware caching) until :meth:`release` — which a
-    ``weakref`` finalizer also invokes at garbage collection or
-    interpreter exit, so interrupted campaigns never leak ``psm_*``
-    blocks.
-
-    Worker side: :meth:`attach` maps a descriptor zero-copy after checking
-    its fingerprint against the registry's expected one.  A plane
-    published for different data/weights (a stale registry, a recycled
-    descriptor) is refused with :class:`ValueError`, exactly like resuming
-    a mismatched journal.
-    """
-
-    def __init__(self, fingerprint: str = ""):
-        self.fingerprint = fingerprint
-        self._owned: list = []      # blocks this registry created
-        self._attached: list = []   # blocks this registry merely mapped
-        #: cleanup-failure hook (``on_warning(message)``); ``None`` falls
-        #: back to a ResourceWarning.  The finalizer below deliberately
-        #: keeps the warnings-module default: binding a callback here
-        #: would pin the callback's owner (typically the executor) alive.
-        self.on_warning: Callable[[str], None] | None = None
-        self._finalizer = weakref.finalize(self, _release_shared_blocks,
-                                           self._owned)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of the published (owned) blocks."""
-        return sum(shm.size for shm in self._owned)
-
-    def publish(self, array: np.ndarray, label: str = "") -> dict:
-        """Copy ``array`` into a new shared-memory block.
-
-        Returns
-        -------
-        dict
-            Picklable descriptor (``name``, ``shape``, ``dtype``,
-            ``fingerprint``, ``label``) for :meth:`attach`.
-        """
-        array = np.ascontiguousarray(array)
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=max(1, array.nbytes))
-        self._owned.append(shm)
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-        view[...] = array
-        return {"name": shm.name, "shape": tuple(array.shape),
-                "dtype": str(array.dtype), "fingerprint": self.fingerprint,
-                "label": label}
-
-    def attach(self, descriptor: dict) -> np.ndarray:
-        """Attach one published plane zero-copy as a read-only array.
-
-        Raises
-        ------
-        ValueError
-            If the descriptor's fingerprint does not match this
-            registry's — the plane belongs to different data/weights.
-        """
-        if descriptor.get("fingerprint") != self.fingerprint:
-            raise ValueError(
-                f"stale shared-memory plane {descriptor.get('label') or descriptor.get('name')!r}: "
-                f"published for fingerprint {descriptor.get('fingerprint')!r}"
-                f" but {self.fingerprint!r} expected; refusing to attach")
-        from multiprocessing import shared_memory
-
-        # NOTE: CPython < 3.13 registers attachments with the (fork-shared)
-        # resource tracker as if this process owned the block (bpo-39959).
-        # That is harmless here — registrations deduplicate and the parent
-        # unregisters on unlink — and unregistering per worker would race
-        # the parent into a double-unregister.
-        shm = shared_memory.SharedMemory(name=descriptor["name"])
-        self._attached.append(shm)
-        array = np.ndarray(tuple(descriptor["shape"]),
-                           dtype=np.dtype(descriptor["dtype"]),
-                           buffer=shm.buf)
-        array.flags.writeable = False
-        return array
-
-    def release(self) -> None:
-        """Close every mapping and unlink the owned blocks (idempotent).
-        Cleanup failures are surfaced through :attr:`on_warning` (or a
-        ResourceWarning), never swallowed and never raised."""
-        for shm in self._attached:
-            try:
-                shm.close()
-            except Exception as error:
-                _cleanup_warning(self.on_warning,
-                                 "failed to close attached shared-memory "
-                                 f"block {shm.name}: {error!r}")
-        self._attached.clear()
-        _release_shared_blocks(self._owned, warn=self.on_warning)
 
 
 # -- executors ------------------------------------------------------------
@@ -812,59 +587,17 @@ class SerialExecutor:
 
 
 _WORKER_EVALUATOR: CampaignEvaluator | None = None
-#: attached shared-memory blocks, kept referenced so the mappings survive
-_WORKER_SHM: list = []
 
 
-def _attach_rep(registry: SharedPlaneRegistry, descriptor: dict
-                ) -> tuple[str, object]:
-    """Rebuild one published input representation from its plane."""
-    array = registry.attach(descriptor["array"])
-    if descriptor["extra"] is None:
-        return descriptor["tag"], array
-    return descriptor["tag"], (array, tuple(descriptor["extra"]))
+def _worker_init(evaluator: CampaignEvaluator) -> None:
+    """Pool initializer: keep the parent's evaluator.
 
-
-def _worker_init(payload: dict) -> None:
-    """Pool initializer: attach, don't copy.
-
-    Besides the test set, the worker attaches the parent's published
-    fault-free prefix activation planes (and, when available, their
-    derived im2col/packed inputs) and installs them via
-    :meth:`CampaignEvaluator.adopt_prefix` — the worker never recomputes
-    the prefix.  Every attach verifies the plane fingerprint; a stale
-    plane aborts worker start-up instead of silently mixing data.
+    The pool forks, so ``evaluator`` — the parent's own object, with the
+    test set, prefix activation batches and derived-input memo the
+    parent warmed — is already in this process's memory: the argument
+    was inherited, not pickled, and nothing is copied.
     """
     global _WORKER_EVALUATOR
-    registry = SharedPlaneRegistry(fingerprint=payload["planes_fingerprint"])
-    _WORKER_SHM.append(registry)  # keep the mappings alive with the worker
-    x_test = registry.attach(payload["x_shm"])
-    y_test = registry.attach(payload["y_shm"])
-    evaluator = CampaignEvaluator(
-        payload["model"], x_test, y_test,
-        batch_size=payload["batch_size"],
-        continue_time_across_layers=payload["continue_time"],
-        backend=payload["backend"],
-        copy_data=False, cache_bytes=payload["cache_bytes"])
-    prefix = payload.get("prefix")
-    if prefix is not None:
-        batch_size = payload["batch_size"]
-        batches = []
-        for index in range(prefix["n_batches"]):
-            start = index * batch_size
-            if prefix["batches"] is None:
-                # split == 0: the "activations" are the test set itself —
-                # slice the already-attached plane instead of attaching
-                # redundant copies
-                z = x_test[start:start + batch_size]
-            else:
-                z = registry.attach(prefix["batches"][index])
-            batches.append((z, y_test[start:start + batch_size]))
-        reps = None
-        if prefix["reps"] is not None:
-            reps = [_attach_rep(registry, descriptor)
-                    for descriptor in prefix["reps"]]
-        evaluator.adopt_prefix(prefix["split"], batches, reps)
     _WORKER_EVALUATOR = evaluator
 
 
@@ -880,42 +613,35 @@ def _run_worker_task(task):
 
 
 class SharedMemoryExecutor(SerialExecutor):
-    """Process-pool executor whose test set *and* prefix activations live
-    in shared memory.
+    """Process-pool executor whose workers share the parent's evaluator.
 
-    The parent publishes ``x_test``/``y_test`` plus its cached fault-free
-    prefix activation batches (and the first suffix layer's derived
-    im2col/packed inputs from the evaluator's memo) as planes in a
-    :class:`SharedPlaneRegistry`; workers attach everything zero-copy in
-    their initializer.  The pickled per-worker payload carries only the
-    model and block descriptors — independent of dataset size — and no
-    worker ever recomputes the fault-free prefix.  Jobs only carry their
-    fault plans, and results stream back unordered as they complete,
-    bit-identical to the serial executor because plans are pre-generated
-    and the per-batch arithmetic is unchanged.
+    Before the pool starts, the parent warms its evaluator: the
+    fault-free baseline, the prefix activation batches and the first
+    suffix layer's derived im2col/packed inputs.  It then forks the pool
+    (always the ``fork`` start method) and hands each worker the
+    evaluator through the initializer's arguments, which fork inherits
+    instead of pickling: workers share the parent's pages copy-on-write,
+    nothing is copied or published, and no worker recomputes what the
+    parent warmed.  Jobs only carry their fault plans, and results
+    stream back unordered as they complete, bit-identical to the serial
+    executor because plans are pre-generated and the per-batch
+    arithmetic is unchanged.
 
     When the job grid is smaller than the pool, evaluation splits at the
     batch level instead: each worker scores a shard of the test batches
     and the parent reduces the integer ``(correct, total)`` counts.
-
-    Planes are fingerprinted against the evaluator's data + weights and
-    kept alive across ``run`` calls of the same campaign (e.g. the
-    per-layer sweeps of a Fig. 4 grid republish nothing); a fingerprint
-    change republishes, a failed or abandoned run releases immediately,
-    and a ``weakref`` finalizer unlinks whatever remains when the
-    executor is garbage-collected or the interpreter exits.
 
     With a :class:`~repro.core.resilience.RetryPolicy` the pool runs
     under a :class:`~repro.core.resilience.PoolSupervisor`: failed jobs
     retry with backoff and are quarantined (NaN cells) after
     ``max_attempts``; lost workers trigger a pool rebuild that
     re-dispatches only the in-flight jobs; and when the pool keeps
-    failing (or its planes cannot be published) the executor degrades
-    to the in-process loop it inherits from :class:`SerialExecutor`
-    (``shared_memory → serial``), so a campaign always completes with
-    bit-identical accuracies for every cell that completes anywhere.
-    ``policy=None`` (the default) keeps the legacy semantics: one
-    attempt, first failure raises.
+    failing (or the platform has no ``fork`` start method) the executor
+    degrades to the in-process loop it inherits from
+    :class:`SerialExecutor` (``shared_memory → serial``), so a campaign
+    always completes with bit-identical accuracies for every cell that
+    completes anywhere.  ``policy=None`` (the default) keeps the legacy
+    semantics: one attempt, first failure raises.
     """
 
     name = "shared_memory"
@@ -926,21 +652,12 @@ class SharedMemoryExecutor(SerialExecutor):
         if not n_jobs or n_jobs <= 0:
             n_jobs = int(os.environ.get("REPRO_N_JOBS", 0) or 0)
         self.n_jobs = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
-        #: pickled size of the per-worker initializer payload on the most
-        #: recent pooled run, measured without the caller's warm caches
-        #: (0 after a serial fallback, None before any run)
-        self.payload_bytes: int | None = None
-        #: prefix-plane metrics of the most recent pooled run
-        self.prefix_plane: dict | None = None
         #: event hook: ``on_warning(message)`` is invoked for non-fatal
         #: conditions a caller should surface (e.g. a grid that cannot
         #: use the pool falling back to the serial loop).  The streaming
         #: API (:mod:`repro.api`) wires this to its typed
         #: ``RunWarning`` events; ``None`` stays silent.
         self.on_warning: Callable[[str], None] | None = None
-        self._registry: SharedPlaneRegistry | None = None
-        self._payload: dict | None = None
-        self._prefix_info: dict | None = None
 
     def _shard_count(self, n_pending: int, n_batches: int) -> int:
         """Shards per job when the grid underfills the pool, else 1."""
@@ -969,8 +686,6 @@ class SharedMemoryExecutor(SerialExecutor):
         """
         jobs = list(jobs)
         self.resilience = new_stats()
-        self.payload_bytes = 0
-        self.prefix_plane = None
         n_batches = math.ceil(len(evaluator.x_test) / evaluator.batch_size)
         n_shards = self._shard_count(len(jobs), n_batches)
         reduce = _make_reducer(n_shards)
@@ -986,27 +701,27 @@ class SharedMemoryExecutor(SerialExecutor):
                        [(job, shard, n_shards)
                         for job in jobs for shard in range(n_shards)])
         degrade = self.policy is not None and self.policy.degrade
+        import multiprocessing  # deferred: serial runs never import it
         try:
-            payload = self._make_payload(evaluator)
-        except Exception as error:
+            # pinned: under any other start method the evaluator would be
+            # pickled, and its memo's id() keys would mean nothing
+            context = multiprocessing.get_context("fork")
+        except ValueError as error:
+            reason = f"no fork start method: {error}"
             if not degrade:
-                raise
-            self._emit(ExecutorDegraded(
-                from_mode=self.name, to_mode="serial",
-                reason=f"worker payload setup failed: {error!r}"))
+                raise SupervisorGaveUp(reason) from error
+            self._emit(ExecutorDegraded(from_mode=self.name,
+                                        to_mode="serial", reason=reason))
             yield from self._run_in_process(tasks, evaluator, reduce)
             return
+        # warm once, here: every forked worker inherits the baseline, the
+        # prefix activations and the split layer's derived inputs
+        evaluator.baseline()
         initializer, task_fn = self._pool_functions()
-        # workers must not pickle (or fork-inherit) packed kernels or a
-        # training batch; the evaluator's memo is not on the model
-        _strip_transient_state(evaluator.model)
-        self.payload_bytes = len(pickle.dumps(
-            payload, protocol=pickle.HIGHEST_PROTOCOL))
 
         def pool_factory():
-            import multiprocessing
-            return multiprocessing.Pool(self.n_jobs, initializer=initializer,
-                                        initargs=(payload,))
+            return context.Pool(self.n_jobs, initializer=initializer,
+                                initargs=(evaluator,))
 
         window = (self.n_jobs
                   if self.policy is not None
@@ -1033,130 +748,9 @@ class SharedMemoryExecutor(SerialExecutor):
                                         reason=str(failure)))
         finally:
             stream.close()
-            if not done:
-                # a failed or abandoned run unlinks the planes it
-                # advertised instead of caching them for the next run
-                self.release_planes()
-                self.prefix_plane = None
         if not done:
             yield from self._run_in_process(supervisor.unfinished(),
                                             evaluator, reduce)
-
-    def release_planes(self) -> None:
-        """Unlink every published plane now (idempotent).  Called on
-        failed runs, by :meth:`FaultCampaign.close`, and by the registry
-        finalizer as a last resort."""
-        if self._registry is not None:
-            self._registry.release()
-        self._registry = None
-        self._payload = None
-        self._prefix_info = None
-
-    def _publish_prefix(self, evaluator: CampaignEvaluator,
-                        registry: SharedPlaneRegistry) -> dict:
-        """Publish the evaluator's fault-free prefix activation batches
-        (computing them once, in the parent) plus the first suffix
-        layer's derived input of every batch when the memo holds them
-        all (see :meth:`CampaignEvaluator._memoized`).
-
-        At ``split == 0`` (a fully mapped model: no fault-free prefix)
-        the activation batches are byte-for-byte slices of ``x_test``,
-        which workers already attach — ``batches`` is ``None`` then and
-        workers slice the test-set plane instead of attaching redundant
-        copies.
-        """
-        split = evaluator._baseline_split()
-        with evaluator._evaluation_scope():
-            batches = evaluator._batches_for(split)
-            descriptors = None
-            if split > 0:
-                descriptors = [registry.publish(z, label=f"prefix{index}")
-                               for index, (z, _) in enumerate(batches)]
-            found = []
-            layers = evaluator.model.layers
-            if split < len(layers) and hasattr(layers[split], "_input_memo"):
-                for z, _ in batches:
-                    # one forward memoizes exactly the representation the
-                    # workers will look up — shared code path, no drift
-                    layers[split].forward(z, training=False)
-                    found.append(next(
-                        ((tag, rep) for (layer, tag), rep
-                         in evaluator._memo[id(z)][1].items()
-                         if layer is layers[split]), None))
-            reps = None
-            if found and all(entry is not None for entry in found):
-                reps = [_publish_rep(registry, tag, rep)
-                        for tag, rep in found]
-        return {"split": split, "n_batches": len(batches),
-                "batches": descriptors, "reps": reps}
-
-    def _make_payload(self, evaluator: CampaignEvaluator) -> dict:
-        """The pool initializer's payload: the model plus plane
-        descriptors, publishing the planes unless the previous run's
-        still match the evaluator's fingerprint."""
-        fingerprint = evaluator.plane_fingerprint()
-        if (self._registry is not None and self._payload is not None
-                and self._registry.fingerprint == fingerprint):
-            # campaign-aware caching: same data/weights/geometry — the
-            # planes published for the previous run are still exact
-            self.prefix_plane = dict(self._prefix_info, reused=True)
-            return self._payload
-        self.release_planes()
-        registry = SharedPlaneRegistry(fingerprint=fingerprint)
-        registry.on_warning = self.on_warning
-        try:
-            x_desc = registry.publish(evaluator.x_test, label="x_test")
-            y_desc = registry.publish(evaluator.y_test, label="y_test")
-            prefix = self._publish_prefix(evaluator, registry)
-            payload = {
-                "model": evaluator.model,
-                "planes_fingerprint": fingerprint,
-                "x_shm": x_desc,
-                "y_shm": y_desc,
-                "prefix": prefix,
-                "batch_size": evaluator.batch_size,
-                "continue_time":
-                    evaluator.injector.continue_time_across_layers,
-                "backend": evaluator.backend,
-                "cache_bytes": evaluator.cache_bytes,
-            }
-        except Exception:
-            registry.release()
-            raise
-        self._registry = registry
-        self._payload = payload
-        self._prefix_info = {
-            "split": prefix["split"],
-            "batches": prefix["n_batches"],
-            "rep_planes": len(prefix["reps"] or []),
-            "bytes": registry.nbytes,
-        }
-        self.prefix_plane = dict(self._prefix_info, reused=False)
-        return payload
-
-
-def _rep_array(rep) -> np.ndarray:
-    """The array of one derived input: a conv's ``(array, (oh, ow))``
-    tuple or a dense layer's bare word array."""
-    return rep[0] if isinstance(rep, tuple) else rep
-
-
-def _publish_rep(registry: SharedPlaneRegistry, tag: str, rep) -> dict:
-    """Decompose one memoized derived input into a plane descriptor."""
-    extra = rep[1] if isinstance(rep, tuple) else None
-    return {"tag": tag,
-            "array": registry.publish(_rep_array(rep), label=f"rep-{tag}"),
-            "extra": extra}
-
-
-def _strip_transient_state(model: Sequential) -> None:
-    """Drop per-layer scratch state (training caches, packed kernels)
-    before pickling a model into worker processes."""
-    for layer in model.all_layers():
-        if hasattr(layer, "_invalidate_caches"):
-            layer._invalidate_caches()
-        if hasattr(layer, "_cache"):
-            layer._cache = None
 
 
 _EXECUTORS = {

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
@@ -113,11 +114,13 @@ class RetryPolicy:
         if self.backoff < 0 or self.backoff_factor < 1 or self.max_backoff < 0:
             raise ValueError("backoff must be >= 0, backoff_factor >= 1, "
                              "max_backoff >= 0")
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise ValueError(f"job_timeout must be positive or None, "
-                             f"got {self.job_timeout}")
-        if self.stall_timeout <= 0:
-            raise ValueError(f"stall_timeout must be positive, "
+        # a NaN deadline never expires: the timeout would be silently off
+        if self.job_timeout is not None \
+                and not 0 < self.job_timeout < math.inf:
+            raise ValueError(f"job_timeout must be finite and positive or "
+                             f"None, got {self.job_timeout}")
+        if not 0 < self.stall_timeout < math.inf:
+            raise ValueError(f"stall_timeout must be finite and positive, "
                              f"got {self.stall_timeout}")
         if self.max_rebuilds < 0:
             raise ValueError(f"max_rebuilds must be >= 0, "
@@ -181,7 +184,8 @@ class ExecutorDegraded:
 
 class SupervisorGaveUp(RuntimeError):
     """A pool rung exhausted its rebuild budget (or a rebuild itself
-    failed).  The degradation ladder catches this to move on; with
+    failed, or the platform has no ``fork`` start method to start the
+    pool with).  The degradation ladder catches this to move on; with
     ``degrade=False`` it propagates to the caller."""
 
 

@@ -123,7 +123,7 @@ class Project:
 
 def _collect_aliases(tree: ast.Module) -> dict[str, str]:
     """Import-alias table, including imports nested inside functions
-    (the engine imports ``shared_memory`` lazily)."""
+    (lazy imports)."""
     aliases: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

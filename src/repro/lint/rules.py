@@ -241,8 +241,8 @@ class ShmLeakPath:
     walks the function's CFG — exceptional edges included — and demands
     that every path to the scope exit passes a point where the block is
     released (``name.close()``/``name.unlink()``), handed to a lifecycle
-    owner (``owner.append(name)`` / ``register(name)`` /
-    ``_release_shared_blocks([name])``), stored (``self.x = name``,
+    owner (``owner.append(name)`` / ``register(name)`` / a release
+    helper such as ``release_blocks([name])``), stored (``self.x = name``,
     ``d[k] = name``), or returned to the caller.  A path where the very
     next call raises and skips the release is exactly the leak this
     reports — "there is a ``try/finally`` nearby" is no longer proof.

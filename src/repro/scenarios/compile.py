@@ -10,7 +10,7 @@ curves at that checkpoint's age and flattened into plain
 :class:`CompiledGrid` plugs straight into
 :meth:`repro.core.FaultCampaign.run` — cells ride the
 serial/shared-memory executors, the packed backend, the
-JSONL journals and the activation-plane caches unchanged, and stay
+JSONL journals and the prefix-activation caches unchanged, and stay
 bit-identical under fixed seeds because compilation is a pure function
 of the scenario (no RNG is consumed; mask draws still happen per-job in
 :func:`repro.core.engine.build_jobs`).

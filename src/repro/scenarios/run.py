@@ -5,7 +5,7 @@ spec file) + model + test set → a :class:`ScenarioResult` holding the
 per-checkpoint, per-episode accuracy trajectory.  Under the hood it is a
 plain :meth:`repro.core.FaultCampaign.run` over the compiled grid, so
 every engine feature — the pool executor, the packed backend, JSONL
-journals with resume, shared-memory activation planes — applies
+journals with resume, the prefix-activation caches — applies
 unchanged, and results are bit-identical across executor × backend
 combinations under a fixed seed.
 """

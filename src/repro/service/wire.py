@@ -25,6 +25,7 @@ wire equals the report the worker produced.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any
 
 from ..api import events as api_events
@@ -113,6 +114,11 @@ def decode_request(payload: Any) -> tuple[RunRequest, bool]:
     """
     payload = dict(_require_mapping(payload, "request"))
     _refuse_unknown(payload, (*REQUEST_FIELDS, "durable"), "request")
+    for name, value in payload.items():
+        # JSON has no NaN or Infinity, but Python's json.loads decodes them
+        if isinstance(value, float) and not math.isfinite(value):
+            raise WireError(f"request field {name!r} must be a finite "
+                            f"number, got {value!r}")
     durable = payload.pop("durable", False)
     if not isinstance(durable, bool):
         raise WireError(f"request field 'durable' must be a bool, got "
@@ -227,13 +233,13 @@ def canonical_result(payload: dict) -> dict:
         engine.pop(key, None)
     payload["engine"] = engine
     meta = dict(payload.get("meta", {}))
-    # events/resilience/input_cache/prefix_plane/telemetry record *how*
-    # the cells were scheduled, cached, and timed, which legitimately
-    # differs between a resumed run (fewer fresh evaluations) and a
-    # direct one; kernel names the host's packed GEMM, which gives the
-    # same integers either way
+    # events/resilience/input_cache/telemetry record *how* the cells
+    # were scheduled, cached, and timed, which legitimately differs
+    # between a resumed run (fewer fresh evaluations) and a direct one;
+    # kernel names the host's packed GEMM, which gives the same integers
+    # either way
     for key in ("journal", "resumed_cells", "events", "resilience",
-                "input_cache", "prefix_plane", "telemetry", "kernel"):
+                "input_cache", "telemetry", "kernel"):
         meta.pop(key, None)
     payload["meta"] = meta
     return payload

@@ -35,7 +35,7 @@ from functools import partial
 from pathlib import Path
 
 from ..core import engine as _engine
-from ..core.engine import SharedMemoryExecutor
+from ..core.engine import CampaignEvaluator, SharedMemoryExecutor
 
 __all__ = ["ChaosSpec", "ChaosError", "ChaosSharedMemoryExecutor",
            "truncate_last_line"]
@@ -83,13 +83,13 @@ class ChaosSpec:
 _CHAOS: ChaosSpec | None = None
 
 
-def _chaos_init(chaos: ChaosSpec, payload: dict) -> None:
+def _chaos_init(chaos: ChaosSpec, evaluator: CampaignEvaluator) -> None:
     """Pool initializer: arm the spec, then run the real one."""
     global _CHAOS
     _CHAOS = chaos
     if chaos.fail_init:
         raise ChaosError("injected initializer failure")
-    _engine._worker_init(payload)
+    _engine._worker_init(evaluator)
 
 
 def _chaos_run_task(task):

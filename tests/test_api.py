@@ -122,6 +122,9 @@ def test_resolve_applies_defaults_quick_then_user():
     (dict(quick="false"), "quick"),
     (dict(degrade="no"), "degrade"),
     (dict(resume=1, journal="sweep.jsonl"), "resume"),
+    # a NaN deadline never expires: the timeout would be silently off
+    (dict(job_timeout=float("nan")), "job_timeout"),
+    (dict(job_timeout=float("inf")), "job_timeout"),
 ])
 def test_request_validation(kwargs, match):
     with pytest.raises(ApiError, match=match):

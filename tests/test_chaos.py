@@ -14,7 +14,7 @@ import pytest
 from repro import nn
 from repro.binary import QuantDense
 from repro.core import (FaultCampaign, FaultSpec, RetryPolicy,
-                        SupervisorGaveUp)
+                        SharedMemoryExecutor, SupervisorGaveUp)
 from repro.testing import ChaosSharedMemoryExecutor, ChaosSpec
 
 
@@ -62,16 +62,6 @@ def _campaign(trained_setup, executor):
                          executor=executor)
 
 
-def _attachable(name: str) -> bool:
-    from multiprocessing import shared_memory
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    shm.close()
-    return True
-
-
 # -- acceptance: SIGKILL mid-grid, no manual resume ------------------------
 
 def test_sigkill_mid_grid_completes_bit_identical(trained_setup, reference,
@@ -85,21 +75,6 @@ def test_sigkill_mid_grid_completes_bit_identical(trained_setup, reference,
     assert executor.resilience["workers_lost"] >= 1
     assert result.meta["resilience"]["workers_lost"] >= 1
     assert result.meta["resilience"]["quarantined"] == []
-
-
-def test_sigkill_under_shared_memory_releases_planes(trained_setup,
-                                                     reference, tmp_path):
-    chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(2, 1))
-    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
-                                         chaos=chaos)
-    campaign = _campaign(trained_setup, executor)
-    result = campaign.run(FaultSpec.bitflip, **KWARGS)
-    np.testing.assert_array_equal(result.accuracies, reference.accuracies)
-    assert executor.resilience["workers_lost"] >= 1
-    names = [shm.name for shm in executor._registry._owned]
-    assert names and all(_attachable(name) for name in names)
-    campaign.close()
-    assert not any(_attachable(name) for name in names)
 
 
 # -- acceptance: poison job quarantined, not fatal -------------------------
@@ -162,35 +137,6 @@ def test_broken_shm_initializer_degrades_to_serial(trained_setup, reference,
                                                     **KWARGS)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
     assert result.meta["resilience"]["degraded"] == ["shared_memory->serial"]
-    assert executor._registry is None  # the failed pool's planes released
-
-
-def test_unlinked_plane_mid_run_degrades_and_completes(trained_setup,
-                                                       reference, tmp_path):
-    """Someone unlinks a shared plane mid-run; the killed worker's
-    respawn can't re-attach, the rung gives up, the run still
-    converges.  The kill targets the last cell: it is dispatched only
-    after this test resumes the stream, i.e. strictly post-unlink."""
-    chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(2, 1))
-    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=_policy(),
-                                         chaos=chaos)
-    campaign = _campaign(trained_setup, executor)
-    evaluator = campaign._evaluator
-    from repro.core import build_jobs
-    jobs = build_jobs(campaign.model, FaultSpec.bitflip, KWARGS["xs"],
-                      KWARGS["repeats"], KWARGS["seed"], 8, 4)
-    stream = executor.run_iter(jobs, evaluator)
-    results = [next(stream)]
-    # rip a plane out from under the campaign (not via the registry)
-    executor._registry._owned[0].unlink()
-    results.extend(stream)
-    assert len(results) == len(jobs)
-    by_coord = {(i, j): a for i, j, a in results}
-    for i in range(3):
-        for j in range(2):
-            assert by_coord[(i, j)] == reference.accuracies[i, j]
-    assert any(d.startswith("shared_memory->")
-               for d in executor.resilience["degraded"])
 
 
 def test_no_degrade_raises_supervisor_gave_up(trained_setup, tmp_path):
@@ -206,16 +152,47 @@ def test_no_degrade_raises_supervisor_gave_up(trained_setup, tmp_path):
     before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else None
     with pytest.raises(SupervisorGaveUp):
         campaign.run(FaultSpec.bitflip, **KWARGS)
-    assert executor._registry is None  # no leak on the failure path
     if before is not None:
         assert set(os.listdir(shm_dir)) - before == set()
-    # nothing stale survives the crash: the next run republishes planes
-    # from scratch rather than reusing the dead run's fingerprint
-    executor._make_payload(campaign._evaluator)
-    try:
-        assert executor.prefix_plane["reused"] is False
-    finally:
-        executor.release_planes()
+
+
+def _refuse_fork(monkeypatch):
+    """Make ``multiprocessing`` report no ``fork`` start method, as on
+    platforms without one."""
+    import multiprocessing
+
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+
+
+def test_no_fork_start_method_degrades_to_serial(trained_setup, reference,
+                                                 monkeypatch):
+    _refuse_fork(monkeypatch)
+    events = []
+    executor = SharedMemoryExecutor(n_jobs=2, policy=_policy())
+    executor.on_event = events.append
+    result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
+                                                    **KWARGS)
+    np.testing.assert_array_equal(result.accuracies, reference.accuracies)
+    assert result.meta["resilience"]["degraded"] == ["shared_memory->serial"]
+    assert "fork" in events[-1].reason
+
+
+@pytest.mark.parametrize("policy", [_policy(degrade=False), None],
+                         ids=["no-degrade", "no-policy"])
+def test_no_fork_start_method_raises_without_degradation(trained_setup,
+                                                         monkeypatch,
+                                                         policy):
+    _refuse_fork(monkeypatch)
+    executor = SharedMemoryExecutor(n_jobs=2, policy=policy)
+    with pytest.raises(SupervisorGaveUp, match="no fork start method"):
+        _campaign(trained_setup, executor).run(FaultSpec.bitflip, **KWARGS)
 
 
 # -- journaled chaos runs -------------------------------------------------

@@ -357,6 +357,14 @@ def test_run_uncoercible_param_exits_2(capsys):
     assert "cannot read" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_non_finite_job_timeout_exits_2(capsys, value):
+    code = main(["run", "sweep", "--quick", "--job-timeout", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "job_timeout" in captured.err
+
+
 def test_run_runtime_failure_exits_1(capsys):
     from repro import api
 

@@ -261,7 +261,7 @@ def test_shm_leak_on_normal_path_is_flagged_as_such(tmp_path):
 
 
 def test_shm_release_helper_call_counts(tmp_path):
-    # the engine's own idiom: handing blocks to _release_shared_blocks
+    # a release helper that takes the block in a list owns it
     findings = lint_tree(tmp_path, {
         "src/a.py": """\
             from multiprocessing import shared_memory

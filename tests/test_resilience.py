@@ -27,6 +27,10 @@ def test_policy_backoff_schedule_is_deterministic():
     dict(job_timeout=0),
     dict(stall_timeout=0),
     dict(max_rebuilds=-1),
+    dict(job_timeout=float("nan")),
+    dict(job_timeout=float("inf")),
+    dict(stall_timeout=float("nan")),
+    dict(stall_timeout=float("inf")),
 ])
 def test_policy_rejects_invalid_knobs(kwargs):
     with pytest.raises(ValueError):

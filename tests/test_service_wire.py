@@ -221,6 +221,9 @@ def bad_payloads():
     yield "request-executor-not-string", wire.decode_request, \
         {**good_request, "executor": 5}
     yield "request-not-object", wire.decode_request, ["fig4a"]
+    # Python's json.loads decodes a NaN token, which JSON does not have
+    yield "request-nan-job-timeout", wire.decode_request, \
+        {**good_request, "job_timeout": float("nan")}
     yield "event-unknown-type", wire.decode_event, \
         {"event": "CellExploded", "boom": 1}
     yield "event-unknown-field", wire.decode_event, \
