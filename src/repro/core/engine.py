@@ -62,13 +62,14 @@ Executors
     A process pool (default ``n_jobs=os.cpu_count()``, overridable with
     the ``REPRO_N_JOBS`` environment variable) whose workers share the
     parent's memory copy-on-write.  The parent warms its evaluator —
-    the baseline, the fault-free prefix activation batches and the
-    first suffix layer's derived inputs — and then *forks* the pool:
-    every worker inherits that evaluator, test set and caches included,
-    so nothing is pickled, copied or published, and no worker
-    recomputes what the parent warmed.  The pool always uses the
-    ``fork`` start method, because the memo keys on object identity,
-    which only a forked address space preserves.
+    the baseline, the fault-free prefix activation batches of every
+    split the pending jobs start at, and the baseline split's derived
+    inputs — and then *forks* the pool: every worker inherits that
+    evaluator, test set and caches included, so nothing is pickled,
+    copied or published, and no worker recomputes what the parent
+    warmed.  The pool always uses the ``fork`` start method, because the
+    memo keys on object identity, which only a forked address space
+    preserves.
 
 The pool executor *streams* results back through :meth:`run_iter`, so
 callers can journal/report progress as cells finish.  Workers write to
@@ -77,23 +78,23 @@ memo.  Under a :class:`~repro.core.resilience.RetryPolicy` a pool that
 keeps failing (or cannot fork) degrades to the serial loop
 (``shared_memory → serial``), which computes the same values.
 
-Batch-level parallelism
------------------------
-When the job grid is smaller than the pool (e.g. a single-point sweep on
-a many-core machine), the pool executor splits *within* each evaluation:
-test batches are sharded across workers and the per-shard
-``(correct, total)`` counts reduced in the parent.  Integer count
-reduction keeps the accuracy bit-identical to the unsharded division.
+Pool sizing
+-----------
+Every pool task is one whole cell.  A grid of ``n`` pending jobs forks
+``min(n_jobs, n)`` workers, so no worker starts idle; a one-worker
+executor or a one-job grid runs the in-process loop instead.  On the
+float backend each worker pins numpy's OpenBLAS to
+``os.cpu_count() // workers`` threads (at least one), so BLAS threads
+do not oversubscribe the cores.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import os
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -204,8 +205,8 @@ class CampaignEvaluator:
         self.y_test.flags.writeable = False
         self.injector = FaultInjector(continue_time_across_layers)
         self._baseline: float | None = None
-        #: (split, shard, n_shards) -> list of (activation batch, label batch)
-        self._suffix_batches: dict[tuple[int, int, int],
+        #: split -> list of (activation batch, label batch)
+        self._suffix_batches: dict[int,
                                    list[tuple[np.ndarray, np.ndarray]]] = {}
         #: the derived-input memo: id(batch) -> (batch, {(layer, tag):
         #: im2col columns / packed words}) for every activation batch in
@@ -279,12 +280,12 @@ class CampaignEvaluator:
             self._memo_counts["bytes"] += nbytes
         return rep
 
-    def _replay(self, key: tuple[int, int, int],
+    def _replay(self, split: int,
                 batches: list[tuple[np.ndarray, np.ndarray]]
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Keep ``batches`` as the activations of split/shard ``key`` and
-        give each one a memo slot."""
-        self._suffix_batches[key] = batches
+        """Keep ``batches`` as the activations of ``split`` and give each
+        one a memo slot."""
+        self._suffix_batches[split] = batches
         for z, _ in batches:
             if id(z) not in self._memo:
                 self._memo[id(z)] = (z, {})
@@ -328,80 +329,54 @@ class CampaignEvaluator:
         mapped = [layer.name for layer in mapped_layers(self.model)]
         return self._split_for(mapped) if mapped else 0
 
-    def _batches_for(self, split: int, shard: int = 0, n_shards: int = 1
+    def _batches_for(self, split: int
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-batch activations after ``layers[:split]``, computed once.
 
-        Batch boundaries match :meth:`Sequential.evaluate` regardless of
-        sharding — a shard takes every ``n_shards``-th *global* batch — so
-        suffix evaluation is arithmetic-for-arithmetic the full forward
-        pass and shard counts sum to the unsharded counts exactly.
-
-        Cached splits are reused hierarchically before anything runs from
-        scratch: a shard view slices the full split's batch list, and a
-        deeper split continues forward from the deepest cached shallower
-        split (e.g. the baseline split a pool's parent warmed) — both are
-        the same per-batch arithmetic, so results stay bit-identical.
+        Batch boundaries match :meth:`Sequential.evaluate`, so suffix
+        evaluation is arithmetic-for-arithmetic the full forward pass.
         """
-        key = (split, shard, n_shards)
-        cached = self._suffix_batches.get(key)
-        if cached is not None:
-            return cached
-        full = self._suffix_batches.get((split, 0, 1))
-        if full is not None:
-            # a shard is every n_shards-th global batch of the full list
-            return self._replay(key, full[shard::n_shards])
-        return self._replay(key, self._compute_batches(split, shard,
-                                                       n_shards))
+        cached = self._suffix_batches.get(split)
+        if cached is None:
+            cached = self._replay(split, self._compute_batches(split))
+        return cached
 
-    def _compute_batches(self, split: int, shard: int, n_shards: int
+    def _compute_batches(self, split: int
                          ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Evaluate prefix activations, continuing from the deepest cached
-        shallower split when one exists (else from ``x_test``)."""
-        base_split, base = -1, None
-        for (s, sh, n), value in self._suffix_batches.items():
-            if sh == 0 and n == 1 and base_split < s < split:
-                base_split, base = s, value
+        shallower split when one exists (else from ``x_test``) — the same
+        per-batch arithmetic either way, so results stay bit-identical."""
+        base_split = max((s for s in self._suffix_batches if s < split),
+                         default=None)
+        if base_split is None:
+            base_split = 0
+            step = self.batch_size
+            base = [(self.x_test[start:start + step],
+                     self.y_test[start:start + step])
+                    for start in range(0, len(self.x_test), step)]
+        else:
+            base = self._suffix_batches[base_split]
+        layers = self.model.layers[base_split:split]
         batches: list[tuple[np.ndarray, np.ndarray]] = []
-        if base is not None:
-            layers = self.model.layers[base_split:split]
-            for index, (z, labels) in enumerate(base):
-                if index % n_shards != shard:
-                    continue
-                for layer in layers:
-                    z = layer.forward(z, training=False)
-                z = np.ascontiguousarray(z)
-                z.flags.writeable = False
-                batches.append((z, labels))
-            return batches
-        prefix = self.model.layers[:split]
-        n = len(self.x_test)
-        for index, start in enumerate(range(0, n, self.batch_size)):
-            if index % n_shards != shard:
-                continue
-            z = self.x_test[start:start + self.batch_size]
-            for layer in prefix:
+        for z, labels in base:
+            for layer in layers:
                 z = layer.forward(z, training=False)
             z = np.ascontiguousarray(z)
             z.flags.writeable = False
-            batches.append((z, self.y_test[start:start + self.batch_size]))
+            batches.append((z, labels))
         return batches
 
-    def _suffix_counts(self, split: int, shard: int = 0, n_shards: int = 1
-                       ) -> tuple[int, int]:
+    def _evaluate_suffix(self, split: int) -> float:
+        """Accuracy of ``layers[split:]`` over the cached prefix batches."""
         suffix = self.model.layers[split:]
         correct = 0
         total = 0
-        for z, labels in self._batches_for(split, shard, n_shards):
+        for z, labels in self._batches_for(split):
             out = z
             for layer in suffix:
                 out = layer.forward(out, training=False)
             correct += int((out.argmax(axis=-1) == labels).sum())
             total += len(labels)
-        return correct, total
-
-    def _evaluate_suffix(self, split: int) -> float:
-        correct, total = self._suffix_counts(split)
         return correct / total
 
     # -- public API ------------------------------------------------------
@@ -426,25 +401,18 @@ class CampaignEvaluator:
                 self.injector.injecting(self.model, plan):
             return self._evaluate_suffix(split)
 
-    def evaluate_plan_counts(self, plan: FaultPlan, shard: int = 0,
-                             n_shards: int = 1) -> tuple[int, int]:
-        """``(correct, total)`` under ``plan`` over every ``n_shards``-th
-        test batch starting at ``shard``.
-
-        The batch-level splitter reduces these integer counts across
-        shards; ``sum(correct)/sum(total)`` equals :meth:`evaluate_plan`
-        bit-for-bit because the per-batch arithmetic and the final
-        division are unchanged.
-        """
-        self._check_weights_version()
-        if not plan_has_faults(plan):
-            with self._evaluation_scope():
-                return self._suffix_counts(self._baseline_split(),
-                                           shard, n_shards)
-        split = self._split_for(plan.keys())
-        with self._evaluation_scope(), \
-                self.injector.injecting(self.model, plan):
-            return self._suffix_counts(split, shard, n_shards)
+    def warm(self, plans: Iterable[FaultPlan]) -> None:
+        """Fill the caches evaluating ``plans`` reads: the baseline, and
+        the prefix activation batches of every split a faulty plan
+        starts at (shallowest first, so each continues from the last).
+        A pool's parent calls this before forking, so no worker computes
+        a prefix."""
+        self.baseline()
+        splits = {self._split_for(plan.keys()) for plan in plans
+                  if plan_has_faults(plan)}
+        with self._evaluation_scope():
+            for split in sorted(splits):
+                self._batches_for(split)
 
     def run_job(self, job: CampaignJob) -> JobResult:
         return job.point_index, job.repeat_index, self.evaluate_plan(job.plan)
@@ -452,70 +420,17 @@ class CampaignEvaluator:
 
 # -- executors ------------------------------------------------------------
 
-def _task_key(task) -> tuple[int, int]:
-    """Grid coordinates of a task — a bare :class:`CampaignJob` or a
-    ``(job, shard, n_shards)`` shard tuple."""
-    job = task[0] if isinstance(task, tuple) else task
-    return job.point_index, job.repeat_index
-
-
-def _run_task(evaluator: CampaignEvaluator, task):
-    """Evaluate one task: a whole job yields ``(point, repeat,
-    accuracy)``, a ``(job, shard, n_shards)`` shard tuple yields
-    ``(point, repeat, correct, total)``."""
-    if isinstance(task, CampaignJob):
-        return evaluator.run_job(task)
-    job, shard, n_shards = task
-    correct, total = evaluator.evaluate_plan_counts(job.plan, shard, n_shards)
-    return job.point_index, job.repeat_index, correct, total
-
-
-def _make_reducer(n_shards: int):
-    """``reduce(task, outcome) -> iterator of JobResult``.
-
-    One shard per job: pass results through, NaN for quarantined jobs.
-    Several: sum integer ``(correct, total)`` per cell and emit the cell
-    once complete — ``sum(correct)/sum(total)`` equals the unsharded
-    accuracy bit-for-bit; a quarantined shard quarantines its whole cell
-    (one NaN, later shards of that cell ignored).  The reducer's state
-    outlives the pool, so a cell split between the pool and the serial
-    rung still reduces exactly.
-    """
-    if n_shards <= 1:
-        def reduce(task, outcome):
-            kind, value = outcome
-            if kind == "ok":
-                yield value
-            else:
-                yield task.point_index, task.repeat_index, float("nan")
-        return reduce
-
-    cells: dict[tuple[int, int], list[int]] = {}
-    dead: set[tuple[int, int]] = set()
-
-    def reduce(task, outcome):
-        coord = _task_key(task)
-        kind, value = outcome
-        if kind != "ok":
-            if coord not in dead:
-                dead.add(coord)
-                cells.pop(coord, None)
-                yield coord[0], coord[1], float("nan")
-            return
-        if coord in dead:
-            return  # a straggler shard of a quarantined cell
-        entry = cells.setdefault(coord, [0, 0, n_shards])
-        entry[0] += value[2]
-        entry[1] += value[3]
-        entry[2] -= 1
-        if entry[2] == 0:
-            del cells[coord]
-            yield coord[0], coord[1], entry[0] / entry[1]
-    return reduce
+def _cell(job: CampaignJob, outcome: tuple[str, object]) -> JobResult:
+    """The cell one supervised outcome fills: the job's result, or NaN
+    when the job was quarantined."""
+    kind, value = outcome
+    if kind == "ok":
+        return value
+    return job.point_index, job.repeat_index, float("nan")
 
 
 def _traced_evaluate(call, obs):
-    """Wrap a per-task evaluation callable in an ``evaluate`` span.
+    """Wrap a per-job evaluation callable in an ``evaluate`` span.
 
     Only the in-process loop (the serial executor, and the pool's
     tiny-grid fallback and serial rung) is traced per cell — pool
@@ -526,10 +441,10 @@ def _traced_evaluate(call, obs):
     if obs is None:
         return call
 
-    def traced(task, _call=call, _tracer=obs.tracer):
-        point, repeat = _task_key(task)
-        with _tracer.span("evaluate", point=point, repeat=repeat):
-            return _call(task)
+    def traced(job, _call=call, _tracer=obs.tracer):
+        with _tracer.span("evaluate", point=job.point_index,
+                          repeat=job.repeat_index):
+            return _call(job)
     return traced
 
 
@@ -572,41 +487,76 @@ class SerialExecutor:
         in job order (pre-generated plans make order irrelevant to the
         values — only to the streaming sequence)."""
         self.resilience = new_stats()
-        yield from self._run_in_process(jobs, evaluator, _make_reducer(1))
+        yield from self._run_in_process(jobs, evaluator)
 
-    def _run_in_process(self, tasks: Sequence, evaluator: CampaignEvaluator,
-                        reduce) -> Iterator[JobResult]:
-        """The supervised in-process loop: runs ``tasks`` on the caller's
-        evaluator under the retry/quarantine contract and feeds each
-        outcome through ``reduce`` (see :func:`_make_reducer`)."""
-        call = _traced_evaluate(partial(_run_task, evaluator), self.obs)
-        for task, outcome in supervised_serial(tasks, call, self.policy,
-                                               key=_task_key,
-                                               on_event=self._emit):
-            yield from reduce(task, outcome)
+    def _run_in_process(self, jobs: Sequence[CampaignJob],
+                        evaluator: CampaignEvaluator
+                        ) -> Iterator[JobResult]:
+        """The supervised in-process loop: runs ``jobs`` on the caller's
+        evaluator under the retry/quarantine contract."""
+        call = _traced_evaluate(evaluator.run_job, self.obs)
+        for job, outcome in supervised_serial(jobs, call, self.policy,
+                                              on_event=self._emit):
+            yield _cell(job, outcome)
 
 
 _WORKER_EVALUATOR: CampaignEvaluator | None = None
 
+#: numpy's OpenBLAS exports its thread-count setter under one of these
+#: names (64-bit-integer builds and scipy-openblas wheels rename it)
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
 
-def _worker_init(evaluator: CampaignEvaluator) -> None:
-    """Pool initializer: keep the parent's evaluator.
+
+@functools.cache
+def _blas_thread_setter() -> Callable[[int], None] | None:
+    """The ``set_num_threads`` function of the OpenBLAS numpy runs on,
+    or ``None`` when numpy does not link one.
+
+    The lookup goes through numpy's own extension module, whose
+    dependencies include the BLAS library it calls.  Resolved once per
+    process, and only when a float pool starts.
+    """
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in _BLAS_SETTERS:
+        setter = getattr(library, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return setter
+    return None
+
+
+def _worker_init(evaluator: CampaignEvaluator,
+                 set_blas_threads: Callable[[int], None] | None,
+                 blas_threads: int) -> None:
+    """Pool initializer: keep the parent's evaluator and pin BLAS.
 
     The pool forks, so ``evaluator`` — the parent's own object, with the
     test set, prefix activation batches and derived-input memo the
     parent warmed — is already in this process's memory: the argument
-    was inherited, not pickled, and nothing is copied.
+    was inherited, not pickled, and nothing is copied.  With a
+    ``set_blas_threads`` setter, the worker runs OpenBLAS on
+    ``blas_threads`` threads instead of one per core.
     """
     global _WORKER_EVALUATOR
     _WORKER_EVALUATOR = evaluator
+    if set_blas_threads is not None:
+        set_blas_threads(blas_threads)
 
 
-def _run_worker_task(task):
-    """Pool task function: :func:`_run_task` on the worker's evaluator,
-    returned with the ``(hits, misses)`` its memo scored on the task, so
+def _run_worker_task(job: CampaignJob):
+    """Pool task function: the job's result on the worker's evaluator,
+    returned with the ``(hits, misses)`` its memo scored on the job, so
     the parent's statistics count the workers' lookups too."""
     before = dict(_WORKER_EVALUATOR._memo_counts)
-    result = _run_task(_WORKER_EVALUATOR, task)
+    result = _WORKER_EVALUATOR.run_job(job)
     after = _WORKER_EVALUATOR._memo_counts
     return result, (after["hits"] - before["hits"],
                     after["misses"] - before["misses"])
@@ -616,20 +566,17 @@ class SharedMemoryExecutor(SerialExecutor):
     """Process-pool executor whose workers share the parent's evaluator.
 
     Before the pool starts, the parent warms its evaluator: the
-    fault-free baseline, the prefix activation batches and the first
-    suffix layer's derived im2col/packed inputs.  It then forks the pool
-    (always the ``fork`` start method) and hands each worker the
-    evaluator through the initializer's arguments, which fork inherits
-    instead of pickling: workers share the parent's pages copy-on-write,
-    nothing is copied or published, and no worker recomputes what the
-    parent warmed.  Jobs only carry their fault plans, and results
+    fault-free baseline, the prefix activation batches of every split
+    the jobs start at, and the baseline split's derived im2col/packed
+    inputs.  It then forks ``min(n_jobs, len(jobs))`` workers (always
+    the ``fork`` start method) and hands each the evaluator through the
+    initializer's arguments, which fork inherits instead of pickling:
+    workers share the parent's pages copy-on-write, nothing is copied or
+    published, and no worker recomputes what the parent warmed.  Each
+    task is one whole job carrying only its fault plan, and results
     stream back unordered as they complete, bit-identical to the serial
     executor because plans are pre-generated and the per-batch
     arithmetic is unchanged.
-
-    When the job grid is smaller than the pool, evaluation splits at the
-    batch level instead: each worker scores a shard of the test batches
-    and the parent reduces the integer ``(correct, total)`` counts.
 
     With a :class:`~repro.core.resilience.RetryPolicy` the pool runs
     under a :class:`~repro.core.resilience.PoolSupervisor`: failed jobs
@@ -659,11 +606,9 @@ class SharedMemoryExecutor(SerialExecutor):
         #: ``RunWarning`` events; ``None`` stays silent.
         self.on_warning: Callable[[str], None] | None = None
 
-    def _shard_count(self, n_pending: int, n_batches: int) -> int:
-        """Shards per job when the grid underfills the pool, else 1."""
-        if n_pending == 0 or n_pending >= self.n_jobs or n_batches <= 1:
-            return 1
-        return min(n_batches, math.ceil(self.n_jobs / n_pending))
+    def _warn(self, message: str) -> None:
+        if self.on_warning is not None:
+            self.on_warning(message)
 
     def _pool_functions(self) -> tuple[Callable, Callable]:
         """The pool's ``(initializer, task function)``, looked up late
@@ -679,27 +624,20 @@ class SharedMemoryExecutor(SerialExecutor):
         executor for every cell: plans are pre-generated and the
         per-batch arithmetic is unchanged — which is also why worker
         loss, retries, and degradation to serial can never change a
-        value, only where and when it is computed.  Pools of one worker
-        (or single-job grids that cannot shard) fall back to the
-        in-process serial loop.  Quarantined jobs yield NaN for their
-        cell (sharded cells quarantine whole).
+        value, only where and when it is computed.  A one-worker
+        executor, or a grid of at most one job, runs the in-process
+        serial loop.  Quarantined jobs yield NaN for their cell.
         """
         jobs = list(jobs)
         self.resilience = new_stats()
-        n_batches = math.ceil(len(evaluator.x_test) / evaluator.batch_size)
-        n_shards = self._shard_count(len(jobs), n_batches)
-        reduce = _make_reducer(n_shards)
-        if self.n_jobs == 1 or (len(jobs) <= 1 and n_shards <= 1):
-            if self.n_jobs > 1 and self.on_warning is not None:
-                self.on_warning(
-                    f"grid of {len(jobs)} job(s) cannot use the "
-                    f"{self.n_jobs}-worker pool; falling back to the "
-                    "in-process serial loop")
-            yield from self._run_in_process(jobs, evaluator, reduce)
+        workers = min(self.n_jobs, len(jobs))
+        if workers <= 1:
+            if self.n_jobs > 1:
+                self._warn(f"grid of {len(jobs)} job(s) cannot use the "
+                           f"{self.n_jobs}-worker pool; falling back to "
+                           "the in-process serial loop")
+            yield from self._run_in_process(jobs, evaluator)
             return
-        tasks: list = (jobs if n_shards == 1 else
-                       [(job, shard, n_shards)
-                        for job in jobs for shard in range(n_shards)])
         degrade = self.policy is not None and self.policy.degrade
         import multiprocessing  # deferred: serial runs never import it
         try:
@@ -712,33 +650,44 @@ class SharedMemoryExecutor(SerialExecutor):
                 raise SupervisorGaveUp(reason) from error
             self._emit(ExecutorDegraded(from_mode=self.name,
                                         to_mode="serial", reason=reason))
-            yield from self._run_in_process(tasks, evaluator, reduce)
+            yield from self._run_in_process(jobs, evaluator)
             return
-        # warm once, here: every forked worker inherits the baseline, the
-        # prefix activations and the split layer's derived inputs
-        evaluator.baseline()
+        # warm once, here: every forked worker inherits the baseline and
+        # the prefix activations of every split the jobs start at
+        evaluator.warm(job.plan for job in jobs)
+        set_blas_threads = None
+        if evaluator.backend == "float":
+            # not on packed: its GEMM is the compiled kernel, and setting
+            # the count starts a BLAS thread that spins in every worker
+            set_blas_threads = _blas_thread_setter()
+            if set_blas_threads is None:
+                self._warn("no OpenBLAS thread setter found in numpy; "
+                           "pool workers keep the BLAS library's default "
+                           "threads")
+        initargs = (evaluator, set_blas_threads,
+                    max(1, (os.cpu_count() or 1) // workers))
         initializer, task_fn = self._pool_functions()
 
         def pool_factory():
-            return context.Pool(self.n_jobs, initializer=initializer,
-                                initargs=(evaluator,))
+            return context.Pool(workers, initializer=initializer,
+                                initargs=initargs)
 
-        window = (self.n_jobs
+        window = (workers
                   if self.policy is not None
                   and self.policy.job_timeout is not None
-                  else 2 * self.n_jobs)
-        supervisor = PoolSupervisor(pool_factory, task_fn, tasks,
-                                    self.policy, key=_task_key,
-                                    on_event=self._emit, window=window)
+                  else 2 * workers)
+        supervisor = PoolSupervisor(pool_factory, task_fn, jobs,
+                                    self.policy, on_event=self._emit,
+                                    window=window)
         stream = supervisor.run()
         done = False
         try:
-            for task, (kind, value) in stream:
+            for job, (kind, value) in stream:
                 if kind == "ok":
                     value, (hits, misses) = value
                     evaluator._memo_counts["hits"] += hits
                     evaluator._memo_counts["misses"] += misses
-                yield from reduce(task, (kind, value))
+                yield _cell(job, (kind, value))
             done = True
         except SupervisorGaveUp as failure:
             if not degrade:
@@ -750,7 +699,7 @@ class SharedMemoryExecutor(SerialExecutor):
             stream.close()
         if not done:
             yield from self._run_in_process(supervisor.unfinished(),
-                                            evaluator, reduce)
+                                            evaluator)
 
 
 _EXECUTORS = {

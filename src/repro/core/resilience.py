@@ -240,16 +240,16 @@ def stats_to_metrics(stats: dict[str, Any], registry: Any) -> None:
                      "mid-run").inc(len(stats.get("degraded", ())))
 
 
-def _default_key(task: object) -> tuple[int, int]:
-    job = task[0] if isinstance(task, tuple) else task
-    return (getattr(job, "point_index", -1), getattr(job, "repeat_index", -1))
+def _grid_coords(task: object) -> tuple[int, int]:
+    """``(point, repeat)`` of a campaign job, for event reporting."""
+    return (getattr(task, "point_index", -1),
+            getattr(task, "repeat_index", -1))
 
 
 # -- supervised serial execution (bottom rung) -----------------------------
 
 def supervised_serial(tasks: Sequence[Any], call: Callable[[Any], Any],
                       policy: RetryPolicy | None = None, *,
-                      key: Callable[[Any], tuple[int, int]] = _default_key,
                       on_event: Callable[[object], None] | None = None,
                       sleep: Callable[[float], None] = time.sleep
                       ) -> Iterator[tuple[Any, tuple[str, Any]]]:
@@ -271,7 +271,7 @@ def supervised_serial(tasks: Sequence[Any], call: Callable[[Any], Any],
             except Exception as error:
                 if policy is None:
                     raise
-                point, repeat = key(task)
+                point, repeat = _grid_coords(task)
                 if attempt >= policy.max_attempts:
                     emit(JobQuarantined(point=point, repeat=repeat,
                                         attempts=attempt, error=repr(error)))
@@ -313,9 +313,6 @@ class PoolSupervisor:
     policy:
         :class:`RetryPolicy`, or ``None`` for legacy semantics (single
         attempt, first failure raises, no liveness monitoring).
-    key:
-        ``key(task) -> (point, repeat)`` grid coordinates for event
-        reporting.
     on_event:
         Receives :class:`JobRetried` / :class:`JobQuarantined` /
         :class:`WorkerLost` records as they happen.
@@ -334,14 +331,12 @@ class PoolSupervisor:
     def __init__(self, pool_factory: Callable[[], Any],
                  func: Callable[[Any], Any],
                  tasks: Sequence[Any], policy: RetryPolicy | None = None, *,
-                 key: Callable[[Any], tuple[int, int]] = _default_key,
                  on_event: Callable[[object], None] | None = None,
                  window: int = 8) -> None:
         self._pool_factory = pool_factory
         self._func = func
         self._tasks = list(tasks)
         self.policy = policy
-        self._key = key
         self._on_event = on_event
         self._window = max(1, window)
         self._unfinished: set[int] = set(range(len(self._tasks)))
@@ -488,7 +483,7 @@ class PoolSupervisor:
         the terminal outcome) after one failed attempt."""
         policy = self.policy
         assert policy is not None  # callers gate on a configured policy
-        point, repeat = self._key(self._tasks[index])
+        point, repeat = _grid_coords(self._tasks[index])
         if attempt >= policy.max_attempts:
             self._emit(JobQuarantined(point=point, repeat=repeat,
                                       attempts=attempt, error=repr(error)))

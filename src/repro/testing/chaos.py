@@ -35,7 +35,7 @@ from functools import partial
 from pathlib import Path
 
 from ..core import engine as _engine
-from ..core.engine import CampaignEvaluator, SharedMemoryExecutor
+from ..core.engine import CampaignJob, SharedMemoryExecutor
 
 __all__ = ["ChaosSpec", "ChaosError", "ChaosSharedMemoryExecutor",
            "truncate_last_line"]
@@ -83,19 +83,19 @@ class ChaosSpec:
 _CHAOS: ChaosSpec | None = None
 
 
-def _chaos_init(chaos: ChaosSpec, evaluator: CampaignEvaluator) -> None:
+def _chaos_init(chaos: ChaosSpec, *initargs) -> None:
     """Pool initializer: arm the spec, then run the real one."""
     global _CHAOS
     _CHAOS = chaos
     if chaos.fail_init:
         raise ChaosError("injected initializer failure")
-    _engine._worker_init(evaluator)
+    _engine._worker_init(*initargs)
 
 
-def _chaos_run_task(task):
-    """Fire any failure aimed at this task's cell, then evaluate it."""
+def _chaos_run_task(job: CampaignJob):
+    """Fire any failure aimed at this job's cell, then evaluate it."""
     spec = _CHAOS
-    coord = _engine._task_key(task)
+    coord = (job.point_index, job.repeat_index)
     point, repeat = coord
     if spec.poison_job == coord:
         raise ChaosError(f"injected poison job at {coord}")
@@ -105,7 +105,7 @@ def _chaos_run_task(task):
         raise ChaosError(f"injected transient failure at {coord}")
     if spec.slow_job == coord and spec.claim(f"slow-{point}-{repeat}"):
         time.sleep(spec.slow_seconds)
-    return _engine._run_worker_task(task)
+    return _engine._run_worker_task(job)
 
 
 class ChaosSharedMemoryExecutor(SharedMemoryExecutor):

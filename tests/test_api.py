@@ -186,8 +186,8 @@ def test_scenario_emits_checkpoint_events():
 
 
 def test_pool_fallback_emits_warning_event():
-    """A 1-cell grid on a 2-worker pool (1 batch, so unshardable) must
-    announce its serial fallback through the typed event stream."""
+    """A 1-cell grid on a 2-worker pool must announce its serial
+    fallback through the typed event stream."""
     events = []
     api.run("sweep",
             params=dict(rates=[0.3], repeats=1, images=60, rows=8, cols=4),

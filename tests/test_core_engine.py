@@ -1,5 +1,9 @@
 """Tests for the job-based campaign engine (executors, caching, seeding)."""
 
+import ctypes
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from repro.core import (CampaignEvaluator, FaultCampaign, FaultGenerator,
                         FaultInjector, FaultSpec, SerialExecutor,
                         SharedMemoryExecutor, build_jobs, get_executor,
                         plan_has_faults)
+from repro.core import engine as engine_mod
 
 
 @pytest.fixture(scope="module")
@@ -115,48 +120,88 @@ def test_pool_pickles_neither_evaluator_nor_model(trained_setup,
     np.testing.assert_array_equal(result.accuracies, serial.accuracies)
 
 
-def test_batch_level_split_when_grid_underfills_pool(trained_setup):
-    """A single-job grid on a 2-worker pool must shard test batches and
-    reduce integer counts to the exact unsharded accuracy."""
+def test_one_job_grid_runs_serially_with_a_warning(trained_setup):
+    """A one-job grid of 7 batches on a 2-worker pool runs the
+    in-process loop, says so, and equals serial: a pool task is always
+    a whole cell, never a batch shard."""
     model, x, y = trained_setup
     kwargs = dict(xs=[0.35], repeats=1, seed=11)
     serial = FaultCampaign(model, x, y, rows=8, cols=4,
                            batch_size=16).run(FaultSpec.bitflip, **kwargs)
     with FaultCampaign(model, x, y, rows=8, cols=4, batch_size=16,
                        executor="shared_memory", n_jobs=2) as campaign:
-        assert campaign._executor._shard_count(1, 7) == 2
         warnings = []
         campaign._executor.on_warning = warnings.append
         result = campaign.run(FaultSpec.bitflip, **kwargs)
-        np.testing.assert_array_equal(serial.accuracies, result.accuracies)
-        # the sharded path really ran through the pool, not the tiny-grid
-        # fallback, which warns that it cannot use the pool
-        assert warnings == []
+    np.testing.assert_array_equal(serial.accuracies, result.accuracies)
+    assert len(warnings) == 1 and "serial" in warnings[0]
 
 
-def test_shard_counts_sum_to_full_evaluation(trained_setup):
-    """evaluate_plan_counts shards partition the batches exactly."""
+def test_pool_starts_no_idle_worker(trained_setup, monkeypatch):
+    """A 2-job grid on a 4-worker executor forks a pool of 2."""
     model, x, y = trained_setup
-    evaluator = CampaignEvaluator(model, x, y, batch_size=16)
-    plan = build_jobs(model, FaultSpec.bitflip, [0.4], 1, 3, 8, 4)[0].plan
-    full_correct, full_total = evaluator.evaluate_plan_counts(plan)
-    assert full_total == len(x)
-    assert full_correct / full_total == evaluator.evaluate_plan(plan)
-    for n_shards in (2, 3):
-        parts = [evaluator.evaluate_plan_counts(plan, shard, n_shards)
-                 for shard in range(n_shards)]
-        assert sum(c for c, _ in parts) == full_correct
-        assert sum(t for _, t in parts) == full_total
+    kwargs = dict(xs=[0.35], repeats=2, seed=11)
+    serial = FaultCampaign(model, x, y, rows=8, cols=4).run(
+        FaultSpec.bitflip, **kwargs)
+    sizes = []
+    real_get_context = multiprocessing.get_context
+
+    class RecordingContext:
+        def __init__(self, context):
+            self._context = context
+
+        def Pool(self, processes, *args, **kwargs):
+            sizes.append(processes)
+            return self._context.Pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None:
+                        RecordingContext(real_get_context(method)))
+    with FaultCampaign(model, x, y, rows=8, cols=4,
+                       executor="shared_memory", n_jobs=4) as campaign:
+        result = campaign.run(FaultSpec.bitflip, **kwargs)
+    np.testing.assert_array_equal(serial.accuracies, result.accuracies)
+    assert sizes == [2]
 
 
-def test_shard_count_policy():
-    executor = SharedMemoryExecutor(n_jobs=4)
-    assert executor._shard_count(0, 10) == 1   # nothing to run
-    assert executor._shard_count(8, 10) == 1   # grid already fills the pool
-    assert executor._shard_count(1, 1) == 1    # a single batch cannot split
-    assert executor._shard_count(1, 10) == 4   # 1 job on 4 workers
-    assert executor._shard_count(3, 10) == 2   # 3 jobs on 4 workers
-    assert executor._shard_count(1, 3) == 3    # capped by batch count
+def _report_blas_threads(job):  # module-level: the pool pickles it
+    """Pool task that reports the worker's OpenBLAS thread count as the
+    cell's accuracy."""
+    return (job.point_index, job.repeat_index,
+            float(_openblas_thread_getter()())), (0, 0)
+
+
+def _openblas_thread_getter():
+    """OpenBLAS's ``get_num_threads``, the twin of the setter the engine
+    resolves (``None`` where numpy links no OpenBLAS)."""
+    setter = engine_mod._blas_thread_setter()
+    if setter is None:
+        return None
+    from numpy._core import _multiarray_umath
+    getter = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                     setter.__name__.replace("_set_", "_get_"))
+    getter.restype = ctypes.c_int
+    return getter
+
+
+@pytest.mark.parametrize("backend", ["float", "packed"])
+def test_pool_workers_pin_blas_threads_on_float(trained_setup, monkeypatch,
+                                                backend):
+    """Each of 2 forked float workers runs OpenBLAS on cpu_count // 2
+    threads (at least one), not on one thread per core; packed workers,
+    whose GEMM is the compiled kernel, keep the count they inherit."""
+    getter = _openblas_thread_getter()
+    if getter is None:
+        pytest.skip("numpy links no OpenBLAS with a thread setter")
+    model, x, y = trained_setup
+    jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 4, 0, 8, 4)
+    monkeypatch.setattr(engine_mod, "_run_worker_task",
+                        _report_blas_threads)
+    results = SharedMemoryExecutor(n_jobs=2).run(
+        jobs, CampaignEvaluator(model, x, y, backend=backend))
+    expected = (max(1, (os.cpu_count() or 1) // 2) if backend == "float"
+                else getter())
+    assert [accuracy for _, _, accuracy in results] == [expected] * len(jobs)
 
 
 def test_pool_preserves_caller_caches(trained_setup):

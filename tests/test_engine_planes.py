@@ -72,6 +72,32 @@ def test_pool_workers_compute_no_prefix(trained_setup, monkeypatch,
         assert after["hits"] > before["hits"]
 
 
+def test_parent_warms_every_split_the_jobs_use(trained_setup, tmp_path,
+                                              monkeypatch):
+    """Plans restricted to the second dense layer split deeper than the
+    baseline; the parent computes that prefix before forking, so every
+    ``_compute_batches`` call runs in the parent, and the run equals
+    serial."""
+    model, x, y = trained_setup
+    jobs = build_jobs(model, FaultSpec.bitflip, [0.0, 0.3], 2, 0, 8, 4,
+                      layers=[model.layers[3].name])
+    serial = SerialExecutor().run(
+        jobs, CampaignEvaluator(model, x, y, batch_size=25))
+    log = tmp_path / "pids"
+    compute = CampaignEvaluator._compute_batches
+
+    def logged(self, *args):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return compute(self, *args)
+
+    monkeypatch.setattr(CampaignEvaluator, "_compute_batches", logged)
+    pooled = SharedMemoryExecutor(n_jobs=2).run(
+        jobs, CampaignEvaluator(model, x, y, batch_size=25))
+    assert sorted(pooled) == sorted(serial)
+    assert log.read_text().split() == [str(os.getpid())] * 2
+
+
 # -- no shared-memory block on any path -----------------------------------
 
 def test_pool_run_creates_no_shared_memory(trained_setup):
@@ -119,14 +145,6 @@ def test_planes_released_on_keyboard_interrupt(trained_setup):
 
 
 # -- derived prefix batches -----------------------------------------------
-
-def test_sharded_batches_are_views_of_the_full_split(trained_setup):
-    model, x, y = trained_setup
-    evaluator = CampaignEvaluator(model, x, y, batch_size=25)
-    full = evaluator._batches_for(0)
-    shard = evaluator._batches_for(0, shard=1, n_shards=2)
-    assert all(a is b for (a, _), (b, _) in zip(shard, full[1::2]))
-
 
 def test_deeper_split_derived_from_cached_base_is_identical(trained_setup):
     model, x, y = trained_setup

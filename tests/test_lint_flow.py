@@ -3,9 +3,7 @@
 Covers the CFG builder (exceptional edges, try/finally routing,
 dominators), the dataflow analyses (reaching definitions, use-def,
 taint with strong-update kills), and the acceptance fixtures of the
-flow rules: a shared-memory leak reachable *only* via an exceptional
-edge is flagged while the try/finally and owner-registration versions
-pass; rng taint follows intermediate assignments and dies on
+flow rules: rng taint follows intermediate assignments and dies on
 reassignment; observability objects are stopped at the pickle
 boundary; and the journal-order dominance proof holds on the real
 service worker.
@@ -16,7 +14,7 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import (JournalOrder, ObsPickleBoundary, RngTaint,
-                        ShmLeakPath, build_cfg, run_lint)
+                        build_cfg, run_lint)
 from repro.lint.cfg import iter_scopes
 from repro.lint.flow import (ENTRY_DEF, propagate_taint,
                              reaching_definitions, use_def)
@@ -190,101 +188,18 @@ def test_taint_merges_over_branches():
         cfg, seeds=frozenset({"seed"}))[node_at(cfg, 6).index]
 
 
-# -- shm-leak-path acceptance ----------------------------------------------
-
-def test_shm_leak_only_on_exceptional_edge_is_flagged(tmp_path):
-    """The acceptance fixture: the normal path registers the block, but
-    the call *between* create and registration can raise — that single
-    exceptional path leaks, and the rule must say so."""
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            def leaky(owner, size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                owner.validate(shm)
-                owner.append(shm)
-                return shm
-            """,
-    }, rules=[ShmLeakPath()])
-    assert [f.rule for f in findings] == ["shm-leak-path"]
-    assert "exceptional edge" in findings[0].message
-    assert findings[0].line == 4
-
-
-def test_shm_same_code_with_try_finally_passes(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            def guarded(owner, size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                try:
-                    owner.validate(shm)
-                    owner.append(shm)
-                    return shm
-                finally:
-                    shm.close()
-            """,
-    }, rules=[ShmLeakPath()])
-    assert findings == []
-
-
-def test_shm_same_code_with_immediate_registration_passes(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            def registered(owner, size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                owner.append(shm)
-                owner.validate(shm)
-                return shm
-            """,
-    }, rules=[ShmLeakPath()])
-    assert findings == []
-
-
-def test_shm_leak_on_normal_path_is_flagged_as_such(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            def dropped(size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                data = bytes(shm.buf)
-                return data
-            """,
-    }, rules=[ShmLeakPath()])
-    assert [f.rule for f in findings] == ["shm-leak-path"]
-    assert "normal path" in findings[0].message
-
-
-def test_shm_release_helper_call_counts(tmp_path):
-    # a release helper that takes the block in a list owns it
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            from multiprocessing import shared_memory
-
-            def helper(size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                try:
-                    publish(shm)
-                finally:
-                    _release_shared_blocks([shm])
-            """,
-    }, rules=[ShmLeakPath()])
-    assert findings == []
-
+# -- retired rules -------------------------------------------------------
 
 def test_old_syntactic_shm_rule_is_retired():
     import repro.lint.rules as rules
 
     assert not hasattr(rules, "ShmLifecycle")
     assert not hasattr(rules, "SeedThreading")
+    # its flow successor is retired too: src/ creates no SharedMemory
+    assert not hasattr(rules, "ShmLeakPath")
     ids = [rule.rule_id for rule in DEFAULT_RULES]
     assert "shm-lifecycle" not in ids and "seed-threading" not in ids
-    assert "shm-leak-path" in ids and "rng-taint" in ids
+    assert "shm-leak-path" not in ids and "rng-taint" in ids
 
 
 # -- rng-taint flow semantics ----------------------------------------------

@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro.core import CampaignJournal, RetryPolicy, SupervisorGaveUp
-from repro.core.engine import _make_reducer
 from repro.core.resilience import (JobQuarantined, JobRetried, PoolSupervisor,
                                    WorkerLost, new_stats, note_stats,
                                    supervised_serial)
@@ -198,34 +197,6 @@ def test_supervisor_gave_up_lists_unfinished():
         list(supervisor.run())
     assert supervisor.unfinished() == [1, 2]
     assert calls["n"] == 2  # initial pool + one rebuild
-
-
-# -- the sharded reducer --------------------------------------------------
-
-class _Cell:
-    def __init__(self, point, repeat):
-        self.point_index = point
-        self.repeat_index = repeat
-
-
-def test_reducer_sums_shards_and_emits_complete_cells():
-    reduce = _make_reducer(2)
-    cell = _Cell(0, 0)
-    assert list(reduce((cell, 0, 2), ("ok", (0, 0, 40, 50)))) == []
-    assert list(reduce((cell, 1, 2), ("ok", (0, 0, 45, 50)))) == \
-        [(0, 0, 85 / 100)]
-
-
-def test_reducer_quarantines_whole_cell_once():
-    reduce = _make_reducer(2)
-    cell = _Cell(1, 0)
-    assert list(reduce((cell, 0, 2), ("ok", (1, 0, 40, 50)))) == []
-    nan_results = list(reduce((cell, 1, 2), ("quarantined", "boom")))
-    assert len(nan_results) == 1
-    i, j, accuracy = nan_results[0]
-    assert (i, j) == (1, 0) and accuracy != accuracy
-    # a straggler shard of the dead cell must not resurrect it
-    assert list(reduce((cell, 1, 2), ("ok", (1, 0, 45, 50)))) == []
 
 
 # -- journal crash recovery -----------------------------------------------

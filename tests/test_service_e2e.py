@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -173,9 +174,11 @@ def test_sse_since_replays_in_order_without_duplicates(tmp_path):
 # -- durability: SIGKILL mid-campaign, restart, resume ---------------------
 
 class ServerProcess:
-    """A ``repro serve`` subprocess on an ephemeral port."""
+    """A ``repro serve`` subprocess on an ephemeral port, its stdout and
+    stderr written to ``log``."""
 
-    def __init__(self, store: Path, port_file: Path, claim_dir: Path):
+    def __init__(self, store: Path, port_file: Path, claim_dir: Path,
+                 log: Path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(REPO / "src"), str(REPO / "tests")]
@@ -183,12 +186,13 @@ class ServerProcess:
         env["REPRO_SVC_CLAIM"] = str(claim_dir)
         env["REPRO_N_JOBS"] = "1"
         port_file.unlink(missing_ok=True)
-        self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--port-file", str(port_file), "--store", str(store),
-             "--workers", "1", "--preload", "service_support"],
-            env=env, cwd=str(REPO), stdout=subprocess.DEVNULL,
-            stderr=subprocess.STDOUT)
+        with open(log, "wb") as out:
+            self.process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--port-file", str(port_file), "--store", str(store),
+                 "--workers", "1", "--preload", "service_support"],
+                env=env, cwd=str(REPO), stdout=out,
+                stderr=subprocess.STDOUT)
         # a live subprocess can only be awaited on the wall clock
         deadline = time.monotonic() + 60  # repro: allow[no-wall-clock]
         while not port_file.exists():
@@ -214,81 +218,98 @@ class ServerProcess:
                 self.process.wait(timeout=30)
 
 
-def test_sigkill_midcampaign_restart_resumes_from_journal(tmp_path):
-    store = tmp_path / "store"
-    port_file = tmp_path / "port"
-    claim_dir = tmp_path / "claims"
-    claim_dir.mkdir()
-    params = {**PARAMS, "delay": 0.25}
-
-    server = ServerProcess(store, port_file, claim_dir)
+@contextmanager
+def _logs_printed_on_failure(*logs: Path):
+    """Print each server life's output when the block fails, so a
+    failure of the subprocess test explains itself."""
     try:
-        client = ServiceClient(port=server.port)
-        record = client.submit(RunRequest("svc-tiny", params=params),
-                               durable=True)
-        assert record.durable
+        yield
+    except BaseException:
+        for log in logs:
+            text = (log.read_text(errors="replace") if log.exists()
+                    else "(never started)")
+            print(f"--- {log.name} ---\n{text or '(no output)'}")
+        raise
 
-        # first life: let a few cells land, then SIGKILL mid-campaign
-        first_life_cells = 0
-        with pytest.raises(ServiceError):
-            for kind, item in client.stream(record.job_id, timeout=120):
-                if kind == "event" and isinstance(item, CellDone):
-                    first_life_cells += 1
-                    if first_life_cells >= 3:
-                        server.sigkill()
-        assert 3 <= first_life_cells < TOTAL_CELLS
-        journal = store / "journals" / f"{record.job_id}.jsonl"
-        assert journal.exists() and journal.stat().st_size > 0
 
-        # second life: same store — the job must come back, resume,
-        # and finish without re-evaluating any journaled cell (the
-        # claim tokens turn a re-run into a FAILED job)
-        server = ServerProcess(store, port_file, claim_dir)
-        client = ServiceClient(port=server.port)
-        second_life_events = []
-        final = client.watch(record.job_id,
-                             on_event=second_life_events.append)
-        assert final.state is JobState.DONE, final.error
-        assert final.resumes >= 1
+def test_sigkill_midcampaign_restart_resumes_from_journal(tmp_path):
+    first_log = tmp_path / "server-life-1.log"
+    second_log = tmp_path / "server-life-2.log"
+    with _logs_printed_on_failure(first_log, second_log):
+        store = tmp_path / "store"
+        port_file = tmp_path / "port"
+        claim_dir = tmp_path / "claims"
+        claim_dir.mkdir()
+        params = {**PARAMS, "delay": 0.25}
 
-        result = client.result(record.job_id)
-        resumed = result["meta"]["resumed_cells"]
-        assert resumed >= 3  # every journaled first-life cell came back
-        fresh = [e for e in second_life_events
-                 if isinstance(e, CellDone)]
-        assert len(fresh) == TOTAL_CELLS - resumed
-        fresh_cells = {(e.point, e.repeat) for e in fresh}
-        assert len(fresh_cells) == len(fresh)  # no cell emitted twice
-        assert fresh_cells <= {(p, r) for p in range(4) for r in range(3)}
-        # SSE replay across the restart: the second life's buffer is a
-        # fresh sequence, and ?since=N is still an exact suffix cursor
-        # over it — original order, no duplicates, telemetry included
-        second_life = [item for kind, item
-                       in client.stream(record.job_id, timeout=60)
-                       if kind != "end"]
-        kinds = [type(e).__name__ for e in second_life]
-        assert kinds.count("TelemetrySnapshot") == 1
-        mid = len(second_life) // 2
-        replayed = [item for kind, item
-                    in client.stream(record.job_id, since=mid, timeout=60)
-                    if kind != "end"]
-        assert replayed == second_life[mid:]
-        # after completion the journal holds the full grid exactly once
-        assert sorted(_journaled_cells(journal)) \
-            == sorted((p, r) for p in range(4) for r in range(3))
-    finally:
-        server.terminate()
+        server = ServerProcess(store, port_file, claim_dir, first_log)
+        try:
+            client = ServiceClient(port=server.port)
+            record = client.submit(RunRequest("svc-tiny", params=params),
+                                   durable=True)
+            assert record.durable
 
-    # one claim token per cell across BOTH lives — nothing ran twice
-    claimed = sorted(p.name for p in claim_dir.glob("cell-*.claimed"))
-    assert len(claimed) == TOTAL_CELLS
+            # first life: let a few cells land, then SIGKILL mid-campaign
+            first_life_cells = 0
+            with pytest.raises(ServiceError):
+                for kind, item in client.stream(record.job_id, timeout=120):
+                    if kind == "event" and isinstance(item, CellDone):
+                        first_life_cells += 1
+                        if first_life_cells >= 3:
+                            server.sigkill()
+            assert 3 <= first_life_cells < TOTAL_CELLS
+            journal = store / "journals" / f"{record.job_id}.jsonl"
+            assert journal.exists() and journal.stat().st_size > 0
 
-    # bit-identity: the service's post-kill-resume report equals a
-    # direct in-process run of the same request (modulo journal/cache
-    # bookkeeping, which canonical_result strips)
-    direct = api.run("svc-tiny", params=params)
-    assert wire.canonical_result(result) \
-        == wire.canonical_result(direct.to_dict())
+            # second life: same store — the job must come back, resume,
+            # and finish without re-evaluating any journaled cell (the
+            # claim tokens turn a re-run into a FAILED job)
+            server = ServerProcess(store, port_file, claim_dir, second_log)
+            client = ServiceClient(port=server.port)
+            second_life_events = []
+            final = client.watch(record.job_id,
+                                 on_event=second_life_events.append)
+            assert final.state is JobState.DONE, final.error
+            assert final.resumes >= 1
+
+            result = client.result(record.job_id)
+            resumed = result["meta"]["resumed_cells"]
+            assert resumed >= 3  # every journaled first-life cell came back
+            fresh = [e for e in second_life_events
+                     if isinstance(e, CellDone)]
+            assert len(fresh) == TOTAL_CELLS - resumed
+            fresh_cells = {(e.point, e.repeat) for e in fresh}
+            assert len(fresh_cells) == len(fresh)  # no cell emitted twice
+            assert fresh_cells <= {(p, r) for p in range(4) for r in range(3)}
+            # SSE replay across the restart: the second life's buffer is a
+            # fresh sequence, and ?since=N is still an exact suffix cursor
+            # over it — original order, no duplicates, telemetry included
+            second_life = [item for kind, item
+                           in client.stream(record.job_id, timeout=60)
+                           if kind != "end"]
+            kinds = [type(e).__name__ for e in second_life]
+            assert kinds.count("TelemetrySnapshot") == 1
+            mid = len(second_life) // 2
+            replayed = [item for kind, item
+                        in client.stream(record.job_id, since=mid, timeout=60)
+                        if kind != "end"]
+            assert replayed == second_life[mid:]
+            # after completion the journal holds the full grid exactly once
+            assert sorted(_journaled_cells(journal)) \
+                == sorted((p, r) for p in range(4) for r in range(3))
+        finally:
+            server.terminate()
+
+        # one claim token per cell across BOTH lives — nothing ran twice
+        claimed = sorted(p.name for p in claim_dir.glob("cell-*.claimed"))
+        assert len(claimed) == TOTAL_CELLS
+
+        # bit-identity: the service's post-kill-resume report equals a
+        # direct in-process run of the same request (modulo journal/cache
+        # bookkeeping, which canonical_result strips)
+        direct = api.run("svc-tiny", params=params)
+        assert wire.canonical_result(result) \
+            == wire.canonical_result(direct.to_dict())
 
 
 def _journaled_cells(journal: Path):
