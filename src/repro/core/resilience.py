@@ -25,7 +25,8 @@ Three cooperating pieces:
     and re-dispatches only the in-flight tasks, and quarantines poison
     tasks after ``max_attempts`` failures instead of aborting the grid.
     Shutdown is graceful on success (``close``/``join``); ``terminate``
-    is reserved for the error/abandon path.
+    is reserved for the error/abandon path, and waits out the tasks in
+    flight first, so no worker is killed while it sends a result.
 :func:`supervised_serial`
     The same retry/quarantine contract for in-process execution — the
     bottom rung of the degradation ladder and the serial executor.
@@ -449,12 +450,71 @@ class PoolSupervisor:
         finally:
             if pool is not None:
                 # success drains gracefully; errors and an abandoned
-                # consumer (GeneratorExit) must not wait on stragglers
-                if completed:
-                    pool.close()
-                else:
-                    pool.terminate()
-                pool.join()
+                # consumer (GeneratorExit) wait out the tasks in flight,
+                # then terminate
+                try:
+                    if not completed:
+                        self._drain(pool, pids, pending, results,
+                                    last_progress)
+                finally:
+                    if completed:
+                        pool.close()
+                        pool.join()
+                    else:
+                        self._terminate(pool)
+
+    def _terminate(self, pool: Any) -> None:
+        """``pool.terminate()`` and ``join()``; under a policy, wait for
+        them at most the stall bound.
+
+        A worker killed while it sends a result keeps the result queue's
+        lock, and the pool's teardown then never returns.  Under a
+        policy such a teardown is left on a daemon thread, with the
+        pool's workers already killed, and the run goes on.
+        """
+        def teardown() -> None:
+            pool.terminate()
+            pool.join()
+
+        policy = self.policy
+        if policy is None:
+            teardown()
+            return
+        import threading
+
+        thread = threading.Thread(target=teardown, name="pool-teardown",
+                                  daemon=True)
+        thread.start()
+        thread.join(policy.stall_timeout)
+
+    def _drain(self, pool: Any, pids: set[int | None],
+               pending: dict[int, tuple[int, int, float | None]],
+               results: Any, last_progress: float) -> None:
+        """Wait for the results of the tasks in flight and drop them.
+
+        ``Pool.terminate`` kills workers wherever they are.  A worker
+        killed while it sends a result keeps the result queue's lock
+        forever, and the pool's own teardown then hangs on it.  A worker
+        with no task in flight holds no such lock.  The wait stops early
+        when a worker is lost, or when a deadline or the stall bound of
+        the policy passes: the same limits the main loop waits under.
+        """
+        import queue as queue_mod
+
+        policy = self.policy
+        while pending and not self._workers_churned(pool, pids):
+            if policy is not None:
+                now = time.monotonic()
+                if now - last_progress > policy.stall_timeout or any(
+                        deadline is not None and deadline <= now
+                        for _, _, deadline in pending.values()):
+                    return
+            try:
+                token, _, _ = results.get(timeout=_POLL_INTERVAL)
+            except queue_mod.Empty:
+                continue
+            if pending.pop(token, None) is not None:
+                last_progress = time.monotonic()
 
     def _wait_timeout(self, pending: dict[int, tuple[int, int, float | None]],
                       retries: list[tuple[float, int, int, int]],
@@ -556,8 +616,7 @@ class PoolSupervisor:
         self._emit(WorkerLost(reason=reason, in_flight=len(pending)))
         rebuilds += 1
         if rebuilds > policy.max_rebuilds:
-            pool.terminate()
-            pool.join()
+            # run() terminates the pool on its way out
             raise SupervisorGaveUp(
                 f"pool rebuilt {policy.max_rebuilds} time(s) and "
                 f"workers kept dying ({reason}); "
@@ -570,8 +629,7 @@ class PoolSupervisor:
                  todo: deque[tuple[int, int]], reason: str) -> Any:
         """Terminate + recreate the pool, requeueing every in-flight
         task at its current attempt count."""
-        pool.terminate()
-        pool.join()
+        self._terminate(pool)
         for index, attempt, _ in pending.values():
             todo.append((index, attempt))
         pending.clear()

@@ -3,6 +3,7 @@ journal's crash-recovery behavior."""
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -155,6 +156,79 @@ def test_supervisor_policy_none_raises_and_terminates():
     with pytest.raises(RuntimeError, match="job failed"):
         list(supervisor.run())
     assert pool.shutdown == ["terminate", "join"]
+
+
+class LatePool(FakePool):
+    """apply_async answers from a timer thread after ``delays[task]``
+    seconds, so tasks are really in flight when the run stops; records
+    which tasks had answered when ``terminate`` was called."""
+
+    def __init__(self, delays):
+        super().__init__()
+        self.delays = delays
+        self.answered = []
+
+    def apply_async(self, func, args, callback, error_callback):
+        def answer():
+            self.answered.append(args[0])
+            FakePool.apply_async(self, func, args, callback, error_callback)
+        threading.Timer(self.delays[args[0]], answer).start()
+
+    def terminate(self):
+        self.shutdown.append(("terminate", sorted(self.answered)))
+
+
+@pytest.mark.parametrize("path", ["error", "abandon"])
+def test_supervisor_waits_out_tasks_in_flight_before_terminate(path):
+    """Terminating a worker while it sends a result strands the result
+    queue's lock and hangs the pool's teardown, so the error and abandon
+    paths let every task in flight answer before ``terminate``."""
+    pool = LatePool({1: 0.0, 2: 0.2, 3: 0.3})
+
+    def call(task):
+        if path == "error" and task == 1:
+            raise RuntimeError("job failed")
+        return task
+
+    supervisor = PoolSupervisor(lambda: pool, call, [1, 2, 3], None)
+    stream = supervisor.run()
+    if path == "error":
+        with pytest.raises(RuntimeError, match="job failed"):
+            list(stream)
+    else:
+        next(stream)
+        stream.close()
+    assert pool.shutdown == [("terminate", [1, 2, 3]), "join"]
+
+
+def test_supervisor_rebuilds_past_a_teardown_that_never_returns():
+    """A pool whose terminate hangs (a worker died holding the result
+    queue's lock) costs the rebuild one stall bound, not the run."""
+    wedge = threading.Event()
+
+    class WedgedPool(FakePool):
+        returned = False
+
+        def apply_async(self, func, args, callback, error_callback):
+            pass  # the tasks vanish, as a killed worker's would
+
+        def terminate(self):
+            wedge.wait(timeout=10.0)
+            self.returned = True
+
+    pools = []
+
+    def factory():
+        pools.append(FakePool() if pools else WedgedPool())
+        return pools[-1]
+
+    policy = RetryPolicy(stall_timeout=0.2, max_rebuilds=1, backoff=0.0)
+    supervisor = PoolSupervisor(factory, lambda t: t, [1, 2], policy)
+    outcomes = dict(supervisor.run())
+    assert not pools[0].returned  # the run finished past the wedge
+    wedge.set()
+    assert outcomes == {1: ("ok", 1), 2: ("ok", 2)}
+    assert len(pools) == 2 and pools[1].shutdown == ["close", "join"]
 
 
 def test_supervisor_retries_then_quarantines():
