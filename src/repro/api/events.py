@@ -22,8 +22,8 @@ way:
     Resilience events mirrored from the engine's supervision layer
     (:mod:`repro.core.resilience`): a failed or timed-out cell being
     retried with backoff; a poison cell quarantined (its accuracy is
-    NaN) after exhausting its attempts; a pool worker lost and the pool
-    rebuilt; the executor stepping down its degradation ladder.
+    NaN) after exhausting its attempts; a pool worker lost and
+    re-forked; the executor stepping down its degradation ladder.
 ``JobStateChanged``
     Service runs only (:mod:`repro.service`): the submitted job moved
     through its lifecycle (queued → running → done/failed/cancelled).
@@ -125,8 +125,8 @@ class JobQuarantined(RunEvent):
 
 @dataclass(frozen=True)
 class WorkerLost(RunEvent):
-    """A pool worker died (or the pool stalled); the pool was rebuilt
-    and the ``in_flight`` affected cells re-dispatched."""
+    """Pool workers died (or stalled) and were re-forked; the
+    ``in_flight`` cells they held were re-dispatched."""
 
     reason: str
     in_flight: int

@@ -60,12 +60,13 @@ class RunRequest:
     retries:
         Extra attempts per campaign cell before quarantine (so
         ``retries=2`` means up to 3 attempts).  ``0`` still arms the
-        supervision layer — lost workers trigger pool rebuilds and the
-        degradation ladder — it just never re-attempts a *failing* job.
+        supervision layer — lost workers are re-forked and their cells
+        re-dispatched, and the degradation ladder stays armed — it just
+        never re-attempts a *failing* job.
     job_timeout:
         Per-cell wall-clock budget in seconds; a cell exceeding it is
-        treated as a failed attempt (the worker pool is rebuilt to
-        reclaim the stuck worker).  ``None`` disables timeouts.
+        treated as a failed attempt (its worker is killed and re-forked;
+        the other workers keep running).  ``None`` disables timeouts.
     degrade:
         Walk the executor degradation ladder (``shared_memory`` →
         ``serial``) when the pool keeps failing; ``False`` raises

@@ -93,7 +93,7 @@ def _event_renderer(show_cells: bool, stream=None):
                   f"failed {event.attempts} attempt(s); its accuracy "
                   "is NaN", file=out)
         elif isinstance(event, WorkerLost):
-            print(f"worker lost: {event.reason}; pool rebuilt, "
+            print(f"worker lost: {event.reason}; worker re-forked, "
                   f"{event.in_flight} in-flight job(s) re-dispatched",
                   file=out)
         elif isinstance(event, ExecutorDegraded):
@@ -461,7 +461,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="per-cell wall-clock budget; a cell "
                              "exceeding it counts as a failed attempt "
-                             "and the pool is rebuilt (default: none)")
+                             "and its worker is re-forked (default: "
+                             "none)")
     parser.add_argument("--no-degrade", action="store_true",
                         help="fail instead of degrading the executor "
                              "(shared_memory -> serial) when the pool "

@@ -108,8 +108,10 @@ class FaultCampaign:
         object with a ``run(jobs, evaluator)`` method (streaming
         executors additionally provide ``run_iter``).
     n_jobs:
-        Worker count for the pool executor; ``None`` means
-        ``os.cpu_count()`` (or the ``REPRO_N_JOBS`` environment variable).
+        Worker count for the pool executor; ``None`` means the
+        ``REPRO_N_JOBS`` environment variable, or else one worker per
+        CPU the process may run on (its affinity mask, not the host's
+        ``os.cpu_count()``).
     backend:
         ``"float"`` or ``"packed"`` — see :mod:`repro.binary.layers`.
     cache_bytes:

@@ -59,12 +59,13 @@ Executors
 ``serial``
     In-process loop.  Shares the caller's evaluator and all its caches.
 ``shared_memory``
-    A process pool (default ``n_jobs=os.cpu_count()``, overridable with
-    the ``REPRO_N_JOBS`` environment variable) whose workers share the
-    parent's memory copy-on-write.  The parent warms its evaluator —
-    the baseline, the fault-free prefix activation batches of every
-    split the pending jobs start at, and the baseline split's derived
-    inputs — and then *forks* the pool: every worker inherits that
+    A process pool (by default one worker per CPU the process may run
+    on, overridable with the ``REPRO_N_JOBS`` environment variable)
+    whose workers share the parent's memory copy-on-write.  The parent
+    warms its evaluator — the baseline, the fault-free prefix
+    activation batches of every split the pending jobs start at, and
+    the baseline split's derived inputs — and then *forks* the pool's
+    workers: every worker inherits that
     evaluator, test set and caches included, so nothing is pickled,
     copied or published, and no worker recomputes what the parent
     warmed.  The pool always uses the ``fork`` start method, because the
@@ -84,8 +85,9 @@ Every pool task is one whole cell.  A grid of ``n`` pending jobs forks
 ``min(n_jobs, n)`` workers, so no worker starts idle; a one-worker
 executor or a one-job grid runs the in-process loop instead.  On the
 float backend each worker pins numpy's OpenBLAS to
-``os.cpu_count() // workers`` threads (at least one), so BLAS threads
-do not oversubscribe the cores.
+``usable CPUs // workers`` threads (at least one), so BLAS threads do
+not oversubscribe the cores.  Both counts read the CPUs the process may
+run on (:func:`_usable_cpus`), not the host's.
 """
 
 from __future__ import annotations
@@ -502,6 +504,16 @@ class SerialExecutor:
 
 _WORKER_EVALUATOR: CampaignEvaluator | None = None
 
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` and cgroup cpusets narrow it), else
+    ``os.cpu_count()``.  Sizes the default pool and its BLAS share."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 #: numpy's OpenBLAS exports its thread-count setter under one of these
 #: names (64-bit-integer builds and scipy-openblas wheels rename it)
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
@@ -578,17 +590,20 @@ class SharedMemoryExecutor(SerialExecutor):
     executor because plans are pre-generated and the per-batch
     arithmetic is unchanged.
 
-    With a :class:`~repro.core.resilience.RetryPolicy` the pool runs
-    under a :class:`~repro.core.resilience.PoolSupervisor`: failed jobs
-    retry with backoff and are quarantined (NaN cells) after
-    ``max_attempts``; lost workers trigger a pool rebuild that
-    re-dispatches only the in-flight jobs; and when the pool keeps
-    failing (or the platform has no ``fork`` start method) the executor
-    degrades to the in-process loop it inherits from
+    The workers run under a
+    :class:`~repro.core.resilience.PoolSupervisor`, each on its own pipe
+    with at most one job.  With a
+    :class:`~repro.core.resilience.RetryPolicy`, failed jobs retry with
+    backoff and are quarantined (NaN cells) after ``max_attempts``; a
+    worker that dies, stalls or overruns its job's timeout is killed and
+    re-forked, and only the job it held is re-dispatched; and when
+    workers keep dying (or the platform has no ``fork`` start method)
+    the executor degrades to the in-process loop it inherits from
     :class:`SerialExecutor` (``shared_memory → serial``), so a campaign
     always completes with bit-identical accuracies for every cell that
     completes anywhere.  ``policy=None`` (the default) keeps the legacy
-    semantics: one attempt, first failure raises.
+    semantics: one attempt, the first failure raises, and a lost worker
+    raises :class:`~repro.core.resilience.SupervisorGaveUp`.
     """
 
     name = "shared_memory"
@@ -598,7 +613,7 @@ class SharedMemoryExecutor(SerialExecutor):
         super().__init__(policy)
         if not n_jobs or n_jobs <= 0:
             n_jobs = int(os.environ.get("REPRO_N_JOBS", 0) or 0)
-        self.n_jobs = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
+        self.n_jobs = n_jobs if n_jobs > 0 else _usable_cpus()
         #: event hook: ``on_warning(message)`` is invoked for non-fatal
         #: conditions a caller should surface (e.g. a grid that cannot
         #: use the pool falling back to the serial loop).  The streaming
@@ -664,21 +679,13 @@ class SharedMemoryExecutor(SerialExecutor):
                 self._warn("no OpenBLAS thread setter found in numpy; "
                            "pool workers keep the BLAS library's default "
                            "threads")
-        initargs = (evaluator, set_blas_threads,
-                    max(1, (os.cpu_count() or 1) // workers))
         initializer, task_fn = self._pool_functions()
-
-        def pool_factory():
-            return context.Pool(workers, initializer=initializer,
-                                initargs=initargs)
-
-        window = (workers
-                  if self.policy is not None
-                  and self.policy.job_timeout is not None
-                  else 2 * workers)
-        supervisor = PoolSupervisor(pool_factory, task_fn, jobs,
-                                    self.policy, on_event=self._emit,
-                                    window=window)
+        supervisor = PoolSupervisor(
+            task_fn, jobs, self.policy, context=context, workers=workers,
+            initializer=initializer,
+            initargs=(evaluator, set_blas_threads,
+                      max(1, _usable_cpus() // workers)),
+            on_event=self._emit)
         stream = supervisor.run()
         done = False
         try:

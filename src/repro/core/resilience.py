@@ -12,21 +12,20 @@ Three cooperating pieces:
 
 :class:`RetryPolicy`
     Deterministic knobs: attempts per job, exponential backoff, an
-    optional per-job wall-clock timeout, a stall watchdog, a pool
-    rebuild budget, and whether the executor may *degrade*
-    (``shared_memory`` → ``serial``) when the pool keeps failing.  ``policy=None`` everywhere means the legacy
-    semantics: one attempt, first failure raises.
+    optional per-job wall-clock timeout, a stall watchdog, a worker-loss
+    budget, and whether the executor may *degrade*
+    (``shared_memory`` → ``serial``) when the pool keeps failing.
+    ``policy=None`` everywhere means the legacy semantics: one attempt,
+    the first failure raises (a dead pool worker too).
 :class:`PoolSupervisor`
-    Wraps one ``multiprocessing.Pool`` rung: dispatches tasks with
-    ``apply_async`` under a bounded window, re-schedules failed tasks
-    with backoff, detects lost workers (a SIGKILLed process is respawned
-    by the pool but its in-flight task is silently gone forever) via
-    worker-pid churn and a no-results stall watchdog, rebuilds the pool
-    and re-dispatches only the in-flight tasks, and quarantines poison
-    tasks after ``max_attempts`` failures instead of aborting the grid.
-    Shutdown is graceful on success (``close``/``join``); ``terminate``
-    is reserved for the error/abandon path, and waits out the tasks in
-    flight first, so no worker is killed while it sends a result.
+    Runs one pool rung on its own forked workers, one duplex pipe and
+    at most one job each: re-schedules failed tasks with backoff,
+    quarantines poison tasks after ``max_attempts`` failures instead of
+    aborting the grid, and notices a dead worker on its process
+    sentinel.  A lost, stalled or timed-out worker is killed and
+    re-forked, and only the job it held is re-dispatched.  Workers
+    share no lock with the parent, so killing one can never wedge the
+    others or the teardown.
 :func:`supervised_serial`
     The same retry/quarantine contract for in-process execution — the
     bottom rung of the degradation ladder and the serial executor.
@@ -41,6 +40,7 @@ summarize them in ``SweepResult.meta["resilience"]``, and
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
@@ -79,24 +79,28 @@ class RetryPolicy:
         a pure function of the attempt number, so schedules are
         reproducible.
     job_timeout:
-        Optional wall-clock budget (seconds) per dispatched job.  A pool
-        cannot cancel a running task, so an expired job triggers a pool
-        rebuild; the expired job is charged one failed attempt, the
-        other in-flight jobs are re-dispatched unharmed.
+        Optional wall-clock budget (seconds) per dispatched job.  A
+        worker cannot cancel a running job, so the worker holding an
+        expired job is killed and re-forked, and the job is charged one
+        failed attempt; the other workers and their jobs are untouched.
     stall_timeout:
-        Watchdog: with jobs in flight but no result (and no observed
-        worker death) for this long, the pool is presumed wedged and
-        rebuilt.
+        Watchdog: with jobs in flight but no result (and no worker
+        death) for this long, every busy worker is presumed hung and
+        lost.
     max_rebuilds:
-        Unattributed pool rebuilds (worker loss, stall) tolerated per
-        rung before the supervisor gives up — the signal for the
-        degradation ladder to move on.  Timeout rebuilds are bounded by
-        per-job attempts instead and do not count here.
+        Worker losses (deaths, stalls) tolerated per rung before the
+        supervisor gives up — the signal for the degradation ladder to
+        move on.  Losses noticed together count once.  Timeouts are
+        bounded by per-job attempts instead and do not count here.
     degrade:
         Whether the pool executor may fall down its ladder
         (``shared_memory`` → ``serial``) when the pool keeps failing.
         With ``False`` the pool's failure raises
         :class:`SupervisorGaveUp`.
+
+    Executors take ``policy=None`` for the legacy semantics instead: one
+    attempt, the first failure raises, and a pool worker that dies
+    raises :class:`SupervisorGaveUp` naming it.
     """
 
     max_attempts: int = 3
@@ -166,8 +170,9 @@ class JobQuarantined:
 
 @dataclass(frozen=True)
 class WorkerLost:
-    """A pool worker died (or the pool wedged); the pool was rebuilt and
-    the ``in_flight`` jobs re-dispatched without attempt charges."""
+    """Pool workers died (or stalled) and were killed and re-forked; the
+    ``in_flight`` jobs they held were re-dispatched without attempt
+    charges."""
 
     reason: str
     in_flight: int
@@ -184,10 +189,11 @@ class ExecutorDegraded:
 
 
 class SupervisorGaveUp(RuntimeError):
-    """A pool rung exhausted its rebuild budget (or a rebuild itself
-    failed, or the platform has no ``fork`` start method to start the
-    pool with).  The degradation ladder catches this to move on; with
-    ``degrade=False`` it propagates to the caller."""
+    """A pool rung lost workers more often than ``max_rebuilds`` allows
+    (or lost one with no policy, or could not fork a worker, or the
+    platform has no ``fork`` start method to start the pool with).  The
+    degradation ladder catches this to move on; with ``degrade=False``
+    or no policy it propagates to the caller."""
 
 
 def new_stats() -> dict[str, Any]:
@@ -234,8 +240,8 @@ def stats_to_metrics(stats: dict[str, Any], registry: Any) -> None:
                      "poison jobs set aside after exhausting their "
                      "attempts").inc(len(stats.get("quarantined", ())))
     registry.counter("repro_workers_lost_total",
-                     "pool workers that died (or wedged) and forced a "
-                     "rebuild").inc(int(stats.get("workers_lost", 0)))
+                     "pool worker losses (deaths, stalls) that forced a "
+                     "re-fork").inc(int(stats.get("workers_lost", 0)))
     registry.counter("repro_executor_degraded_total",
                      "rungs the executor ladder fell down "
                      "mid-run").inc(len(stats.get("degraded", ())))
@@ -292,54 +298,115 @@ def supervised_serial(tasks: Sequence[Any], call: Callable[[Any], Any],
 
 # -- pool supervision ------------------------------------------------------
 
-#: liveness/stall poll cadence (seconds) while waiting on results
-_POLL_INTERVAL = 0.2
+def _serve(conn: Any, parent_end: Any, func: Callable[[Any], Any],
+           initializer: Callable[..., object] | None,
+           initargs: tuple[Any, ...]) -> None:
+    """A forked worker's loop: run the initializer, then answer each task
+    read from ``conn`` with ``(True, func(task))`` or ``(False, error)``
+    until the stop message (``None``) arrives or the parent is gone.
+
+    The worker first closes its inherited copy of the parent's end of
+    its pipe, so that it reads end-of-file once the parent exits.
+    """
+    parent_end.close()
+    if initializer is not None:
+        initializer(*initargs)
+    try:
+        while (task := conn.recv()) is not None:
+            try:
+                reply = (True, func(task))
+            except Exception as error:
+                reply = (False, error)
+            conn.send(reply)
+    except (EOFError, ConnectionError):
+        pass  # the parent is gone
+
+
+class _Worker:
+    """One forked worker: its process, the parent's end of its pipe, and
+    the job it holds, ``(task_index, attempt, deadline)`` or ``None``
+    (the deadline is ``math.inf`` without a ``job_timeout``)."""
+
+    __slots__ = ("process", "conn", "job")
+
+    def __init__(self, process: Any, conn: Any) -> None:
+        self.process = process
+        self.conn = conn
+        self.job: tuple[int, int, float] | None = None
+
+
+def _reap(worker: _Worker) -> None:
+    """Kill and join one worker and close its pipe.  The worker shares no
+    lock with the parent, so this cannot hang."""
+    worker.process.kill()
+    worker.process.join()
+    worker.conn.close()
 
 
 class PoolSupervisor:
-    """Fault-tolerant dispatch of one task list onto one process pool.
+    """Fault-tolerant dispatch of one task list onto forked workers.
 
     Parameters
     ----------
-    pool_factory:
-        Zero-argument callable returning a fresh, initialized
-        ``multiprocessing.Pool`` — also used for rebuilds after worker
-        loss (the factory re-runs the worker initializer).
     func:
-        Picklable module-level function applied to each task in a
-        worker.
+        Applied to each task in a worker.  Workers are forked, so
+        ``func`` and the initializer are inherited, not pickled; tasks,
+        results and errors cross each worker's pipe pickled.
     tasks:
-        The task list.  Tasks need not be hashable; identity is by
-        index.
+        The task list (``None``, the workers' stop message, is not a
+        task).  Tasks need not be hashable; identity is by index.
     policy:
-        :class:`RetryPolicy`, or ``None`` for legacy semantics (single
-        attempt, first failure raises, no liveness monitoring).
+        :class:`RetryPolicy`, or ``None`` for legacy semantics: one
+        attempt, and the first failure raises — the job's own error, or
+        :class:`SupervisorGaveUp` when a worker dies.
+    context:
+        The ``multiprocessing`` context workers are forked in (the
+        engine passes ``get_context("fork")``).
+    workers:
+        Worker processes to keep; each holds at most one job.
+    initializer / initargs:
+        ``initializer(*initargs)`` runs in every worker before its first
+        job, re-forked workers included.
     on_event:
         Receives :class:`JobRetried` / :class:`JobQuarantined` /
         :class:`WorkerLost` records as they happen.
-    window:
-        Maximum tasks in flight at once (defaults to the pool size
-        passed by the executor); a bounded window keeps dispatch close
-        to start so ``job_timeout`` deadlines measure actual work.
+
+    Each worker owns one duplex pipe.  Under a policy:
+
+    * a failed job retries with backoff, and is quarantined after
+      ``max_attempts`` failures instead of aborting the grid;
+    * a job past its ``job_timeout`` costs its worker, which is killed
+      and re-forked, and one attempt of the job;
+    * a worker whose process sentinel fires (it died) is lost, and so is
+      every busy worker once no result has arrived for
+      ``stall_timeout``.  A lost worker is killed and re-forked, and
+      only the job it held is re-dispatched, at its attempt count.
+      Losses noticed together emit one :class:`WorkerLost` and count
+      once against ``max_rebuilds``.
 
     :meth:`run` is a generator yielding ``(task, ("ok", value))`` /
     ``(task, ("quarantined", error_repr))`` as results arrive
     (unordered).  After a :class:`SupervisorGaveUp`, :meth:`unfinished`
     lists the tasks that never produced an outcome — the degradation
-    ladder hands exactly those to the next rung.
+    ladder hands exactly those to the next rung.  A complete run sends
+    each (idle) worker the stop message; any other exit kills the
+    workers.  Both then join them.
     """
 
-    def __init__(self, pool_factory: Callable[[], Any],
-                 func: Callable[[Any], Any],
-                 tasks: Sequence[Any], policy: RetryPolicy | None = None, *,
-                 on_event: Callable[[object], None] | None = None,
-                 window: int = 8) -> None:
-        self._pool_factory = pool_factory
+    def __init__(self, func: Callable[[Any], Any], tasks: Sequence[Any],
+                 policy: RetryPolicy | None = None, *, context: Any,
+                 workers: int,
+                 initializer: Callable[..., object] | None = None,
+                 initargs: tuple[Any, ...] = (),
+                 on_event: Callable[[object], None] | None = None) -> None:
         self._func = func
         self._tasks = list(tasks)
         self.policy = policy
+        self._context = context
+        self._workers = max(1, workers)
+        self._initializer = initializer
+        self._initargs = initargs
         self._on_event = on_event
-        self._window = max(1, window)
         self._unfinished: set[int] = set(range(len(self._tasks)))
 
     def unfinished(self) -> list[Any]:
@@ -350,190 +417,145 @@ class PoolSupervisor:
         if self._on_event is not None:
             self._on_event(record)
 
-    @staticmethod
-    def _pool_pids(pool: Any) -> set[int | None]:
-        processes = getattr(pool, "_pool", None)
-        if not processes:
-            return set()
-        return {process.pid for process in processes}
-
-    @staticmethod
-    def _workers_churned(pool: Any, pids: set[int | None]) -> bool:
-        """Whether the pool replaced (or holds dead) worker processes —
-        the observable trace of a killed worker, whose in-flight task is
-        gone for good (the pool respawns processes, not tasks)."""
-        processes = getattr(pool, "_pool", None)
-        if processes is None:  # unexpected pool implementation: no signal
-            return False
-        current = {process.pid for process in processes}
-        if current != pids:
-            return True
-        return any(not process.is_alive() for process in processes)
+    def _fork(self) -> _Worker:
+        """Start one worker on a fresh pipe."""
+        parent_end, child_end = self._context.Pipe()
+        process = self._context.Process(
+            target=_serve, daemon=True,
+            args=(child_end, parent_end, self._func, self._initializer,
+                  self._initargs))
+        try:
+            process.start()
+        except OSError as error:
+            parent_end.close()
+            raise SupervisorGaveUp(
+                f"could not fork a pool worker: {error!r}") from error
+        finally:
+            child_end.close()
+        return _Worker(process, parent_end)
 
     def run(self) -> Iterator[tuple[Any, tuple[str, Any]]]:
-        import queue as queue_mod
+        from multiprocessing.connection import wait  # the pool path only
 
         policy = self.policy
-        results: queue_mod.SimpleQueue[tuple[int, bool, Any]] = \
-            queue_mod.SimpleQueue()
+        timeout = (policy.job_timeout if policy is not None
+                   and policy.job_timeout is not None else math.inf)
         todo: deque[tuple[int, int]] = \
             deque((index, 1) for index in range(len(self._tasks)))
         retries: list[tuple[float, int, int, int]] = \
             []                   # heap of (due, tiebreak, task_index, attempt)
-        pending: dict[int, tuple[int, int, float | None]] = \
-            {}                   # dispatch token -> (task_index, attempt, deadline)
-        tokens = itertools.count()
         tiebreak = itertools.count()
-        rebuilds = 0
-        pool = None
+        workers: list[_Worker] = []
+        losses = 0
         completed = False
         try:
-            pool = self._pool_factory()
-            pids = self._pool_pids(pool)
+            for _ in range(self._workers):
+                workers.append(self._fork())
             last_progress = time.monotonic()
             while self._unfinished:
                 now = time.monotonic()
                 while retries and retries[0][0] <= now:
                     _, _, index, attempt = heapq.heappop(retries)
                     todo.append((index, attempt))
-                while todo and len(pending) < self._window:
-                    index, attempt = todo.popleft()
-                    token = next(tokens)
-                    deadline = (now + policy.job_timeout
-                                if policy is not None
-                                and policy.job_timeout is not None else None)
-                    pending[token] = (index, attempt, deadline)
-                    pool.apply_async(
-                        self._func, (self._tasks[index],),
-                        callback=lambda value, token=token:
-                            results.put((token, True, value)),
-                        error_callback=lambda error, token=token:
-                            results.put((token, False, error)))
-                try:
-                    token, ok, value = results.get(
-                        timeout=self._wait_timeout(pending, retries,
-                                                   last_progress))
-                except queue_mod.Empty:
-                    if policy is None:
+                if all(worker.job is None for worker in workers):
+                    last_progress = now  # stalls count only jobs in flight
+                for worker in workers:
+                    if worker.job is None and todo:
+                        index, attempt = todo.popleft()
+                        worker.job = (index, attempt, now + timeout)
+                        # a worker that died unread is requeued from its
+                        # sentinel below
+                        with contextlib.suppress(ConnectionError):
+                            worker.conn.send(self._tasks[index])
+                ready = set(wait(
+                    [handle for worker in workers
+                     for handle in (worker.conn, worker.process.sentinel)],
+                    self._wait_timeout(workers, retries, last_progress)))
+                # the sentinel, not end-of-file alone: a process forked at
+                # the same moment elsewhere may hold a copy of the pipe
+                lost = [worker for worker in workers
+                        if worker.process.sentinel in ready]
+                for worker in workers:
+                    if worker.conn not in ready:
                         continue
-                    (pool, pids, rebuilds, last_progress,
-                     terminal) = self._health_check(
-                        pool, pids, pending, todo, retries, rebuilds,
-                        last_progress)
-                    for index, outcome in terminal:
-                        self._unfinished.discard(index)
-                        yield self._tasks[index], outcome
-                    continue
-                entry = pending.pop(token, None)
-                if entry is None:
-                    continue  # straggler from before a rebuild: ignore
-                index, attempt, _ = entry
-                last_progress = time.monotonic()
-                if ok:
-                    self._unfinished.discard(index)
-                    yield self._tasks[index], ("ok", value)
-                elif policy is None:
-                    raise value
-                else:
-                    outcome = self._attempt_failed(index, attempt, value,
-                                                   retries, tiebreak,
-                                                   cause="error")
+                    try:
+                        ok, value = worker.conn.recv()
+                    except (EOFError, ConnectionError):
+                        # it died (unread data turns EOF into a reset);
+                        # its sentinel may lag
+                        if worker not in lost:
+                            lost.append(worker)
+                        continue
+                    assert worker.job is not None  # one reply per job
+                    index, attempt, _ = worker.job
+                    worker.job = None
+                    last_progress = time.monotonic()
+                    if not ok and policy is None:
+                        raise value
+                    outcome = ("ok", value) if ok else self._attempt_failed(
+                        index, attempt, value, retries, tiebreak,
+                        cause="error")
                     if outcome is not None:
                         self._unfinished.discard(index)
                         yield self._tasks[index], outcome
-                if policy is not None and self._workers_churned(pool, pids):
-                    pool, pids, rebuilds = self._worker_loss(
-                        pool, pending, todo, rebuilds,
-                        "worker process died mid-run")
+                if lost:
+                    losses = self._lose(workers, lost, todo, losses)
+                    last_progress = time.monotonic()
+                if policy is None:
+                    continue
+                now = time.monotonic()
+                for worker in [worker for worker in workers
+                               if worker.job is not None
+                               and worker.job[2] <= now]:
+                    assert worker.job is not None
+                    index, attempt, _ = worker.job
+                    # a worker cannot cancel its job: replace the worker
+                    _reap(worker)
+                    workers[workers.index(worker)] = self._fork()
+                    last_progress = time.monotonic()
+                    outcome = self._attempt_failed(
+                        index, attempt,
+                        TimeoutError(f"job exceeded its {timeout:g}s "
+                                     "wall-clock budget"),
+                        retries, tiebreak, cause="timeout")
+                    if outcome is not None:
+                        self._unfinished.discard(index)
+                        yield self._tasks[index], outcome
+                busy = [worker for worker in workers if worker.job is not None]
+                if busy and now - last_progress >= policy.stall_timeout:
+                    losses = self._lose(
+                        workers, busy, todo, losses,
+                        f"no results for {policy.stall_timeout:g}s with "
+                        f"{len(busy)} job(s) in flight")
                     last_progress = time.monotonic()
             completed = True
         finally:
-            if pool is not None:
-                # success drains gracefully; errors and an abandoned
-                # consumer (GeneratorExit) wait out the tasks in flight,
-                # then terminate
-                try:
-                    if not completed:
-                        self._drain(pool, pids, pending, results,
-                                    last_progress)
-                finally:
-                    if completed:
-                        pool.close()
-                        pool.join()
-                    else:
-                        self._terminate(pool)
+            for worker in workers:
+                if completed:  # every worker is idle
+                    with contextlib.suppress(ConnectionError):
+                        worker.conn.send(None)
+                else:
+                    worker.process.kill()
+            for worker in workers:
+                worker.process.join()
+                worker.conn.close()
 
-    def _terminate(self, pool: Any) -> None:
-        """``pool.terminate()`` and ``join()``; under a policy, wait for
-        them at most the stall bound.
-
-        A worker killed while it sends a result keeps the result queue's
-        lock, and the pool's teardown then never returns.  Under a
-        policy such a teardown is left on a daemon thread, with the
-        pool's workers already killed, and the run goes on.
-        """
-        def teardown() -> None:
-            pool.terminate()
-            pool.join()
-
-        policy = self.policy
-        if policy is None:
-            teardown()
-            return
-        import threading
-
-        thread = threading.Thread(target=teardown, name="pool-teardown",
-                                  daemon=True)
-        thread.start()
-        thread.join(policy.stall_timeout)
-
-    def _drain(self, pool: Any, pids: set[int | None],
-               pending: dict[int, tuple[int, int, float | None]],
-               results: Any, last_progress: float) -> None:
-        """Wait for the results of the tasks in flight and drop them.
-
-        ``Pool.terminate`` kills workers wherever they are.  A worker
-        killed while it sends a result keeps the result queue's lock
-        forever, and the pool's own teardown then hangs on it.  A worker
-        with no task in flight holds no such lock.  The wait stops early
-        when a worker is lost, or when a deadline or the stall bound of
-        the policy passes: the same limits the main loop waits under.
-        """
-        import queue as queue_mod
-
-        policy = self.policy
-        while pending and not self._workers_churned(pool, pids):
-            if policy is not None:
-                now = time.monotonic()
-                if now - last_progress > policy.stall_timeout or any(
-                        deadline is not None and deadline <= now
-                        for _, _, deadline in pending.values()):
-                    return
-            try:
-                token, _, _ = results.get(timeout=_POLL_INTERVAL)
-            except queue_mod.Empty:
-                continue
-            if pending.pop(token, None) is not None:
-                last_progress = time.monotonic()
-
-    def _wait_timeout(self, pending: dict[int, tuple[int, int, float | None]],
+    def _wait_timeout(self, workers: list[_Worker],
                       retries: list[tuple[float, int, int, int]],
                       last_progress: float) -> float | None:
-        """How long to block on the result queue before a health check.
-        ``None`` (block forever) only under legacy ``policy=None``."""
+        """Seconds until the next retry falls due, a deadline expires or
+        the stall bound passes.  ``None`` (until a result or a death)
+        without a policy."""
         policy = self.policy
         if policy is None:
             return None
-        now = time.monotonic()
-        wait = _POLL_INTERVAL
+        held = [worker.job for worker in workers if worker.job is not None]
+        due = [deadline for _, _, deadline in held]
+        if held:  # the stall bound is finite, so an inf deadline never wins
+            due.append(last_progress + policy.stall_timeout)
         if retries:
-            wait = min(wait, retries[0][0] - now)
-        for _, _, deadline in pending.values():
-            if deadline is not None:
-                wait = min(wait, deadline - now)
-        if pending:
-            wait = min(wait, last_progress + policy.stall_timeout - now)
-        return max(0.0, wait)
+            due.append(retries[0][0])
+        return max(0.0, min(due) - time.monotonic()) if due else None
 
     def _attempt_failed(self, index: int, attempt: int, error: object,
                         retries: list[tuple[float, int, int, int]],
@@ -555,87 +577,34 @@ class PoolSupervisor:
                                  index, attempt + 1))
         return None
 
-    def _health_check(self, pool: Any, pids: set[int | None],
-                      pending: dict[int, tuple[int, int, float | None]],
-                      todo: deque[tuple[int, int]],
-                      retries: list[tuple[float, int, int, int]],
-                      rebuilds: int, last_progress: float
-                      ) -> tuple[Any, set[int | None], int, float,
-                                 list[tuple[int, tuple[str, Any]]]]:
-        """Timeout / worker-loss / stall handling on a quiet poll.
-
-        Returns the (possibly rebuilt) pool state plus a list of
-        ``(task_index, terminal_outcome)`` pairs for jobs quarantined by
-        an expired wall-clock budget — :meth:`run` yields those.
-        """
+    def _lose(self, workers: list[_Worker], lost: list[_Worker],
+              todo: deque[tuple[int, int]], losses: int,
+              reason: str | None = None) -> int:
+        """Kill and re-fork the ``lost`` workers and requeue the jobs they
+        held at their attempt counts (their jobs pay nothing); the
+        losses count once against ``max_rebuilds``.  Returns the new
+        loss count.  ``reason`` defaults to the workers' exit codes."""
+        for worker in lost:
+            _reap(worker)
+        if reason is None:
+            reason = "; ".join(
+                f"worker process {worker.process.pid} died (exit code "
+                f"{worker.process.exitcode})" for worker in lost)
         policy = self.policy
-        assert policy is not None  # run() only health-checks under a policy
-        now = time.monotonic()
-        terminal: list[tuple[int, tuple[str, Any]]] = []
-        expired = [token for token, (_, _, deadline) in pending.items()
-                   if deadline is not None and deadline <= now]
-        if expired:
-            # a pool cannot cancel a running task: rebuild, charging the
-            # expired job(s) one attempt and re-dispatching the rest
-            tiebreak = itertools.count(len(retries))
-            for token in expired:
-                index, attempt, _ = pending.pop(token)
-                budget = policy.job_timeout
-                outcome = self._attempt_failed(
-                    index, attempt,
-                    TimeoutError(f"job exceeded its {budget:g}s wall-clock "
-                                 "budget"),
-                    retries, tiebreak, cause="timeout")
-                if outcome is not None:
-                    terminal.append((index, outcome))
-            pool = self._rebuild(pool, pending, todo,
-                                 f"{len(expired)} job(s) timed out")
-            return (pool, self._pool_pids(pool), rebuilds, time.monotonic(),
-                    terminal)
-        if self._workers_churned(pool, pids):
-            pool, pids, rebuilds = self._worker_loss(
-                pool, pending, todo, rebuilds, "worker process died mid-run")
-            return pool, pids, rebuilds, time.monotonic(), terminal
-        if pending and now - last_progress > policy.stall_timeout:
-            pool, pids, rebuilds = self._worker_loss(
-                pool, pending, todo, rebuilds,
-                f"no results for {policy.stall_timeout:g}s with "
-                f"{len(pending)} job(s) in flight")
-            return pool, pids, rebuilds, time.monotonic(), terminal
-        return pool, pids, rebuilds, last_progress, terminal
-
-    def _worker_loss(self, pool: Any,
-                     pending: dict[int, tuple[int, int, float | None]],
-                     todo: deque[tuple[int, int]], rebuilds: int,
-                     reason: str) -> tuple[Any, set[int | None], int]:
-        """Unattributed loss: emit, count against the rebuild budget,
-        rebuild the pool, and re-dispatch the in-flight tasks with their
-        attempt counts unchanged (innocent bystanders pay nothing)."""
-        policy = self.policy
-        assert policy is not None  # only a configured policy rebuilds pools
-        self._emit(WorkerLost(reason=reason, in_flight=len(pending)))
-        rebuilds += 1
-        if rebuilds > policy.max_rebuilds:
-            # run() terminates the pool on its way out
+        if policy is None:
             raise SupervisorGaveUp(
-                f"pool rebuilt {policy.max_rebuilds} time(s) and "
-                f"workers kept dying ({reason}); "
+                f"{reason}, and no retry policy re-dispatches its job; "
                 f"{len(self._unfinished)} job(s) unfinished")
-        pool = self._rebuild(pool, pending, todo, reason)
-        return pool, self._pool_pids(pool), rebuilds
-
-    def _rebuild(self, pool: Any,
-                 pending: dict[int, tuple[int, int, float | None]],
-                 todo: deque[tuple[int, int]], reason: str) -> Any:
-        """Terminate + recreate the pool, requeueing every in-flight
-        task at its current attempt count."""
-        self._terminate(pool)
-        for index, attempt, _ in pending.values():
-            todo.append((index, attempt))
-        pending.clear()
-        try:
-            return self._pool_factory()
-        except Exception as error:
+        held = [worker.job for worker in lost if worker.job is not None]
+        self._emit(WorkerLost(reason=reason, in_flight=len(held)))
+        losses += 1
+        if losses > policy.max_rebuilds:
             raise SupervisorGaveUp(
-                f"pool rebuild after {reason!r} failed: {error!r}"
-            ) from error
+                f"workers lost {losses} time(s), more than max_rebuilds="
+                f"{policy.max_rebuilds} ({reason}); "
+                f"{len(self._unfinished)} job(s) unfinished")
+        for index, attempt, _ in held:
+            todo.append((index, attempt))
+        for worker in lost:
+            workers[workers.index(worker)] = self._fork()
+        return losses

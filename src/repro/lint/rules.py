@@ -609,17 +609,18 @@ class ObsPickleBoundary:
     state.  This rule taints every value whose def-chain includes a
     ``Tracer``/``MetricsRegistry``/``Observability`` construction (or a
     parameter named/annotated as one) and flags any tainted value in
-    the *payload* arguments of ``apply_async``/``submit``/``imap*``.
+    the *payload* arguments of ``apply_async``/``submit``/``imap*``, or
+    of a pipe's ``send``, which carries the pool's jobs and results.
     Callbacks (``callback=``/``error_callback=``) run parent-side and
     stay exempt.
     """
 
     rule_id = "obs-pickle-boundary"
     summary = ("no Tracer/MetricsRegistry/Observability value may flow "
-               "into executor submit payloads")
+               "into executor submit or pipe send payloads")
     _submit_names = frozenset({
         "apply_async", "apply", "submit", "imap", "imap_unordered",
-        "map_async", "starmap", "starmap_async",
+        "map_async", "starmap", "starmap_async", "send",
     })
     _obs_types = frozenset({"Tracer", "MetricsRegistry", "Observability"})
     _obs_factories = frozenset({"get_registry"})

@@ -14,10 +14,10 @@ precise grid cells:
   to serial);
 * sleep through a cell's wall-clock budget (a stuck worker → timeout).
 
-One-shot failures coordinate across respawned workers through claim
+One-shot failures coordinate across re-forked workers through claim
 tokens — ``O_CREAT | O_EXCL`` files in a scratch directory — so exactly
-one attempt dies no matter which worker draws the cell or how often the
-pool is rebuilt.  Poison cells carry no token: they fail on every
+one attempt dies no matter which worker draws the cell or how often
+workers are re-forked.  Poison cells carry no token: they fail on every
 attempt, which is what makes them poison.
 
 Everything here rides the executor's extension seam
@@ -64,8 +64,9 @@ class ChaosSpec:
     #: sleep ``slow_seconds`` in this cell (once → per-job timeout)
     slow_job: tuple[int, int] | None = None
     slow_seconds: float = 5.0
-    #: raise in the pool initializer (every worker, every rebuild),
-    #: which forces the degradation to serial
+    #: raise in the pool initializer (every worker, every re-fork): each
+    #: worker dies at start, which uses up ``max_rebuilds`` and forces
+    #: the degradation to serial
     fail_init: bool = False
 
     def claim(self, tag: str) -> bool:

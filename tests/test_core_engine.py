@@ -138,21 +138,24 @@ def test_one_job_grid_runs_serially_with_a_warning(trained_setup):
 
 
 def test_pool_starts_no_idle_worker(trained_setup, monkeypatch):
-    """A 2-job grid on a 4-worker executor forks a pool of 2."""
+    """A 2-job grid on a 4-worker executor forks 2 worker processes."""
     model, x, y = trained_setup
     kwargs = dict(xs=[0.35], repeats=2, seed=11)
     serial = FaultCampaign(model, x, y, rows=8, cols=4).run(
         FaultSpec.bitflip, **kwargs)
-    sizes = []
+    starts = []
     real_get_context = multiprocessing.get_context
 
     class RecordingContext:
         def __init__(self, context):
             self._context = context
 
-        def Pool(self, processes, *args, **kwargs):
-            sizes.append(processes)
-            return self._context.Pool(processes, *args, **kwargs)
+        def __getattr__(self, name):
+            return getattr(self._context, name)
+
+        def Process(self, *args, **kwargs):
+            starts.append(1)
+            return self._context.Process(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None:
@@ -161,7 +164,7 @@ def test_pool_starts_no_idle_worker(trained_setup, monkeypatch):
                        executor="shared_memory", n_jobs=4) as campaign:
         result = campaign.run(FaultSpec.bitflip, **kwargs)
     np.testing.assert_array_equal(serial.accuracies, result.accuracies)
-    assert sizes == [2]
+    assert len(starts) == 2
 
 
 def _report_blas_threads(job):  # module-level: the pool pickles it
@@ -187,9 +190,10 @@ def _openblas_thread_getter():
 @pytest.mark.parametrize("backend", ["float", "packed"])
 def test_pool_workers_pin_blas_threads_on_float(trained_setup, monkeypatch,
                                                 backend):
-    """Each of 2 forked float workers runs OpenBLAS on cpu_count // 2
-    threads (at least one), not on one thread per core; packed workers,
-    whose GEMM is the compiled kernel, keep the count they inherit."""
+    """Each of 2 forked float workers runs OpenBLAS on half the usable
+    CPUs (at least one thread), not on one thread per core; packed
+    workers, whose GEMM is the compiled kernel, keep the count they
+    inherit."""
     getter = _openblas_thread_getter()
     if getter is None:
         pytest.skip("numpy links no OpenBLAS with a thread setter")
@@ -199,8 +203,8 @@ def test_pool_workers_pin_blas_threads_on_float(trained_setup, monkeypatch,
                         _report_blas_threads)
     results = SharedMemoryExecutor(n_jobs=2).run(
         jobs, CampaignEvaluator(model, x, y, backend=backend))
-    expected = (max(1, (os.cpu_count() or 1) // 2) if backend == "float"
-                else getter())
+    expected = (max(1, engine_mod._usable_cpus() // 2)
+                if backend == "float" else getter())
     assert [accuracy for _, _, accuracy in results] == [expected] * len(jobs)
 
 
@@ -249,6 +253,16 @@ def test_repro_n_jobs_env_default(monkeypatch):
     assert SharedMemoryExecutor().n_jobs == 2
     monkeypatch.delenv("REPRO_N_JOBS")
     assert SharedMemoryExecutor(3).n_jobs == 3
+
+
+def test_default_pool_size_reads_the_cpu_affinity(monkeypatch):
+    """Under ``taskset -c 0`` on a multi-core host the default pool has
+    one worker, not one per host core."""
+    monkeypatch.delenv("REPRO_N_JOBS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert SharedMemoryExecutor().n_jobs == 1
 
 
 def test_executors_stream_results(trained_setup):

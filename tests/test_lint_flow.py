@@ -297,6 +297,21 @@ def test_obs_taint_killed_by_reassignment(tmp_path):
     assert [f.rule for f in findings] == ["obs-pickle-boundary"]
 
 
+def test_obs_object_sent_down_a_pipe_is_flagged(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/a.py": """\
+            from repro.obs import Tracer
+
+            def dispatch(conn, job):
+                tracer = Tracer()
+                conn.send(job)
+                conn.send((job, tracer))
+            """,
+    }, rules=[ObsPickleBoundary()])
+    assert [(f.rule, f.line) for f in findings] == \
+        [("obs-pickle-boundary", 6)]
+
+
 def test_obs_rule_ignores_tests_tree(tmp_path):
     findings = lint_tree(tmp_path, {
         "tests/test_a.py": """\

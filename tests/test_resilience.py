@@ -2,15 +2,23 @@
 journal's crash-recovery behavior."""
 
 import json
+import multiprocessing
 import os
+import signal
 import threading
+import time
 
+import numpy as np
 import pytest
 
-from repro.core import CampaignJournal, RetryPolicy, SupervisorGaveUp
+from repro import nn
+from repro.binary import QuantDense
+from repro.core import (CampaignJournal, FaultCampaign, FaultSpec,
+                        RetryPolicy, SupervisorGaveUp)
 from repro.core.resilience import (JobQuarantined, JobRetried, PoolSupervisor,
                                    WorkerLost, new_stats, note_stats,
                                    supervised_serial)
+from repro.testing import ChaosSharedMemoryExecutor, ChaosSpec
 
 # -- RetryPolicy ----------------------------------------------------------
 
@@ -99,140 +107,72 @@ def test_note_stats_folds_events():
     assert stats["workers_lost"] == 1
 
 
-# -- PoolSupervisor shutdown + retry semantics (synchronous fake pool) ----
+# -- PoolSupervisor on real forked workers --------------------------------
 
-class FakePool:
-    """apply_async runs inline; records the shutdown sequence."""
+class RecordingContext:
+    """The fork context, keeping every worker process it creates."""
 
     def __init__(self):
-        self.shutdown: list[str] = []
+        self._context = multiprocessing.get_context("fork")
+        self.processes = []
 
-    def apply_async(self, func, args, callback, error_callback):
-        try:
-            value = func(*args)
-        except Exception as error:
-            error_callback(error)
-        else:
-            callback(value)
+    def Pipe(self):
+        return self._context.Pipe()
 
-    def close(self):
-        self.shutdown.append("close")
+    def Process(self, *args, **kwargs):
+        self.processes.append(self._context.Process(*args, **kwargs))
+        return self.processes[-1]
 
-    def terminate(self):
-        self.shutdown.append("terminate")
 
-    def join(self):
-        self.shutdown.append("join")
+def _supervisor(func, tasks, policy, *, workers=2, **kwargs):
+    context = RecordingContext()
+    return context, PoolSupervisor(func, tasks, policy, context=context,
+                                   workers=workers, **kwargs)
 
 
 def test_supervisor_closes_pool_gracefully_on_success():
-    pool = FakePool()
-    supervisor = PoolSupervisor(lambda: pool, lambda t: t + 1, [1, 2, 3],
-                                RetryPolicy(backoff=0.0))
+    context, supervisor = _supervisor(lambda t: t + 1, [1, 2, 3],
+                                      RetryPolicy(backoff=0.0))
     outcomes = dict(supervisor.run())
     assert outcomes == {1: ("ok", 2), 2: ("ok", 3), 3: ("ok", 4)}
-    assert pool.shutdown == ["close", "join"]
     assert supervisor.unfinished() == []
+    # stopped by the stop message, not killed, and joined
+    assert [process.exitcode for process in context.processes] == [0, 0]
+    assert multiprocessing.active_children() == []
 
 
 def test_supervisor_terminates_pool_when_consumer_abandons():
-    pool = FakePool()
-    supervisor = PoolSupervisor(lambda: pool, lambda t: t, [1, 2, 3],
-                                RetryPolicy(backoff=0.0))
+    def call(task):
+        if task == 2:
+            time.sleep(30.0)
+        return task
+
+    _, supervisor = _supervisor(call, [1, 2, 3], RetryPolicy(backoff=0.0))
     stream = supervisor.run()
-    next(stream)
-    stream.close()  # the KeyboardInterrupt / early-break path
-    assert pool.shutdown == ["terminate", "join"]
-    assert supervisor.unfinished()  # the rest never got an outcome
+    assert next(stream) == (1, ("ok", 1))
+    # the KeyboardInterrupt / early-break path, which must not wait out
+    # task 2
+    closer = threading.Thread(target=stream.close, daemon=True)
+    closer.start()
+    closer.join(5.0)
+    assert not closer.is_alive()
+    assert multiprocessing.active_children() == []
+    assert 2 in supervisor.unfinished()
 
 
 def test_supervisor_policy_none_raises_and_terminates():
-    pool = FakePool()
-
     def explode(task):
         raise RuntimeError("job failed")
 
-    supervisor = PoolSupervisor(lambda: pool, explode, [1], None)
+    context, supervisor = _supervisor(explode, [1], None)
     with pytest.raises(RuntimeError, match="job failed"):
         list(supervisor.run())
-    assert pool.shutdown == ["terminate", "join"]
-
-
-class LatePool(FakePool):
-    """apply_async answers from a timer thread after ``delays[task]``
-    seconds, so tasks are really in flight when the run stops; records
-    which tasks had answered when ``terminate`` was called."""
-
-    def __init__(self, delays):
-        super().__init__()
-        self.delays = delays
-        self.answered = []
-
-    def apply_async(self, func, args, callback, error_callback):
-        def answer():
-            self.answered.append(args[0])
-            FakePool.apply_async(self, func, args, callback, error_callback)
-        threading.Timer(self.delays[args[0]], answer).start()
-
-    def terminate(self):
-        self.shutdown.append(("terminate", sorted(self.answered)))
-
-
-@pytest.mark.parametrize("path", ["error", "abandon"])
-def test_supervisor_waits_out_tasks_in_flight_before_terminate(path):
-    """Terminating a worker while it sends a result strands the result
-    queue's lock and hangs the pool's teardown, so the error and abandon
-    paths let every task in flight answer before ``terminate``."""
-    pool = LatePool({1: 0.0, 2: 0.2, 3: 0.3})
-
-    def call(task):
-        if path == "error" and task == 1:
-            raise RuntimeError("job failed")
-        return task
-
-    supervisor = PoolSupervisor(lambda: pool, call, [1, 2, 3], None)
-    stream = supervisor.run()
-    if path == "error":
-        with pytest.raises(RuntimeError, match="job failed"):
-            list(stream)
-    else:
-        next(stream)
-        stream.close()
-    assert pool.shutdown == [("terminate", [1, 2, 3]), "join"]
-
-
-def test_supervisor_rebuilds_past_a_teardown_that_never_returns():
-    """A pool whose terminate hangs (a worker died holding the result
-    queue's lock) costs the rebuild one stall bound, not the run."""
-    wedge = threading.Event()
-
-    class WedgedPool(FakePool):
-        returned = False
-
-        def apply_async(self, func, args, callback, error_callback):
-            pass  # the tasks vanish, as a killed worker's would
-
-        def terminate(self):
-            wedge.wait(timeout=10.0)
-            self.returned = True
-
-    pools = []
-
-    def factory():
-        pools.append(FakePool() if pools else WedgedPool())
-        return pools[-1]
-
-    policy = RetryPolicy(stall_timeout=0.2, max_rebuilds=1, backoff=0.0)
-    supervisor = PoolSupervisor(factory, lambda t: t, [1, 2], policy)
-    outcomes = dict(supervisor.run())
-    assert not pools[0].returned  # the run finished past the wedge
-    wedge.set()
-    assert outcomes == {1: ("ok", 1), 2: ("ok", 2)}
-    assert len(pools) == 2 and pools[1].shutdown == ["close", "join"]
+    assert [process.exitcode for process in context.processes] == \
+        [-signal.SIGKILL] * 2
+    assert multiprocessing.active_children() == []
 
 
 def test_supervisor_retries_then_quarantines():
-    pool = FakePool()
     events = []
     flaky = Flaky(1)       # task 1 succeeds on attempt 2
     poison = Flaky(99)     # task 2 never succeeds
@@ -240,9 +180,10 @@ def test_supervisor_retries_then_quarantines():
     def call(task):
         return flaky(task) if task == 1 else poison(task)
 
-    supervisor = PoolSupervisor(lambda: pool, call, [1, 2],
+    # one worker: the call counts live in that worker's memory
+    _, supervisor = _supervisor(call, [1, 2],
                                 RetryPolicy(max_attempts=2, backoff=0.0),
-                                on_event=events.append)
+                                workers=1, on_event=events.append)
     outcomes = dict(supervisor.run())
     assert outcomes[1] == ("ok", 10)
     assert outcomes[2][0] == "quarantined"
@@ -252,25 +193,120 @@ def test_supervisor_retries_then_quarantines():
 
 
 def test_supervisor_gave_up_lists_unfinished():
-    """A factory that fails on rebuild surfaces SupervisorGaveUp and
-    leaves the undone tasks claimable by the next rung."""
-    calls = {"n": 0}
+    """Workers that keep dying exhaust the loss budget: SupervisorGaveUp,
+    with the undone tasks left claimable by the next rung."""
+    def vanish(task):
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    class BlackHolePool(FakePool):
-        def apply_async(self, func, args, callback, error_callback):
-            pass  # the task vanishes, like a killed worker's would
-
-    def black_hole_factory():
-        calls["n"] += 1
-        return BlackHolePool()
-
-    policy = RetryPolicy(stall_timeout=0.2, max_rebuilds=1, backoff=0.0)
-    supervisor = PoolSupervisor(black_hole_factory, lambda t: t, [1, 2],
-                                policy)
+    policy = RetryPolicy(max_rebuilds=1, backoff=0.0)
+    context, supervisor = _supervisor(vanish, [1, 2], policy, workers=1)
     with pytest.raises(SupervisorGaveUp, match="unfinished"):
         list(supervisor.run())
     assert supervisor.unfinished() == [1, 2]
-    assert calls["n"] == 2  # initial pool + one rebuild
+    assert len(context.processes) == 2  # the first worker + one re-fork
+
+
+# -- one lost or timed-out worker costs only its own job -------------------
+
+GRID = dict(xs=[0.0, 0.3, 0.45], repeats=2, seed=7)
+
+
+@pytest.fixture(scope="module")
+def trained_setup():
+    """A tiny trained BNN with enough test data for 12 batches of 25."""
+    rng = np.random.default_rng(0)
+    x = rng.choice([-1.0, 1.0], size=(600, 16)).astype(np.float32)
+    y = (x[:, :8].sum(axis=1) > 0).astype(int)
+    model = nn.Sequential([
+        QuantDense(32, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
+        nn.BatchNorm(),
+        nn.Sign(),
+        QuantDense(2, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
+        nn.BatchNorm(),
+    ]).build((16,), seed=0)
+    nn.Trainer(nn.Adam(0.01), seed=0).fit(model, x[:300], y[:300],
+                                          epochs=15, batch_size=32)
+    return model, x[300:], y[300:]
+
+
+def _campaign(trained_setup, executor=None):
+    model, x, y = trained_setup
+    return FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
+                         executor=executor or "serial")
+
+
+@pytest.fixture(scope="module")
+def reference(trained_setup):
+    return _campaign(trained_setup).run(FaultSpec.bitflip, **GRID)
+
+
+def test_killed_worker_costs_only_its_own_job(trained_setup, reference,
+                                              tmp_path):
+    """One worker dies on cell (1, 0) while the other sleeps through
+    cell (0, 1): one WorkerLost, for the one job the dead worker held."""
+    chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(1, 0),
+                      slow_job=(0, 1), slow_seconds=1.0)
+    executor = ChaosSharedMemoryExecutor(
+        n_jobs=2, chaos=chaos,
+        policy=RetryPolicy(backoff=0.0, stall_timeout=5.0, max_rebuilds=1))
+    events = []
+    executor.on_event = events.append
+    result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
+                                                    **GRID)
+    np.testing.assert_array_equal(result.accuracies, reference.accuracies)
+    lost = [event for event in events if isinstance(event, WorkerLost)]
+    assert len(lost) == 1 and lost[0].in_flight == 1
+
+
+def test_timed_out_job_reforks_only_its_worker(trained_setup, reference,
+                                               tmp_path):
+    """A job past its timeout costs only its own worker: 2 workers and
+    one re-fork run the initializer 3 times."""
+    inits = tmp_path / "inits"
+
+    class CountingInits(ChaosSharedMemoryExecutor):
+        def _pool_functions(self):
+            initializer, task_fn = super()._pool_functions()
+
+            def counted(*initargs):
+                with open(inits, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                initializer(*initargs)
+            return counted, task_fn
+
+    chaos = ChaosSpec(scratch=str(tmp_path), slow_job=(0, 1),
+                      slow_seconds=30.0)
+    executor = CountingInits(
+        n_jobs=2, chaos=chaos,
+        policy=RetryPolicy(backoff=0.0, job_timeout=1.0, stall_timeout=5.0,
+                           max_rebuilds=1))
+    result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
+                                                    **GRID)
+    np.testing.assert_array_equal(result.accuracies, reference.accuracies)
+    assert executor.resilience["timeouts"] == 1
+    assert executor.resilience["workers_lost"] == 0
+    assert len(inits.read_text().split()) == 3
+
+
+def test_lost_worker_without_policy_raises(trained_setup, tmp_path):
+    """With no policy a dead worker raises SupervisorGaveUp naming it,
+    instead of leaving the run waiting for its result forever."""
+    chaos = ChaosSpec(scratch=str(tmp_path), kill_job=(1, 0))
+    executor = ChaosSharedMemoryExecutor(n_jobs=2, policy=None, chaos=chaos)
+    errors = []
+
+    def run():
+        try:
+            _campaign(trained_setup, executor).run(FaultSpec.bitflip, **GRID)
+        except SupervisorGaveUp as error:
+            errors.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(20.0)
+    assert not thread.is_alive(), "the run hung on a lost worker"
+    (error,) = errors
+    assert "worker process" in str(error) and "unfinished" in str(error)
 
 
 # -- journal crash recovery -----------------------------------------------
