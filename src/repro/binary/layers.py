@@ -55,14 +55,24 @@ Every quantized layer carries an ``execution_backend`` attribute:
     gain), or for ``same``-padded convolutions (zero padding has no
     bipolar encoding).
 
-Inference input memo: a campaign evaluator replays the same read-only
-activation batches through the model in every repetition, so the
-derived im2col columns (float) or packed words (packed) of those batches
-are worth keeping.  The evaluator owns that memo
-(:class:`repro.core.engine.CampaignEvaluator`) and lends it to the
-quantized layers only while it evaluates (``_input_memo``); a layer
-outside an evaluation, or fed any array the evaluator does not replay,
-memoizes nothing, so ordinary training/prediction is unaffected.
+Inference memo: a campaign evaluator replays the same read-only
+activation batches through the model in every repetition.  The evaluator
+owns a per-batch memo (:class:`repro.core.engine.CampaignEvaluator`) and
+lends it to the quantized layers only while it evaluates
+(``_input_memo``); a layer outside an evaluation, or fed any array the
+evaluator does not replay, memoizes nothing, so ordinary
+training/prediction is unaffected.  What a layer keeps there depends on
+its hooks:
+
+* without a kernel or product hook, nothing a fault plan does can change
+  the layer's GEMM result, because output faults act on the feature map
+  the layer has already computed.  The layer memoizes that result (tag
+  ``"output"``, before the output hook and the bias), derives it without
+  keeping its im2col columns or packed words, and marks it read-only;
+  each repetition then starts at the output hook;
+* with a kernel or product hook the GEMM result depends on the plan, so
+  the layer memoizes its derived input instead: the im2col columns
+  (``"cols"``, float) or packed words (``"packed"``).
 """
 
 from __future__ import annotations
@@ -74,6 +84,16 @@ from ..nn.layers import Layer
 from . import bitops, quantizers
 
 __all__ = ["QuantLayer", "QuantConv2D", "QuantDense"]
+
+
+def _unmemoized(tag: str, x: np.ndarray, derive):
+    """A derived input computed and not memoized."""
+    return derive()
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class QuantLayer(Layer):
@@ -161,6 +181,30 @@ class QuantLayer(Layer):
         if self._input_memo is None:
             return derive()
         return self._input_memo(self, tag, x, derive)
+
+    def _inference_output(self, x: np.ndarray) -> np.ndarray:
+        """The inference GEMM result for ``x``, before the output hook and
+        the bias.  With the memo lent and no kernel or product hook, it is
+        memoized itself and marked read-only, and its derived input is
+        not kept; otherwise the derived input goes through the memo."""
+        if (self._input_memo is None or self.kernel_fault_hook is not None
+                or self.product_fault_hook is not None):
+            return self._product(x, self._derived_input)
+        return self._input_memo(
+            self, "output", x,
+            lambda: _read_only(self._product(x, _unmemoized)))
+
+    def _product(self, x: np.ndarray, derived) -> np.ndarray:
+        """The inference GEMM result, packed where eligible, else float;
+        ``derived(tag, x, derive)`` supplies the derived input."""
+        raise NotImplementedError
+
+    def _finish(self, out: np.ndarray) -> np.ndarray:
+        """The output hook, then the bias."""
+        out = self._apply_output_hook(out)
+        if self.use_bias:
+            out = out + self.params["bias"]
+        return out
 
     def _quantize_input(self, x: np.ndarray) -> np.ndarray:
         return self.input_quantizer.quantize(x) if self.input_quantizer else x
@@ -256,7 +300,7 @@ class QuantConv2D(QuantLayer):
     def output_channels(self):
         return self.filters
 
-    def _forward_packed(self, x) -> np.ndarray | None:
+    def _forward_packed(self, x, derived) -> np.ndarray | None:
         """Packed XNOR/popcount convolution; ``None`` -> float fallback.
 
         ``same`` padding injects zeros into the im2col matrix, which have
@@ -267,8 +311,8 @@ class QuantConv2D(QuantLayer):
         kwords, length = self._packed_kernel_words()
         if kwords is None:
             return None
-        xwords, (oh, ow) = self._derived_input(
-            "packed", x, lambda: self._packed_input(x))
+        xwords, (oh, ow) = derived("packed", x,
+                                   lambda: self._packed_input(x))
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32).reshape(x.shape[0], oh, ow, self.filters)
 
@@ -282,31 +326,31 @@ class QuantConv2D(QuantLayer):
         return ops.im2col(x, self.kernel_size, self.kernel_size,
                           self.stride, self.padding)
 
-    def forward(self, x, training=False):
-        if not training and self._packed_eligible():
-            out = self._forward_packed(x)
-            if out is not None:
-                out = self._apply_output_hook(out)
-                if self.use_bias:
-                    out = out + self.params["bias"]
-                return out
-        qkernel = self._quantize_kernel()
-        if training:
-            qx = self._quantize_input(x)
-            cols, (oh, ow) = self._im2col(qx)
-        else:
-            cols, (oh, ow) = self._derived_input(
-                "cols", x, lambda: self._im2col(self._quantize_input(x)))
+    def _gemm(self, cols, shape, qkernel) -> np.ndarray:
+        """Float GEMM of im2col ``cols`` with ``qkernel``, through the
+        product hook, as an NHWC map of spatial ``shape``."""
         qw = qkernel.reshape(-1, self.filters)
         flat = cols @ qw
         if self.product_fault_hook is not None:
             flat = self.product_fault_hook(flat, cols, qw, self)
-        out = flat.reshape(x.shape[0], oh, ow, self.filters)
-        out = self._apply_output_hook(out)
-        if self.use_bias:
-            out = out + self.params["bias"]
-        if training:
-            self._cache = (x, qx, qkernel)
+        return flat.reshape(-1, *shape, self.filters)
+
+    def _product(self, x, derived):
+        if self._packed_eligible():
+            out = self._forward_packed(x, derived)
+            if out is not None:
+                return out
+        cols, shape = derived(
+            "cols", x, lambda: self._im2col(self._quantize_input(x)))
+        return self._gemm(cols, shape, self._quantize_kernel())
+
+    def forward(self, x, training=False):
+        if not training:
+            return self._finish(self._inference_output(x))
+        qx = self._quantize_input(x)
+        qkernel = self._quantize_kernel()
+        out = self._finish(self._gemm(*self._im2col(qx), qkernel))
+        self._cache = (x, qx, qkernel)
         return out
 
     def backward(self, dout):
@@ -361,34 +405,37 @@ class QuantDense(QuantLayer):
     def output_channels(self):
         return self.units
 
-    def _forward_packed(self, x) -> np.ndarray | None:
+    def _forward_packed(self, x, derived) -> np.ndarray | None:
         """Packed XNOR/popcount matmul; ``None`` -> float fallback."""
         kwords, length = self._packed_kernel_words()
         if kwords is None:
             return None
-        xwords = self._derived_input("packed", x,
-                                     lambda: bitops.pack_sign(x)[0])
+        xwords = derived("packed", x, lambda: bitops.pack_sign(x)[0])
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32)
 
-    def forward(self, x, training=False):
-        if not training and self._packed_eligible():
-            out = self._forward_packed(x)
-            if out is not None:
-                out = self._apply_output_hook(out)
-                if self.use_bias:
-                    out = out + self.params["bias"]
-                return out
-        qx = self._quantize_input(x)
-        qkernel = self._quantize_kernel()
+    def _gemm(self, qx, qkernel) -> np.ndarray:
+        """Float matmul of ``qx`` with ``qkernel``, through the product
+        hook."""
         out = qx @ qkernel
         if self.product_fault_hook is not None:
             out = self.product_fault_hook(out, qx, qkernel, self)
-        out = self._apply_output_hook(out)
-        if self.use_bias:
-            out = out + self.params["bias"]
-        if training:
-            self._cache = (x, qx, qkernel)
+        return out
+
+    def _product(self, x, derived):
+        if self._packed_eligible():
+            out = self._forward_packed(x, derived)
+            if out is not None:
+                return out
+        return self._gemm(self._quantize_input(x), self._quantize_kernel())
+
+    def forward(self, x, training=False):
+        if not training:
+            return self._finish(self._inference_output(x))
+        qx = self._quantize_input(x)
+        qkernel = self._quantize_kernel()
+        out = self._finish(self._gemm(qx, qkernel))
+        self._cache = (x, qx, qkernel)
         return out
 
     def backward(self, dout):

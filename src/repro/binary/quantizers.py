@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.ops import bipolar_sign
+
 __all__ = ["Quantizer", "SteSign", "ApproxSign", "MagnitudeAwareSign", "get"]
-
-
-def _sign(x: np.ndarray) -> np.ndarray:
-    """Bipolar sign with sign(0) = +1 (Larq convention)."""
-    return np.where(x >= 0, 1.0, -1.0).astype(np.float32)
 
 
 class Quantizer:
@@ -48,7 +45,7 @@ class SteSign(Quantizer):
         self.clip_value = clip_value
 
     def quantize(self, x):
-        return _sign(x)
+        return bipolar_sign(x)
 
     def grad(self, latent, upstream):
         return upstream * (np.abs(latent) <= self.clip_value)
@@ -61,7 +58,7 @@ class ApproxSign(Quantizer):
     """
 
     def quantize(self, x):
-        return _sign(x)
+        return bipolar_sign(x)
 
     def grad(self, latent, upstream):
         inside = np.abs(latent) < 1.0
@@ -84,7 +81,7 @@ class MagnitudeAwareSign(Quantizer):
         axes = tuple(range(x.ndim - 1))
         alpha = np.abs(x).mean(axis=axes, keepdims=True)
         self._last_alpha = alpha
-        return _sign(x) * alpha.astype(np.float32)
+        return bipolar_sign(x) * alpha.astype(np.float32)
 
     def grad(self, latent, upstream):
         # The gain is treated as a constant during backprop (Larq behaviour);
@@ -101,7 +98,7 @@ class MagnitudeAwareSign(Quantizer):
         """
         axes = tuple(range(x.ndim - 1))
         alpha = np.abs(x).mean(axis=axes, keepdims=True).astype(np.float32)
-        return _sign(x), alpha
+        return bipolar_sign(x), alpha
 
 
 _REGISTRY = {

@@ -450,8 +450,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-cap", type=int, default=None,
                         metavar="MiB",
                         help="byte cap (in MiB) on the campaign's whole "
-                             "derived-input memo (im2col / packed words "
-                             "of the batches it replays); default 256")
+                             "per-batch memo (split-layer outputs, or "
+                             "im2col / packed words, of the batches it "
+                             "replays); default 256")
     parser.add_argument("--retries", type=int, default=2, metavar="N",
                         help="extra attempts per campaign cell before it "
                              "is quarantined as NaN (default 2; 0 still "

@@ -115,10 +115,12 @@ class FaultCampaign:
     backend:
         ``"float"`` or ``"packed"`` — see :mod:`repro.binary.layers`.
     cache_bytes:
-        Byte cap on this campaign's whole derived-input memo: the im2col
-        columns / packed words of the activation batches it replays in
-        every repetition (see :class:`repro.core.engine.CampaignEvaluator`).
-        The memo fills until the cap and never evicts; ``None`` selects
+        Byte cap on this campaign's whole per-batch memo: the split
+        layer's pre-hook output, or the im2col columns / packed words of
+        a kernel- or product-hooked split layer, for each activation
+        batch it replays in every repetition (see
+        :class:`repro.core.engine.CampaignEvaluator`).  The memo fills
+        until the cap and never evicts; ``None`` selects
         :data:`repro.core.engine.DEFAULT_INPUT_CACHE_BYTES` (256 MiB).
     policy:
         A :class:`~repro.core.resilience.RetryPolicy` arming retries,
@@ -173,7 +175,7 @@ class FaultCampaign:
         self._evaluator.clear_caches()
 
     def input_cache_stats(self) -> dict:
-        """Hit/miss statistics of this campaign's derived-input memo
+        """Hit/miss statistics of this campaign's per-batch memo
         (see :meth:`CampaignEvaluator.input_cache_stats`)."""
         return self._evaluator.input_cache_stats()
 
@@ -188,7 +190,7 @@ class FaultCampaign:
 
     def clear_caches(self) -> None:
         """Release memoized evaluation state (baseline, prefix activations,
-        derived-input memo, packed kernels) — e.g. before discarding the
+        per-batch memo, packed kernels) — e.g. before discarding the
         campaign in a long-lived process."""
         self._evaluator.clear_caches()
 
@@ -389,17 +391,20 @@ class FaultCampaign:
         hits = max(0, cache["hits"] - cache_before["hits"])
         misses = max(0, cache["misses"] - cache_before["misses"])
         registry.counter("repro_input_cache_hits_total",
-                         "input-representation cache hits").inc(hits)
+                         "per-batch memo hits (split-layer outputs and "
+                         "derived inputs)").inc(hits)
         registry.counter("repro_input_cache_misses_total",
-                         "input-representation cache misses").inc(misses)
+                         "per-batch memo misses (split-layer outputs and "
+                         "derived inputs)").inc(misses)
         lookups = hits + misses
         registry.gauge(
             "repro_input_cache_hit_rate",
-            "input-representation cache hit rate, last run").set(
+            "per-batch memo hit rate, last run").set(
                 hits / lookups if lookups else 0.0)
         registry.gauge("repro_input_cache_bytes",
-                       "bytes pinned by the input-representation "
-                       "cache").set(cache.get("bytes", 0))
+                       "bytes pinned by the per-batch memo (split-layer "
+                       "outputs and derived inputs)").set(
+                           cache.get("bytes", 0))
         if kernel is not None and kernel.gemm is None:
             registry.counter(
                 "repro_kernel_fallback_total",

@@ -35,11 +35,16 @@ Redundant-work elimination
   cached, batch by batch, as read-only arrays; each job then only runs
   the suffix.  For LeNet this skips the unmapped CMOS conv0 + pooling
   stack — roughly half the inference — in every repetition;
-* the **derived inputs** of those batches — the im2col columns (float)
-  or packed words (packed) the first layer fed them computes — are
-  memoized per batch: the activation batches are *identically the same
-  objects* across jobs, so the memo keys on their identity (see
-  :mod:`repro.binary.layers`).
+* each job **starts at its fault hook**: FLIM faults the feature map a
+  layer has already computed, so the split layer's GEMM result (before
+  its output hook and bias) is the same in every job whose plan puts no
+  kernel or product hook on it.  That result is memoized per batch,
+  read-only, and a job only applies its output hook and runs the layers
+  after it.  A kernel- or product-hooked split layer (weight- and
+  product-level plans) memoizes its **derived input** per batch instead:
+  the im2col columns (float) or packed words (packed).  The activation
+  batches are *identically the same objects* across jobs, so the memo
+  keys on their identity (see :mod:`repro.binary.layers`).
 
 The evaluator takes a **defensive snapshot** of the test set at
 construction: mutating the caller's arrays afterwards can never desync the
@@ -64,7 +69,7 @@ Executors
     whose workers share the parent's memory copy-on-write.  The parent
     warms its evaluator — the baseline, the fault-free prefix
     activation batches of every split the pending jobs start at, and
-    the baseline split's derived inputs — and then *forks* the pool's
+    each split layer's memoized output — and then *forks* the pool's
     workers: every worker inherits that
     evaluator, test set and caches included, so nothing is pickled,
     copied or published, and no worker recomputes what the parent
@@ -118,9 +123,10 @@ __all__ = [
     "plan_has_faults",
 ]
 
-#: default byte cap on one evaluator's whole derived-input memo (im2col
-#: columns / packed words of the batches it replays), overridable per
-#: campaign: ``FaultCampaign(cache_bytes=...)`` or the CLI ``--cache-cap``
+#: default byte cap on one evaluator's whole per-batch memo (split-layer
+#: outputs, im2col columns and packed words of the batches it replays),
+#: overridable per campaign: ``FaultCampaign(cache_bytes=...)`` or the
+#: CLI ``--cache-cap``
 DEFAULT_INPUT_CACHE_BYTES = 256 << 20
 
 #: job result: (point index, repeat index, accuracy)
@@ -198,7 +204,7 @@ class CampaignEvaluator:
         self.model = model
         self.batch_size = batch_size
         self.backend = backend
-        #: byte cap on the whole derived-input memo
+        #: byte cap on the whole per-batch memo
         self.cache_bytes = (DEFAULT_INPUT_CACHE_BYTES if cache_bytes is None
                             else cache_bytes)
         self.x_test = np.array(x_test)
@@ -210,10 +216,11 @@ class CampaignEvaluator:
         #: split -> list of (activation batch, label batch)
         self._suffix_batches: dict[int,
                                    list[tuple[np.ndarray, np.ndarray]]] = {}
-        #: the derived-input memo: id(batch) -> (batch, {(layer, tag):
-        #: im2col columns / packed words}) for every activation batch in
-        #: ``_suffix_batches`` (holding the batch keeps its id unique); it
-        #: fills up to ``cache_bytes`` and never evicts
+        #: the per-batch memo: id(batch) -> (batch, {(layer, tag): the
+        #: layer's pre-hook output / im2col columns / packed words}) for
+        #: every activation batch in ``_suffix_batches`` (holding the
+        #: batch keeps its id unique); it fills up to ``cache_bytes`` and
+        #: never evicts
         self._memo: dict[int, tuple[np.ndarray, dict]] = {}
         self._memo_counts = {"hits": 0, "misses": 0, "bytes": 0}
         self._weights_version = getattr(model, "weights_version", None)
@@ -227,7 +234,7 @@ class CampaignEvaluator:
 
     def clear_caches(self) -> None:
         """Release every memoized evaluation artifact — the baseline, the
-        prefix activation batches and the derived-input memo — and the
+        prefix activation batches and the per-batch memo — and the
         model's per-layer scratch state (packed kernels)."""
         self._baseline = None
         self._suffix_batches.clear()
@@ -241,7 +248,7 @@ class CampaignEvaluator:
 
     @contextmanager
     def _evaluation_scope(self):
-        """Backend + input-memo scope for one evaluation.
+        """Backend + memo scope for one evaluation.
 
         The quantized layers run on this evaluator's backend and memoize
         through :meth:`_memoized`; both are restored afterwards, so a
@@ -262,9 +269,10 @@ class CampaignEvaluator:
                 layer._input_memo = memo
 
     def _memoized(self, layer, tag: str, x: np.ndarray, derive):
-        """``derive()`` — ``layer``'s ``tag`` representation of input
-        ``x`` — memoized when ``x`` is a batch this evaluator replays and
-        the memo still has room under ``cache_bytes``."""
+        """``derive()`` — ``layer``'s ``tag`` value for input ``x``: its
+        pre-hook output or a derived input — memoized when ``x`` is a
+        batch this evaluator replays and the memo still has room under
+        ``cache_bytes``."""
         entry = self._memo.get(id(x))
         if entry is None:
             return derive()  # not a replayed batch: memoize nothing
@@ -275,7 +283,7 @@ class CampaignEvaluator:
             return reps[key]
         self._memo_counts["misses"] += 1
         rep = derive()
-        # a conv's (array, (oh, ow)) tuple or a dense layer's word array
+        # an output or word array, or a conv's (array, (oh, ow)) tuple
         nbytes = (rep[0] if isinstance(rep, tuple) else rep).nbytes
         if self._memo_counts["bytes"] + nbytes <= self.cache_bytes:
             reps[key] = rep
@@ -294,7 +302,8 @@ class CampaignEvaluator:
         return batches
 
     def input_cache_stats(self) -> dict:
-        """Hit/miss statistics and footprint of the derived-input memo.
+        """Hit/miss statistics and footprint of the per-batch memo (split
+        layer outputs and derived inputs).
 
         Returns
         -------
@@ -404,17 +413,21 @@ class CampaignEvaluator:
             return self._evaluate_suffix(split)
 
     def warm(self, plans: Iterable[FaultPlan]) -> None:
-        """Fill the caches evaluating ``plans`` reads: the baseline, and
-        the prefix activation batches of every split a faulty plan
-        starts at (shallowest first, so each continues from the last).
-        A pool's parent calls this before forking, so no worker computes
-        a prefix."""
+        """Fill the caches evaluating ``plans`` reads: the baseline, the
+        prefix activation batches of every split a faulty plan starts
+        at (shallowest first, so each continues from the last), and the
+        split layer's memoized output for each of those batches, as the
+        baseline pass leaves it for the baseline split.  A pool's parent
+        calls this before forking, so no worker computes a prefix and an
+        output-level worker scores no memo miss."""
         self.baseline()
         splits = {self._split_for(plan.keys()) for plan in plans
                   if plan_has_faults(plan)}
         with self._evaluation_scope():
-            for split in sorted(splits):
-                self._batches_for(split)
+            for split in sorted(splits - self._suffix_batches.keys()):
+                head = self.model.layers[split]
+                for z, _ in self._batches_for(split):
+                    head.forward(z, training=False)
 
     def run_job(self, job: CampaignJob) -> JobResult:
         return job.point_index, job.repeat_index, self.evaluate_plan(job.plan)
@@ -551,8 +564,8 @@ def _worker_init(evaluator: CampaignEvaluator,
     """Pool initializer: keep the parent's evaluator and pin BLAS.
 
     The pool forks, so ``evaluator`` — the parent's own object, with the
-    test set, prefix activation batches and derived-input memo the
-    parent warmed — is already in this process's memory: the argument
+    test set, prefix activation batches and per-batch memo the parent
+    warmed — is already in this process's memory: the argument
     was inherited, not pickled, and nothing is copied.  With a
     ``set_blas_threads`` setter, the worker runs OpenBLAS on
     ``blas_threads`` threads instead of one per core.
@@ -579,8 +592,8 @@ class SharedMemoryExecutor(SerialExecutor):
 
     Before the pool starts, the parent warms its evaluator: the
     fault-free baseline, the prefix activation batches of every split
-    the jobs start at, and the baseline split's derived im2col/packed
-    inputs.  It then forks ``min(n_jobs, len(jobs))`` workers (always
+    the jobs start at, and each split layer's memoized output.  It then
+    forks ``min(n_jobs, len(jobs))`` workers (always
     the ``fork`` start method) and hands each the evaluator through the
     initializer's arguments, which fork inherits instead of pickling:
     workers share the parent's pages copy-on-write, nothing is copied or

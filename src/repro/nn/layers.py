@@ -260,7 +260,7 @@ class Sign(Layer):
     def forward(self, x, training=False):
         if training:
             self._cache = x
-        return np.where(x >= 0, 1.0, -1.0).astype(np.float32)
+        return ops.bipolar_sign(x)
 
     def backward(self, dout):
         return dout * (np.abs(self._cache) <= 1.0)

@@ -24,6 +24,7 @@ __all__ = [
     "maxpool2d_backward",
     "avgpool2d",
     "avgpool2d_backward",
+    "bipolar_sign",
 ]
 
 
@@ -149,12 +150,21 @@ def maxpool2d(x: np.ndarray, size: int = 2,
     max (ties broken toward the first occurrence), and is consumed by
     :func:`maxpool2d_backward`.  Building it costs more than the pooling
     itself, so inference passes set ``with_mask=False`` and get
-    ``(out, None)``.
+    ``(out, None)``.  Without the mask the window maximum is the
+    ``np.maximum`` of the ``size**2`` strided slices, one per window
+    offset: max is exact, so the values equal the 6-D reduction's (NaN
+    included; the sign of a zero may differ), several times faster with
+    channels last.
     """
     view = _pool_view(x, size)
-    out = view.max(axis=(2, 4))
     if not with_mask:
+        out = view[:, :, 0, :, 0].copy()
+        for i in range(size):
+            for j in range(size):
+                if i or j:
+                    np.maximum(out, view[:, :, i, :, j], out=out)
         return out, None
+    out = view.max(axis=(2, 4))
     expanded = out[:, :, None, :, None, :]
     winners = (view == expanded)
     # break ties: keep only the first winner per window
@@ -167,6 +177,16 @@ def maxpool2d(x: np.ndarray, size: int = 2,
     mask = first.reshape(n, oh, ow, c, size, size).transpose(0, 1, 4, 2, 5, 3)
     mask = mask.reshape(x.shape)
     return out, mask.astype(x.dtype)
+
+
+def bipolar_sign(x: np.ndarray) -> np.ndarray:
+    """Bipolar sign as float32: +1 where ``x >= 0`` (so sign(0) = +1, the
+    Larq convention), -1 elsewhere, NaN included.  One comparison pass
+    and two in-place passes; no float64 temporary."""
+    out = (x >= 0).astype(np.float32)
+    out *= 2
+    out -= 1
+    return out
 
 
 def maxpool2d_backward(dout: np.ndarray, mask: np.ndarray, size: int = 2) -> np.ndarray:

@@ -10,10 +10,11 @@ import pytest
 from repro import nn
 from repro.binary import QuantDense
 from repro.core import (CampaignEvaluator, FaultCampaign, FaultGenerator,
-                        FaultInjector, FaultSpec, SerialExecutor,
+                        FaultInjector, FaultSpec, Semantics, SerialExecutor,
                         SharedMemoryExecutor, build_jobs, get_executor,
                         plan_has_faults)
 from repro.core import engine as engine_mod
+from repro.experiments.common import get_mnist, trained_lenet
 
 
 @pytest.fixture(scope="module")
@@ -64,23 +65,91 @@ def test_plan_has_faults(trained_setup):
     assert plan_has_faults(faulty)
 
 
-def test_engine_matches_legacy_triple_loop(trained_setup):
-    """The job engine must reproduce the seed engine's loop bit-for-bit."""
-    model, x, y = trained_setup
-    xs = [0.0, 0.3]
-    repeats = 3
+def _assert_matches_legacy(model, x, y, spec_factory, xs, repeats, rows,
+                           cols, layers=None, backend="float"):
+    """The campaign's grid equals the seed engine's loop: attach each
+    plan and run ``model.evaluate`` (on float, the oracle backend)."""
     injector = FaultInjector(True)
     legacy = np.zeros((len(xs), repeats))
     for i, x_value in enumerate(xs):
         for j in range(repeats):
-            generator = FaultGenerator(FaultSpec.bitflip(x_value), rows=8,
-                                       cols=4, seed=7919 * j + 104729 * i)
-            with injector.injecting(model, generator.generate(model)):
+            generator = FaultGenerator(spec_factory(x_value), rows=rows,
+                                       cols=cols, seed=7919 * j + 104729 * i)
+            with injector.injecting(model,
+                                    generator.generate(model, layers=layers)):
                 legacy[i, j] = model.evaluate(x, y)
-    campaign = FaultCampaign(model, x, y, rows=8, cols=4)
-    result = campaign.run(FaultSpec.bitflip, xs=xs, repeats=repeats, seed=0)
+    campaign = FaultCampaign(model, x, y, rows=rows, cols=cols,
+                             backend=backend)
+    result = campaign.run(spec_factory, xs=xs, repeats=repeats, seed=0,
+                          layers=layers)
     np.testing.assert_array_equal(result.accuracies, legacy)
     assert result.baseline == model.evaluate(x, y)
+    return legacy
+
+
+def test_engine_matches_legacy_triple_loop(trained_setup):
+    """The job engine must reproduce the seed engine's loop bit-for-bit."""
+    model, x, y = trained_setup
+    _assert_matches_legacy(model, x, y, FaultSpec.bitflip, xs=[0.0, 0.3],
+                           repeats=3, rows=8, cols=4)
+
+
+#: every hook a plan can put on the split layer: output (flips, dynamic
+#: flips, stuck-at, faulty lines), kernel (weight stuck-at) and product
+LEGACY_FAULTS = {
+    "bitflip": FaultSpec.bitflip,
+    "bitflip-period3": lambda x: FaultSpec.bitflip(x, period=3),
+    "stuck-output": FaultSpec.stuck_at,
+    "stuck-weight": lambda x: FaultSpec.stuck_at(
+        x, semantics=Semantics.WEIGHT),
+    "flip-product": lambda x: FaultSpec.bitflip(
+        x, semantics=Semantics.PRODUCT),
+    "rows": lambda x: FaultSpec.faulty_rows(round(10 * x)),
+    "columns": lambda x: FaultSpec.faulty_columns(round(10 * x)),
+}
+
+
+@pytest.fixture(scope="module")
+def lenet_setup():
+    _, test = get_mnist()
+    test = test.subset(300)
+    return trained_lenet(), test.x, test.y
+
+
+@pytest.mark.parametrize("fault", sorted(LEGACY_FAULTS))
+@pytest.mark.parametrize("backend", ["float", "packed"])
+@pytest.mark.parametrize("split", ["conv1", "conv2", "dense0"])
+def test_engine_matches_legacy_loop_on_lenet(lenet_setup, split, backend,
+                                             fault):
+    """Starting each cell at the split layer's fault hook (its memoized
+    output) or at its memoized derived input (kernel- and product-hooked
+    splits) equals attaching the plan and evaluating the whole model."""
+    model, x, y = lenet_setup
+    legacy = _assert_matches_legacy(
+        model, x, y, LEGACY_FAULTS[fault], xs=[0.0, 0.3], repeats=2,
+        rows=40, cols=10, layers=[split], backend=backend)
+    assert (legacy[1] != legacy[0]).any()  # the faults reached the output
+
+
+@pytest.mark.parametrize("backend", ["float", "packed"])
+def test_engine_matches_legacy_loop_with_biased_dense(backend):
+    """The memoized output is the GEMM result before the bias: a biased
+    split layer adds its bias after the output hook on every cell."""
+    rng = np.random.default_rng(5)
+    x = rng.choice([-1.0, 1.0], size=(120, 16)).astype(np.float32)
+    y = (x[:, :8].sum(axis=1) > 0).astype(int)
+    model = nn.Sequential([
+        QuantDense(32, use_bias=True, input_quantizer="ste_sign",
+                   kernel_quantizer="ste_sign"),
+        nn.BatchNorm(),
+        QuantDense(2, input_quantizer="ste_sign", kernel_quantizer="ste_sign"),
+    ]).build((16,), seed=0)
+    bias = model.layers[0].params["bias"]
+    bias[...] = rng.normal(0.0, 3.0, size=bias.shape)
+    legacy = _assert_matches_legacy(model, x, y, FaultSpec.bitflip,
+                                    xs=[0.0, 0.3], repeats=2, rows=8,
+                                    cols=4, backend=backend)
+    assert (legacy[1] != legacy[0]).any()
 
 
 def test_shared_memory_bit_identical_to_serial(trained_setup):

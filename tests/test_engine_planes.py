@@ -49,8 +49,8 @@ def test_pool_workers_compute_no_prefix(trained_setup, monkeypatch,
                                         backend):
     """Once the parent has warmed its evaluator, a 2-worker run at the
     baseline split equals serial with prefix computation patched to
-    raise: the forked workers inherit the prefix activations, and on
-    packed the split layer's words too, so every worker lookup hits."""
+    raise: the forked workers inherit the prefix activations and the
+    split layer's memoized output, so every worker lookup hits."""
     model, x, y = trained_setup
     jobs = build_jobs(model, FaultSpec.bitflip, [0.0, 0.3], 2, 0, 8, 4)
     serial = SerialExecutor().run(

@@ -1,4 +1,5 @@
-"""The campaign evaluator's derived-input memo (repro.core.engine)."""
+"""The campaign evaluator's per-batch memo (repro.core.engine): split
+layer outputs and derived inputs."""
 
 import numpy as np
 import pytest
@@ -108,8 +109,10 @@ def test_capped_memo_keeps_hitting_the_batches_it_holds(trained_setup):
 # -- the memo on the paper's LeNet -----------------------------------------
 
 #: hits of an 800-image LeNet campaign over the five Fig. 4a series at one
-#: rate with two repeats — what the per-layer caches before the memo scored
-LENET_HITS = {"float": 28, "packed": 40}
+#: rate with two repeats.  Both backends memoize every split layer's
+#: output, dense layers included (float kept no dense entry, and scored
+#: 28, while it memoized im2col columns)
+LENET_HITS = {"float": 40, "packed": 40}
 
 
 @pytest.mark.parametrize("backend", sorted(LENET_HITS))
@@ -135,16 +138,24 @@ def test_lenet_layer_sweep_memoizes_only_replayed_batches(backend):
                if hasattr(layer, "_input_memo"))
 
 
-@pytest.mark.parametrize("executor, n_jobs, hits", [
-    ("serial", None, 12),
-    ("shared_memory", 2, 16),
+@pytest.mark.parametrize("executor, n_jobs, layer, hits, misses", [
+    pytest.param("serial", None, "conv1", 12, 4, id="serial-None-12"),
+    pytest.param("shared_memory", 2, "conv1", 16, 4,
+                 id="shared_memory-2-16"),
+    pytest.param("shared_memory", 2, "conv2", 20, 8,
+                 id="shared_memory-2-conv2"),
 ])
 def test_pool_workers_memo_hits_reach_the_campaign_stats(executor, n_jobs,
-                                                         hits):
-    """Four cells over four batches: serial misses each batch once and
-    then hits; on the pool the parent misses each batch once while it
-    publishes, and the workers, which adopt the published words, hit on
-    all 16 lookups.  The meta and the run's counters both see them."""
+                                                         layer, hits,
+                                                         misses):
+    """Four cells over four batches.  Serial misses conv1's output once
+    per batch on the first cell, then hits.  On the pool the parent
+    warms before it forks: its baseline pass misses conv1's output per
+    batch, and for a conv2 grid it also runs conv2 over the conv2 split's
+    batches (4 more misses; computing that prefix hits conv1's 4
+    entries).  The workers inherit every entry and hit on all 16 of
+    their lookups, so the misses are the parent's warmed (split, batch)
+    pairs.  The meta and the run's counters both see them."""
     from repro.obs import Observability
     model = trained_lenet()
     _, test = get_mnist()
@@ -153,9 +164,36 @@ def test_pool_workers_memo_hits_reach_the_campaign_stats(executor, n_jobs,
     with FaultCampaign(model, test.x, test.y, executor=executor,
                        n_jobs=n_jobs, backend="packed", obs=obs) as campaign:
         result = campaign.run(FaultSpec.bitflip, xs=[0.1, 0.2], repeats=2,
-                              layers=["conv1"])
+                              layers=[layer])
     stats = result.meta["input_cache"]
-    assert (stats["hits"], stats["misses"]) == (hits, 4)
+    assert (stats["hits"], stats["misses"]) == (hits, misses)
     counters = obs.metrics.snapshot()["counters"]
     assert counters["repro_input_cache_hits_total"] == hits
-    assert counters["repro_input_cache_misses_total"] == 4
+    assert counters["repro_input_cache_misses_total"] == misses
+
+
+@pytest.mark.parametrize("backend", ["float", "packed"])
+def test_in_place_output_hook_raises_on_the_memoized_output(
+        trained_setup, monkeypatch, backend):
+    """The split layer's memoized output is read-only: an output hook
+    that writes into the feature map it is given raises, and the entry
+    every later cell starts from is left as it was."""
+    from repro.core import semantics
+    model, x, y = trained_setup
+    campaign = FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
+                             backend=backend)
+    campaign.baseline_accuracy()
+    held = [(rep, rep.copy())
+            for _, reps in campaign._evaluator._memo.values()
+            for rep in reps.values()]
+
+    def flip_in_place(feature_map, selector):
+        flat = feature_map.reshape(feature_map.shape[0], -1)
+        flat[:, selector] *= -1
+        return feature_map
+
+    monkeypatch.setattr(semantics, "apply_output_flips", flip_in_place)
+    with pytest.raises(ValueError, match="read-only"):
+        campaign.run(FaultSpec.bitflip, xs=[0.3], repeats=1)
+    assert len(held) == 16
+    assert all(np.array_equal(rep, copy) for rep, copy in held)

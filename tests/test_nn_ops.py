@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import ops
+
+#: float32 values the exact kernels must treat like their references
+SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf)
 
 
 def conv2d_reference(x, kernel, stride=1, padding="valid"):
@@ -113,6 +118,59 @@ def test_maxpool_backward_routes_gradient(rng):
 def test_maxpool_rejects_nondivisible():
     with pytest.raises(ValueError):
         ops.maxpool2d(np.zeros((1, 5, 4, 1)), 2)
+
+
+@st.composite
+def pool_inputs(draw):
+    """``(size, x)``: a float32 (specials included) or int16 NHWC batch
+    whose spatial dims the pooling size divides."""
+    size = draw(st.integers(1, 3))
+    n, oh, ow, c = (draw(st.integers(1, 3)) for _ in range(4))
+    shape = (n, oh * size, ow * size, c)
+    count = int(np.prod(shape))
+    if draw(st.booleans()):
+        values = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                           st.floats(-8, 8, width=32))
+        dtype = np.float32
+    else:
+        values = st.integers(-2 ** 15, 2 ** 15 - 1)
+        dtype = np.int16
+    data = draw(st.lists(values, min_size=count, max_size=count))
+    return size, np.array(data, dtype=dtype).reshape(shape)
+
+
+@given(pool_inputs())
+@settings(max_examples=200, deadline=None)
+def test_strided_maxpool_equals_window_reduction(case):
+    """Inference pooling (strided slices reduced by ``np.maximum``) gives
+    the 6-D window reduction's values; only the sign of a zero may
+    differ, which BN -> sign -> argmax cannot see."""
+    size, x = case
+    out, mask = ops.maxpool2d(x, size, with_mask=False)
+    n, h, w, c = x.shape
+    want = x.reshape(n, h // size, size, w // size, size, c).max(axis=(2, 4))
+    assert mask is None
+    assert out.dtype == x.dtype and out.flags.writeable
+    assert np.array_equal(out, want, equal_nan=True)
+
+
+def test_strided_maxpool_rejects_nondivisible():
+    with pytest.raises(ValueError):
+        ops.maxpool2d(np.zeros((1, 5, 4, 1)), 2, with_mask=False)
+
+
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                          st.floats(width=32)), min_size=1, max_size=64),
+       st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=150, deadline=None)
+def test_bipolar_sign_equals_where_expression(values, dtype):
+    """The one-pass sign equals ``np.where(x >= 0, 1.0, -1.0)`` cast to
+    float32, bit for bit: -0.0 maps to +1 and NaN to -1."""
+    x = np.array(values, dtype=dtype)
+    got = ops.bipolar_sign(x)
+    want = np.where(x >= 0, 1.0, -1.0).astype(np.float32)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
 
 
 def test_avgpool_roundtrip(rng):
