@@ -86,11 +86,6 @@ from . import bitops, quantizers
 __all__ = ["QuantLayer", "QuantConv2D", "QuantDense"]
 
 
-def _unmemoized(tag: str, x: np.ndarray, derive):
-    """A derived input computed and not memoized."""
-    return derive()
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -175,28 +170,30 @@ class QuantLayer(Layer):
         self._packed_kernel_cache = (token, words, length)
         return words, length
 
+    def _gemm_hooked(self) -> bool:
+        """Whether a kernel or product hook can change the GEMM result."""
+        return (self.kernel_fault_hook is not None
+                or self.product_fault_hook is not None)
+
     def _derived_input(self, tag: str, x: np.ndarray, derive):
         """``derive()`` — the ``tag`` representation of input ``x`` —
-        through the lent input memo when there is one."""
-        if self._input_memo is None:
+        through the lent memo when the GEMM is hooked (an unhooked layer
+        memoizes its output instead, :meth:`_inference_output`)."""
+        if self._input_memo is None or not self._gemm_hooked():
             return derive()
         return self._input_memo(self, tag, x, derive)
 
     def _inference_output(self, x: np.ndarray) -> np.ndarray:
         """The inference GEMM result for ``x``, before the output hook and
-        the bias.  With the memo lent and no kernel or product hook, it is
-        memoized itself and marked read-only, and its derived input is
-        not kept; otherwise the derived input goes through the memo."""
-        if (self._input_memo is None or self.kernel_fault_hook is not None
-                or self.product_fault_hook is not None):
-            return self._product(x, self._derived_input)
-        return self._input_memo(
-            self, "output", x,
-            lambda: _read_only(self._product(x, _unmemoized)))
+        the bias; memoized and marked read-only when the memo is lent and
+        the GEMM is not hooked."""
+        if self._input_memo is None or self._gemm_hooked():
+            return self._product(x)
+        return self._input_memo(self, "output", x,
+                                lambda: _read_only(self._product(x)))
 
-    def _product(self, x: np.ndarray, derived) -> np.ndarray:
-        """The inference GEMM result, packed where eligible, else float;
-        ``derived(tag, x, derive)`` supplies the derived input."""
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """The inference GEMM result, packed where eligible, else float."""
         raise NotImplementedError
 
     def _finish(self, out: np.ndarray) -> np.ndarray:
@@ -300,7 +297,7 @@ class QuantConv2D(QuantLayer):
     def output_channels(self):
         return self.filters
 
-    def _forward_packed(self, x, derived) -> np.ndarray | None:
+    def _forward_packed(self, x) -> np.ndarray | None:
         """Packed XNOR/popcount convolution; ``None`` -> float fallback.
 
         ``same`` padding injects zeros into the im2col matrix, which have
@@ -311,8 +308,8 @@ class QuantConv2D(QuantLayer):
         kwords, length = self._packed_kernel_words()
         if kwords is None:
             return None
-        xwords, (oh, ow) = derived("packed", x,
-                                   lambda: self._packed_input(x))
+        xwords, (oh, ow) = self._derived_input(
+            "packed", x, lambda: self._packed_input(x))
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32).reshape(x.shape[0], oh, ow, self.filters)
 
@@ -335,12 +332,12 @@ class QuantConv2D(QuantLayer):
             flat = self.product_fault_hook(flat, cols, qw, self)
         return flat.reshape(-1, *shape, self.filters)
 
-    def _product(self, x, derived):
+    def _product(self, x):
         if self._packed_eligible():
-            out = self._forward_packed(x, derived)
+            out = self._forward_packed(x)
             if out is not None:
                 return out
-        cols, shape = derived(
+        cols, shape = self._derived_input(
             "cols", x, lambda: self._im2col(self._quantize_input(x)))
         return self._gemm(cols, shape, self._quantize_kernel())
 
@@ -405,12 +402,13 @@ class QuantDense(QuantLayer):
     def output_channels(self):
         return self.units
 
-    def _forward_packed(self, x, derived) -> np.ndarray | None:
+    def _forward_packed(self, x) -> np.ndarray | None:
         """Packed XNOR/popcount matmul; ``None`` -> float fallback."""
         kwords, length = self._packed_kernel_words()
         if kwords is None:
             return None
-        xwords = derived("packed", x, lambda: bitops.pack_sign(x)[0])
+        xwords = self._derived_input("packed", x,
+                                     lambda: bitops.pack_sign(x)[0])
         flat = bitops.packed_matmul_words(xwords, kwords, length)
         return flat.astype(np.float32)
 
@@ -422,9 +420,9 @@ class QuantDense(QuantLayer):
             out = self.product_fault_hook(out, qx, qkernel, self)
         return out
 
-    def _product(self, x, derived):
+    def _product(self, x):
         if self._packed_eligible():
-            out = self._forward_packed(x, derived)
+            out = self._forward_packed(x)
             if out is not None:
                 return out
         return self._gemm(self._quantize_input(x), self._quantize_kernel())

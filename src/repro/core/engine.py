@@ -69,7 +69,8 @@ Executors
     whose workers share the parent's memory copy-on-write.  The parent
     warms its evaluator — the baseline, the fault-free prefix
     activation batches of every split the pending jobs start at, and
-    each split layer's memoized output — and then *forks* the pool's
+    each split layer's memo entries (its output, or its derived input
+    under weight- and product-level plans) — and then *forks* the pool's
     workers: every worker inherits that
     evaluator, test set and caches included, so nothing is pickled,
     copied or published, and no worker recomputes what the parent
@@ -416,18 +417,31 @@ class CampaignEvaluator:
         """Fill the caches evaluating ``plans`` reads: the baseline, the
         prefix activation batches of every split a faulty plan starts
         at (shallowest first, so each continues from the last), and the
-        split layer's memoized output for each of those batches, as the
-        baseline pass leaves it for the baseline split.  A pool's parent
-        calls this before forking, so no worker computes a prefix and an
-        output-level worker scores no memo miss."""
+        split layer's memo entries for each of those batches.  Its output
+        is memoized by one run under a plan that leaves its GEMM
+        unhooked (the baseline pass already did so at the baseline
+        split), its derived input by one run under a plan that hooks it
+        (weight- or product-level faults): that input is the same under
+        every plan.  A pool's parent calls this before forking, so no
+        worker computes a prefix or scores a memo miss."""
         self.baseline()
-        splits = {self._split_for(plan.keys()) for plan in plans
-                  if plan_has_faults(plan)}
+        warmed = set(self._suffix_batches)
+        heads: dict[tuple[int, bool], FaultPlan] = {}
+        for plan in plans:
+            if plan_has_faults(plan):
+                split = self._split_for(plan.keys())
+                masks = plan.get(self.model.layers[split].name)
+                hooked = masks is not None and masks.hooks_gemm
+                heads.setdefault((split, hooked), plan)
         with self._evaluation_scope():
-            for split in sorted(splits - self._suffix_batches.keys()):
-                head = self.model.layers[split]
-                for z, _ in self._batches_for(split):
-                    head.forward(z, training=False)
+            for split, hooked in sorted(heads):
+                if split in warmed and not hooked:
+                    continue
+                batches = self._batches_for(split)
+                with self.injector.injecting(self.model,
+                                             heads[split, hooked]):
+                    for z, _ in batches:
+                        self.model.layers[split].forward(z, training=False)
 
     def run_job(self, job: CampaignJob) -> JobResult:
         return job.point_index, job.repeat_index, self.evaluate_plan(job.plan)
@@ -592,9 +606,9 @@ class SharedMemoryExecutor(SerialExecutor):
 
     Before the pool starts, the parent warms its evaluator: the
     fault-free baseline, the prefix activation batches of every split
-    the jobs start at, and each split layer's memoized output.  It then
-    forks ``min(n_jobs, len(jobs))`` workers (always
-    the ``fork`` start method) and hands each the evaluator through the
+    the jobs start at, and each split layer's memo entries.  It then
+    forks ``min(n_jobs, len(jobs))`` workers (always the ``fork`` start
+    method) and hands each the evaluator through the
     initializer's arguments, which fork inherits instead of pickling:
     workers share the parent's pages copy-on-write, nothing is copied or
     published, and no worker recomputes what the parent warmed.  Each

@@ -200,6 +200,14 @@ class LayerMasks:
     def has_faults(self) -> bool:
         return bool(self.flip_mask.any() or self.stuck_mask.any())
 
+    @property
+    def hooks_gemm(self) -> bool:
+        """Whether a faulty plane acts at the weight or product level,
+        below the feature map, and so changes the layer's GEMM result."""
+        return bool((self.flip_semantics != "output" and self.flip_mask.any())
+                    or (self.stuck_semantics != "output"
+                        and self.stuck_mask.any()))
+
     def fault_counts(self) -> dict[str, int]:
         return {"bitflips": int(self.flip_mask.sum()),
                 "stuck": int(self.stuck_mask.sum())}

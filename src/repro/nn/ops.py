@@ -146,30 +146,29 @@ def maxpool2d(x: np.ndarray, size: int = 2,
               with_mask: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Non-overlapping max pooling.  Returns ``(out, argmax_mask)``.
 
+    The window maximum is the ``np.maximum`` of the ``size**2`` strided
+    slices, one per window offset: max is exact, so the values equal a 6-D
+    ``view.max(axis=(2, 4))`` reduction's (NaN included; the sign of a
+    zero may differ), several times faster with channels last.
+
     The mask has the input's shape, with ones at the positions that won the
     max (ties broken toward the first occurrence), and is consumed by
     :func:`maxpool2d_backward`.  Building it costs more than the pooling
     itself, so inference passes set ``with_mask=False`` and get
-    ``(out, None)``.  Without the mask the window maximum is the
-    ``np.maximum`` of the ``size**2`` strided slices, one per window
-    offset: max is exact, so the values equal the 6-D reduction's (NaN
-    included; the sign of a zero may differ), several times faster with
-    channels last.
+    ``(out, None)``.
     """
     view = _pool_view(x, size)
+    out = view[:, :, 0, :, 0].copy()
+    for i in range(size):
+        for j in range(size):
+            if i or j:
+                np.maximum(out, view[:, :, i, :, j], out=out)
     if not with_mask:
-        out = view[:, :, 0, :, 0].copy()
-        for i in range(size):
-            for j in range(size):
-                if i or j:
-                    np.maximum(out, view[:, :, i, :, j], out=out)
         return out, None
-    out = view.max(axis=(2, 4))
     expanded = out[:, :, None, :, None, :]
     winners = (view == expanded)
     # break ties: keep only the first winner per window
-    flat = winners.reshape(*winners.shape[:2], size, winners.shape[3], size, -1)
-    n, oh, _, ow, _, c = flat.shape
+    n, oh, _, ow, _, c = winners.shape
     flat2 = winners.transpose(0, 1, 3, 5, 2, 4).reshape(n, oh, ow, c, size * size)
     first = np.zeros_like(flat2)
     idx = flat2.argmax(axis=-1)

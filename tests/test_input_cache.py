@@ -6,7 +6,7 @@ import pytest
 
 from repro import nn
 from repro.binary import QuantDense
-from repro.core import FaultCampaign, FaultSpec
+from repro.core import FaultCampaign, FaultSpec, Semantics
 from repro.experiments.common import get_mnist, trained_lenet
 from repro.models.lenet import LENET_MAPPED_LAYERS
 
@@ -138,24 +138,38 @@ def test_lenet_layer_sweep_memoizes_only_replayed_batches(backend):
                if hasattr(layer, "_input_memo"))
 
 
-@pytest.mark.parametrize("executor, n_jobs, layer, hits, misses", [
-    pytest.param("serial", None, "conv1", 12, 4, id="serial-None-12"),
-    pytest.param("shared_memory", 2, "conv1", 16, 4,
+#: weight- and product-level faults hook the split layer's GEMM: its
+#: derived input is memoized instead of its output
+WEIGHT_STUCK = lambda x: FaultSpec.stuck_at(x, semantics=Semantics.WEIGHT)
+PRODUCT_FLIP = lambda x: FaultSpec.bitflip(x, semantics=Semantics.PRODUCT)
+
+
+@pytest.mark.parametrize("executor, n_jobs, layer, spec, hits, misses", [
+    pytest.param("serial", None, "conv1", FaultSpec.bitflip, 12, 4,
+                 id="serial-None-12"),
+    pytest.param("shared_memory", 2, "conv1", FaultSpec.bitflip, 16, 4,
                  id="shared_memory-2-16"),
-    pytest.param("shared_memory", 2, "conv2", 20, 8,
+    pytest.param("shared_memory", 2, "conv2", FaultSpec.bitflip, 20, 8,
                  id="shared_memory-2-conv2"),
+    pytest.param("shared_memory", 2, "conv1", WEIGHT_STUCK, 16, 8,
+                 id="shared_memory-2-weight"),
+    pytest.param("shared_memory", 2, "conv1", PRODUCT_FLIP, 16, 8,
+                 id="shared_memory-2-product"),
 ])
 def test_pool_workers_memo_hits_reach_the_campaign_stats(executor, n_jobs,
-                                                         layer, hits,
+                                                         layer, spec, hits,
                                                          misses):
     """Four cells over four batches.  Serial misses conv1's output once
     per batch on the first cell, then hits.  On the pool the parent
     warms before it forks: its baseline pass misses conv1's output per
     batch, and for a conv2 grid it also runs conv2 over the conv2 split's
     batches (4 more misses; computing that prefix hits conv1's 4
-    entries).  The workers inherit every entry and hit on all 16 of
-    their lookups, so the misses are the parent's warmed (split, batch)
-    pairs.  The meta and the run's counters both see them."""
+    entries).  Under weight- or product-level faults it runs conv1 once
+    more under one plan, missing conv1's derived input (packed words, or
+    im2col columns under a product hook) per batch.  The workers inherit
+    every entry and hit on all 16 of their lookups, so the misses are
+    the parent's warmed (split, batch, entry) triples.  The meta and the
+    run's counters both see them."""
     from repro.obs import Observability
     model = trained_lenet()
     _, test = get_mnist()
@@ -163,7 +177,7 @@ def test_pool_workers_memo_hits_reach_the_campaign_stats(executor, n_jobs,
     obs = Observability()
     with FaultCampaign(model, test.x, test.y, executor=executor,
                        n_jobs=n_jobs, backend="packed", obs=obs) as campaign:
-        result = campaign.run(FaultSpec.bitflip, xs=[0.1, 0.2], repeats=2,
+        result = campaign.run(spec, xs=[0.1, 0.2], repeats=2,
                               layers=[layer])
     stats = result.meta["input_cache"]
     assert (stats["hits"], stats["misses"]) == (hits, misses)

@@ -139,19 +139,29 @@ def pool_inputs(draw):
     return size, np.array(data, dtype=dtype).reshape(shape)
 
 
-@given(pool_inputs())
+@pytest.mark.parametrize("with_mask", [False, True])
+@given(case=pool_inputs())
 @settings(max_examples=200, deadline=None)
-def test_strided_maxpool_equals_window_reduction(case):
-    """Inference pooling (strided slices reduced by ``np.maximum``) gives
-    the 6-D window reduction's values; only the sign of a zero may
-    differ, which BN -> sign -> argmax cannot see."""
+def test_strided_maxpool_equals_window_reduction(with_mask, case):
+    """Pooling (strided slices reduced by ``np.maximum``) gives the 6-D
+    window reduction's values; only the sign of a zero may differ, which
+    BN -> sign -> argmax cannot see.  The mask marks one position per
+    window, holding that window's maximum wherever it is not NaN."""
     size, x = case
-    out, mask = ops.maxpool2d(x, size, with_mask=False)
+    out, mask = ops.maxpool2d(x, size, with_mask=with_mask)
     n, h, w, c = x.shape
-    want = x.reshape(n, h // size, size, w // size, size, c).max(axis=(2, 4))
-    assert mask is None
+    view = x.reshape(n, h // size, size, w // size, size, c)
+    want = view.max(axis=(2, 4))
     assert out.dtype == x.dtype and out.flags.writeable
     assert np.array_equal(out, want, equal_nan=True)
+    if not with_mask:
+        assert mask is None
+        return
+    won = mask.reshape(view.shape).astype(bool)
+    assert (won.sum(axis=(2, 4)) == 1).all()
+    picked = np.where(won, view, 0).sum(axis=(2, 4), dtype=x.dtype)
+    real = ~np.isnan(want)
+    assert np.array_equal(picked[real], want[real])
 
 
 def test_strided_maxpool_rejects_nondivisible():
