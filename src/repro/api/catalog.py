@@ -146,7 +146,7 @@ def _fig4_layer_family(ctx, spec_factory, rates, repeats, images, rows,
     results = fig4.layer_sweeps(
         model, test, spec_factory,
         tuple(rates if rates is not None else fig4.DEFAULT_RATES),
-        repeats, rows, cols, seed=seed, progress=ctx.series_progress,
+        repeats, rows, cols, seed=seed, progress_for=ctx.progress_for,
         journal_for=ctx.journal_for, **ctx.engine_kwargs())
     return _sweep_report(ctx, results)
 
@@ -212,7 +212,7 @@ def _fig4_line_family(ctx, spec_factory, counts, repeats, images, rows,
     results = fig4.line_sweeps(
         model, test, spec_factory,
         counts if counts is not None else default_counts, repeats, rows,
-        cols, seed=seed, progress=ctx.series_progress,
+        cols, seed=seed, progress_for=ctx.progress_for,
         journal_for=ctx.journal_for, **ctx.engine_kwargs())
     return _sweep_report(ctx, results)
 
@@ -313,7 +313,7 @@ def _fig5_family(ctx, spec_factory, xs, models, repeats, images, rows,
     results = fig5.model_sweep(
         spec_factory, list(xs), models=list(models) if models else None,
         repeats=repeats, rows=rows, cols=cols, seed=seed,
-        test=_imagenet_test(images), progress=ctx.series_progress,
+        test=_imagenet_test(images), progress_for=ctx.progress_for,
         journal_for=ctx.journal_for, **ctx.engine_kwargs())
     return _sweep_report(ctx, results)
 

@@ -17,13 +17,13 @@ way:
 ``RunWarning``
     A non-fatal condition worth surfacing — e.g. a pool executor
     falling back to the in-process serial loop because the job grid
-    cannot use its workers.
+    cannot use its workers, or a resumed journal's torn final line.
 ``JobRetried`` / ``JobQuarantined`` / ``WorkerLost`` / ``ExecutorDegraded``
-    Resilience events mirrored from the engine's supervision layer
-    (:mod:`repro.core.resilience`): a failed or timed-out cell being
-    retried with backoff; a poison cell quarantined (its accuracy is
-    NaN) after exhausting its attempts; a pool worker lost and
-    re-forked; the executor stepping down its degradation ladder.
+    Resilience events of the engine's supervision layer: a failed or
+    timed-out cell being retried with backoff; a poison cell
+    quarantined (its accuracy is NaN) after exhausting its attempts; a
+    pool worker lost and re-forked; the executor stepping down its
+    degradation ladder.
 ``JobStateChanged``
     Service runs only (:mod:`repro.service`): the submitted job moved
     through its lifecycle (queued → running → done/failed/cancelled).
@@ -39,7 +39,11 @@ way:
     assembled; carries the report.
 
 Events are frozen dataclasses: consumers dispatch on type and read
-fields, nothing mutates mid-stream.
+fields, nothing mutates mid-stream.  ``RunEvent``, ``RunWarning`` and
+the four resilience events are the engine's own records, defined in
+:mod:`repro.core.resilience` and imported here: a campaign's
+``on_event`` listener, a run's subscribers, the wire codec and the CLI
+all receive the same objects.
 """
 
 from __future__ import annotations
@@ -47,15 +51,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.resilience import (ExecutorDegraded, JobQuarantined, JobRetried,
+                               RunEvent, RunWarning, WorkerLost)
+
 __all__ = ["RunEvent", "RunStarted", "CellDone", "CheckpointDone",
            "RunWarning", "JobRetried", "JobQuarantined", "WorkerLost",
            "ExecutorDegraded", "JobStateChanged", "TelemetrySnapshot",
            "RunFinished"]
-
-
-@dataclass(frozen=True)
-class RunEvent:
-    """Base class of every streamed event (useful for isinstance gates)."""
 
 
 @dataclass(frozen=True)
@@ -90,56 +92,6 @@ class CheckpointDone(RunEvent):
     index: int
     total: int
     age: float
-
-
-@dataclass(frozen=True)
-class RunWarning(RunEvent):
-    """A non-fatal condition the consumer should surface."""
-
-    message: str
-
-
-@dataclass(frozen=True)
-class JobRetried(RunEvent):
-    """A cell's attempt failed (``cause`` is ``"error"`` or
-    ``"timeout"``); it retries after ``delay`` seconds."""
-
-    point: int
-    repeat: int
-    attempt: int
-    delay: float
-    cause: str
-    error: str
-
-
-@dataclass(frozen=True)
-class JobQuarantined(RunEvent):
-    """A cell exhausted its attempts; its accuracy is NaN and the run
-    continues without it."""
-
-    point: int
-    repeat: int
-    attempts: int
-    error: str
-
-
-@dataclass(frozen=True)
-class WorkerLost(RunEvent):
-    """Pool workers died (or stalled) and were re-forked; the
-    ``in_flight`` cells they held were re-dispatched."""
-
-    reason: str
-    in_flight: int
-
-
-@dataclass(frozen=True)
-class ExecutorDegraded(RunEvent):
-    """The executor stepped down its degradation ladder; remaining
-    cells run in ``to_mode`` with bit-identical results."""
-
-    from_mode: str
-    to_mode: str
-    reason: str
 
 
 @dataclass(frozen=True)

@@ -12,40 +12,29 @@ Two consumption styles:
   lands on ``handle.report``).
 
 The :class:`RunContext` is the runner side of the same contract: it
-hands catalog functions their engine options (with the executor's
-warning hook pre-wired to ``RunWarning`` events), per-series progress
-callbacks that emit ``CellDone``, and journal-path derivation with the
-overwrite guard the CLI used to hand-roll per subcommand.
+hands catalog functions their engine options (with every campaign's
+``on_event`` listener set to the run's stream, so the engine's
+resilience records and warnings reach subscribers as they are),
+per-series progress callbacks that emit ``CellDone``, and journal-path
+derivation with the overwrite guard the CLI used to hand-roll per
+subcommand.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import asdict
 from pathlib import Path
 
 from .. import obs as _obs
-from ..core import resilience as core_resilience
-from ..core.engine import get_executor
 from .errors import ApiError
-from .events import (CellDone, ExecutorDegraded, JobQuarantined, JobRetried,
-                     RunEvent, RunFinished, RunStarted, RunWarning,
-                     TelemetrySnapshot, WorkerLost)
+from .events import (CellDone, RunEvent, RunFinished, RunStarted, RunWarning,
+                     TelemetrySnapshot)
 from .registry import Experiment
 from .report import RunReport, SeriesReport, series_from_sweeps
 from .request import RunRequest
 
 __all__ = ["RunContext", "RunHandle"]
-
-#: engine resilience record type -> mirrored api event type (the field
-#: names match pairwise, so relaying is a plain asdict round-trip)
-_ENGINE_EVENTS = {
-    core_resilience.JobRetried: JobRetried,
-    core_resilience.JobQuarantined: JobQuarantined,
-    core_resilience.WorkerLost: WorkerLost,
-    core_resilience.ExecutorDegraded: ExecutorDegraded,
-}
 
 
 class RunContext:
@@ -57,7 +46,6 @@ class RunContext:
         self.entry: Experiment = handle.entry
         self.params: dict = handle.params
         self.quick: bool = handle.request.quick
-        self._executor_obj = None
         #: journal paths issued so far, label -> path
         self.journals: dict[str, str] = {}
         #: the run's telemetry (spans + metrics); RunHandle.run activates
@@ -74,38 +62,16 @@ class RunContext:
         self.emit(RunWarning(message))
 
     # -- engine options -------------------------------------------------
-    @property
-    def executor(self):
-        """The run's executor object (created once, warning hook wired).
-
-        Passing the *object* — rather than the name — into
-        :class:`~repro.core.FaultCampaign` lets multi-campaign
-        experiments (per-layer grids, the model zoo) share one executor,
-        its hooks and its resilience counters across campaigns.
-        """
-        if self._executor_obj is None:
-            executor = get_executor(self.request.executor,
-                                    self.request.n_jobs,
-                                    self.request.retry_policy())
-            if hasattr(executor, "on_warning"):
-                executor.on_warning = self.warn
-            if hasattr(executor, "on_event"):
-                executor.on_event = self._relay_engine_event
-            self._executor_obj = executor
-        return self._executor_obj
-
-    def _relay_engine_event(self, record) -> None:
-        """Mirror one engine resilience record as its typed api event."""
-        cls = _ENGINE_EVENTS.get(type(record))
-        if cls is not None:
-            self.emit(cls(**asdict(record)))
-
     def engine_kwargs(self) -> dict:
         """Keyword arguments for :class:`~repro.core.FaultCampaign` (and
-        the drivers that forward to it)."""
-        return {"executor": self.executor, "n_jobs": self.request.n_jobs,
-                "backend": self.request.backend,
-                "cache_bytes": self.request.cache_bytes}
+        the sweep helpers that forward to it): the request's engine
+        options, and :meth:`emit` as the campaign's ``on_event``
+        listener."""
+        request = self.request
+        return {"executor": request.executor, "n_jobs": request.n_jobs,
+                "policy": request.retry_policy(),
+                "backend": request.backend,
+                "cache_bytes": request.cache_bytes, "on_event": self.emit}
 
     # -- progress -------------------------------------------------------
     def progress_for(self, series: str):
@@ -117,13 +83,6 @@ class RunContext:
                                point=point, repeat=repeat,
                                accuracy=accuracy))
         return progress
-
-    def series_progress(self, series, done, total, cell) -> None:
-        """Driver-level progress hook (``progress(series, done, total,
-        cell)``) — the signature the sweep helpers of
-        :mod:`repro.experiments.fig4` and :mod:`repro.experiments.fig5`
-        forward per campaign series."""
-        self.progress_for(series)(done, total, cell)
 
     # -- journals -------------------------------------------------------
     def journal_for(self, label: str | None = None) -> str | None:

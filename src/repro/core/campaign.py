@@ -18,6 +18,12 @@ completed cell into a JSONL file as it arrives, and a rerun with the same
 path skips the already-journaled cells — a killed campaign resumes where
 it died and reproduces the uninterrupted result exactly
 (:mod:`repro.core.journal`).
+
+The campaign owns each run's events.  :meth:`FaultCampaign.run` hands
+its executor one ``emit`` callback, which folds the resilience records
+(:mod:`repro.core.resilience`) into ``SweepResult.meta["resilience"]``,
+journals them, and forwards every record, warnings included, to the
+campaign's ``on_event`` listener.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from ..nn.model import Sequential
 from .engine import CampaignEvaluator, build_jobs, get_executor
 from .faults import FaultSpec
 from .journal import CampaignJournal
-from .resilience import new_stats
+from .resilience import (RunEvent, RunWarning, new_stats, note_stats,
+                         stats_to_metrics)
 
 __all__ = ["SweepResult", "FaultCampaign"]
 
@@ -105,8 +112,8 @@ class FaultCampaign:
     ----------
     executor:
         ``"serial"`` (default), ``"shared_memory"``, or an executor
-        object with a ``run(jobs, evaluator)`` method (streaming
-        executors additionally provide ``run_iter``).
+        object: a ``name`` and a ``run_iter(jobs, evaluator, emit,
+        obs)`` method streaming ``(point, repeat, accuracy)`` results.
     n_jobs:
         Worker count for the pool executor; ``None`` means the
         ``REPRO_N_JOBS`` environment variable, or else one worker per
@@ -135,6 +142,14 @@ class FaultCampaign:
         layer activates one around each registry experiment — and runs
         fully uninstrumented when there is none.  Telemetry never feeds
         computation: results are bit-identical with or without it.
+    on_event:
+        The listener of every :meth:`run`: ``on_event(record)`` receives
+        each :class:`~repro.core.resilience.RunEvent` the run reports —
+        the resilience records (``JobRetried``, ``JobQuarantined``,
+        ``WorkerLost``, ``ExecutorDegraded``) and ``RunWarning`` (a
+        grid too small for the pool, a resumed journal's torn final
+        line).  ``None`` (default) drops them, except the torn-line
+        warning, which goes to :func:`warnings.warn`.
     """
 
     def __init__(self, model: Sequential, x_test: np.ndarray, y_test: np.ndarray,
@@ -142,8 +157,10 @@ class FaultCampaign:
                  continue_time_across_layers: bool = True,
                  executor: str | object = "serial", n_jobs: int | None = None,
                  backend: str = "float", cache_bytes: int | None = None,
-                 policy=None, obs=None):
+                 policy=None, obs=None,
+                 on_event: Callable[[RunEvent], None] | None = None):
         self.obs = obs if obs is not None else _obs.current()
+        self.on_event = on_event
         self.model = model
         self.rows = rows
         self.cols = cols
@@ -229,7 +246,8 @@ class FaultCampaign:
             interrupted earlier run of the *same* grid — validated via
             header + data/weights fingerprint) are skipped.  Resilience
             events (retries, quarantines, worker losses, degradations)
-            are journaled as audit lines alongside the cells.
+            are journaled as audit lines alongside the cells; warnings
+            are not.
         journal_fsync : bool
             ``os.fsync`` every journal append so it survives OS crashes
             and power loss, not just process kills (slower; off by
@@ -253,6 +271,19 @@ class FaultCampaign:
         resumed = 0
         journal_obj = None
         skip: set[tuple[int, int]] | None = None
+        # always attached, zeroed on clean unsupervised runs — consumers
+        # (and journaled resumes) can rely on its presence
+        resilience = new_stats()
+        listener = self.on_event
+
+        def emit(record: RunEvent) -> None:
+            note_stats(resilience, record)
+            if journal_obj is not None and not isinstance(record,
+                                                          RunWarning):
+                journal_obj.note(record)
+            if listener is not None:
+                listener(record)
+
         if journal is not None:
             header = {"xs": [float(x) for x in xs], "repeats": repeats,
                       "seed": seed, "rows": self.rows, "cols": self.cols,
@@ -264,8 +295,8 @@ class FaultCampaign:
                       "label": label}
             journal_obj = CampaignJournal(
                 journal, header, fsync=journal_fsync,
-                on_warning=getattr(self._executor, "on_warning",
-                                   None)).open()
+                on_warning=None if listener is None
+                else lambda message: emit(RunWarning(message))).open()
             skip = set()
             for (i, j), accuracy in journal_obj.completed.items():
                 if i < len(xs) and j < repeats:
@@ -278,8 +309,7 @@ class FaultCampaign:
         # loaded before any pool starts, so forked workers inherit it;
         # float campaigns never build or load it
         kernel = bitops.kernel() if self.backend == "packed" else None
-        executor_name = getattr(self._executor, "name",
-                                type(self._executor).__name__)
+        executor_name = self._executor.name
         try:
             with self._span("campaign", label=label, cells=total,
                             executor=executor_name, backend=self.backend), \
@@ -297,38 +327,17 @@ class FaultCampaign:
                                       repeats, seed, self.rows, self.cols,
                                       layers, skip=skip)
                 done = resumed
-                saved_on_event = getattr(self._executor, "on_event", None)
-                if journal_obj is not None \
-                        and hasattr(self._executor, "on_event"):
-                    # tee resilience events into the journal's audit
-                    # trail without detaching whoever else is listening
-                    # (the api layer)
-                    def _tap(record, _prior=saved_on_event):
-                        journal_obj.note(record)
-                        if _prior is not None:
-                            _prior(record)
-                    self._executor.on_event = _tap
-                saved_obs = getattr(self._executor, "obs", None)
-                if hasattr(self._executor, "obs"):
-                    self._executor.obs = obs
-                try:
-                    with self._span("dispatch", jobs=len(jobs)):
-                        for i, j, accuracy in self._iter_results(jobs):
-                            accuracies[i, j] = accuracy
-                            done += 1
-                            if journal_obj is not None \
-                                    and accuracy == accuracy:
-                                # quarantined (NaN) cells stay
-                                # un-journaled so a resumed run
-                                # re-attempts them
-                                journal_obj.record(i, j, xs[i], accuracy)
-                            if progress is not None:
-                                progress(done, total, (i, j, accuracy))
-                finally:
-                    if hasattr(self._executor, "on_event"):
-                        self._executor.on_event = saved_on_event
-                    if hasattr(self._executor, "obs"):
-                        self._executor.obs = saved_obs
+                with self._span("dispatch", jobs=len(jobs)):
+                    for i, j, accuracy in self._executor.run_iter(
+                            jobs, self._evaluator, emit, obs):
+                        accuracies[i, j] = accuracy
+                        done += 1
+                        if journal_obj is not None and accuracy == accuracy:
+                            # quarantined (NaN) cells stay un-journaled
+                            # so a resumed run re-attempts them
+                            journal_obj.record(i, j, xs[i], accuracy)
+                        if progress is not None:
+                            progress(done, total, (i, j, accuracy))
                 with self._span("reduce"):
                     meta = {"rows": self.rows, "cols": self.cols,
                             "repeats": repeats, "layers": layers,
@@ -338,17 +347,7 @@ class FaultCampaign:
                                 self._evaluator.input_cache_stats()}
                     if kernel is not None:
                         meta["kernel"] = kernel.name
-                    # always attach the counters block, zeroed on clean
-                    # unsupervised runs — consumers (and journaled
-                    # resumes) can rely on its presence
-                    resilience = getattr(self._executor, "resilience",
-                                         None)
-                    if resilience is None:
-                        resilience = new_stats()
-                    meta["resilience"] = {
-                        key: (list(value) if isinstance(value, list)
-                              else value)
-                        for key, value in resilience.items()}
+                    meta["resilience"] = resilience
                     if journal is not None:
                         meta["journal"] = str(journal)
                         meta["resumed_cells"] = resumed
@@ -379,7 +378,6 @@ class FaultCampaign:
         registry is the canonical store, ``meta`` the compatibility
         view.
         """
-        from .resilience import stats_to_metrics
         registry = self.obs.metrics
         registry.counter(
             "repro_cells_evaluated_total",
@@ -432,11 +430,3 @@ class FaultCampaign:
             digest.update(key.encode())
             digest.update(np.ascontiguousarray(value).tobytes())
         return digest.hexdigest()
-
-    def _iter_results(self, jobs):
-        """Stream results from the executor as cells complete (falling
-        back to the batch ``run`` API for plain executor objects)."""
-        run_iter = getattr(self._executor, "run_iter", None)
-        if run_iter is not None:
-            return run_iter(jobs, self._evaluator)
-        return iter(self._executor.run(jobs, self._evaluator))

@@ -111,7 +111,7 @@ from .faults import FaultSpec
 from .generator import FaultGenerator, FaultPlan, mapped_layers
 from .injector import FaultInjector
 from .resilience import (ExecutorDegraded, PoolSupervisor, RetryPolicy,
-                         SupervisorGaveUp, new_stats, note_stats,
+                         RunEvent, RunWarning, SupervisorGaveUp,
                          supervised_serial)
 
 __all__ = [
@@ -477,6 +477,10 @@ def _traced_evaluate(call, obs):
     return traced
 
 
+def _discard(record: RunEvent) -> None:
+    """The default ``emit``: nobody listens."""
+
+
 class SerialExecutor:
     """In-process job loop; shares the caller's evaluator and caches.
 
@@ -484,48 +488,29 @@ class SerialExecutor:
     failed jobs with backoff and quarantines poison jobs (their cells
     yield NaN) under the same contract as the pool executor; with
     ``policy=None`` (the default) the first failure raises.
+
+    An executor holds configuration only.  Its campaign hands each run
+    an ``emit`` callback, which receives every resilience record and
+    :class:`~repro.core.resilience.RunWarning`, and the run's
+    :class:`repro.obs.Observability` (``obs``), which traces the cells
+    evaluated in this process.
     """
 
     name = "serial"
 
     def __init__(self, policy: RetryPolicy | None = None):
         self.policy = policy
-        #: receives resilience event records (JobRetried/JobQuarantined,
-        #: and on the pool WorkerLost/ExecutorDegraded)
-        self.on_event: Callable | None = None
-        #: per-run resilience summary (see resilience.new_stats)
-        self.resilience: dict = new_stats()
-        #: the observing run's repro.obs.Observability (campaigns set
-        #: this for the duration of run(); None = uninstrumented)
-        self.obs = None
-
-    def _emit(self, record) -> None:
-        note_stats(self.resilience, record)
-        if self.on_event is not None:
-            self.on_event(record)
-
-    def run(self, jobs: Sequence[CampaignJob],
-            evaluator: CampaignEvaluator) -> list[JobResult]:
-        """All ``(point, repeat, accuracy)`` results (the materialized
-        form of :meth:`run_iter`)."""
-        return list(self.run_iter(jobs, evaluator))
 
     def run_iter(self, jobs: Sequence[CampaignJob],
-                 evaluator: CampaignEvaluator) -> Iterator[JobResult]:
+                 evaluator: CampaignEvaluator,
+                 emit: Callable[[RunEvent], None] = _discard,
+                 obs=None) -> Iterator[JobResult]:
         """Stream ``(point, repeat, accuracy)`` per job as it completes,
         in job order (pre-generated plans make order irrelevant to the
         values — only to the streaming sequence)."""
-        self.resilience = new_stats()
-        yield from self._run_in_process(jobs, evaluator)
-
-    def _run_in_process(self, jobs: Sequence[CampaignJob],
-                        evaluator: CampaignEvaluator
-                        ) -> Iterator[JobResult]:
-        """The supervised in-process loop: runs ``jobs`` on the caller's
-        evaluator under the retry/quarantine contract."""
-        call = _traced_evaluate(evaluator.run_job, self.obs)
+        call = _traced_evaluate(evaluator.run_job, obs)
         for job, outcome in supervised_serial(jobs, call, self.policy,
-                                              on_event=self._emit):
+                                              on_event=emit):
             yield _cell(job, outcome)
 
 
@@ -641,16 +626,6 @@ class SharedMemoryExecutor(SerialExecutor):
         if not n_jobs or n_jobs <= 0:
             n_jobs = int(os.environ.get("REPRO_N_JOBS", 0) or 0)
         self.n_jobs = n_jobs if n_jobs > 0 else _usable_cpus()
-        #: event hook: ``on_warning(message)`` is invoked for non-fatal
-        #: conditions a caller should surface (e.g. a grid that cannot
-        #: use the pool falling back to the serial loop).  The streaming
-        #: API (:mod:`repro.api`) wires this to its typed
-        #: ``RunWarning`` events; ``None`` stays silent.
-        self.on_warning: Callable[[str], None] | None = None
-
-    def _warn(self, message: str) -> None:
-        if self.on_warning is not None:
-            self.on_warning(message)
 
     def _pool_functions(self) -> tuple[Callable, Callable]:
         """The pool's ``(initializer, task function)``, looked up late
@@ -659,7 +634,9 @@ class SharedMemoryExecutor(SerialExecutor):
         return _worker_init, _run_worker_task
 
     def run_iter(self, jobs: Sequence[CampaignJob],
-                 evaluator: CampaignEvaluator) -> Iterator[JobResult]:
+                 evaluator: CampaignEvaluator,
+                 emit: Callable[[RunEvent], None] = _discard,
+                 obs=None) -> Iterator[JobResult]:
         """Stream ``(point, repeat, accuracy)`` results as cells complete.
 
         Results arrive *unordered* but are bit-identical to the serial
@@ -671,14 +648,13 @@ class SharedMemoryExecutor(SerialExecutor):
         serial loop.  Quarantined jobs yield NaN for their cell.
         """
         jobs = list(jobs)
-        self.resilience = new_stats()
         workers = min(self.n_jobs, len(jobs))
         if workers <= 1:
-            if self.n_jobs > 1:
-                self._warn(f"grid of {len(jobs)} job(s) cannot use the "
-                           f"{self.n_jobs}-worker pool; falling back to "
-                           "the in-process serial loop")
-            yield from self._run_in_process(jobs, evaluator)
+            if self.n_jobs > 1 and jobs:
+                emit(RunWarning(f"grid of {len(jobs)} job(s) cannot use "
+                                f"the {self.n_jobs}-worker pool; falling "
+                                "back to the in-process serial loop"))
+            yield from super().run_iter(jobs, evaluator, emit, obs)
             return
         degrade = self.policy is not None and self.policy.degrade
         import multiprocessing  # deferred: serial runs never import it
@@ -690,9 +666,9 @@ class SharedMemoryExecutor(SerialExecutor):
             reason = f"no fork start method: {error}"
             if not degrade:
                 raise SupervisorGaveUp(reason) from error
-            self._emit(ExecutorDegraded(from_mode=self.name,
-                                        to_mode="serial", reason=reason))
-            yield from self._run_in_process(jobs, evaluator)
+            emit(ExecutorDegraded(from_mode=self.name, to_mode="serial",
+                                  reason=reason))
+            yield from super().run_iter(jobs, evaluator, emit, obs)
             return
         # warm once, here: every forked worker inherits the baseline and
         # the prefix activations of every split the jobs start at
@@ -703,16 +679,16 @@ class SharedMemoryExecutor(SerialExecutor):
             # the count starts a BLAS thread that spins in every worker
             set_blas_threads = _blas_thread_setter()
             if set_blas_threads is None:
-                self._warn("no OpenBLAS thread setter found in numpy; "
-                           "pool workers keep the BLAS library's default "
-                           "threads")
+                emit(RunWarning("no OpenBLAS thread setter found in numpy; "
+                                "pool workers keep the BLAS library's "
+                                "default threads"))
         initializer, task_fn = self._pool_functions()
         supervisor = PoolSupervisor(
             task_fn, jobs, self.policy, context=context, workers=workers,
             initializer=initializer,
             initargs=(evaluator, set_blas_threads,
                       max(1, _usable_cpus() // workers)),
-            on_event=self._emit)
+            on_event=emit)
         stream = supervisor.run()
         done = False
         try:
@@ -726,14 +702,13 @@ class SharedMemoryExecutor(SerialExecutor):
         except SupervisorGaveUp as failure:
             if not degrade:
                 raise
-            self._emit(ExecutorDegraded(from_mode=self.name,
-                                        to_mode="serial",
-                                        reason=str(failure)))
+            emit(ExecutorDegraded(from_mode=self.name, to_mode="serial",
+                                  reason=str(failure)))
         finally:
             stream.close()
         if not done:
-            yield from self._run_in_process(supervisor.unfinished(),
-                                            evaluator)
+            yield from super().run_iter(supervisor.unfinished(), evaluator,
+                                        emit, obs)
 
 
 _EXECUTORS = {

@@ -19,9 +19,10 @@ snapshot + model weights); every following line is a result cell::
 
 Resuming validates the header against the requested grid and refuses to
 mix journals across campaigns.  A torn final line (the process was killed
-mid-write) is discarded with a warning; that cell is simply re-evaluated.
-Corruption anywhere *before* the final line is not a crash artifact of
-append-only writes and is refused outright.
+mid-write) is discarded with a warning and cut off the file, so the
+resumed run appends on a line of its own; that cell is simply
+re-evaluated.  Corruption anywhere *before* the final line is not a crash
+artifact of append-only writes and is refused outright.
 
 Besides result cells, the journal records resilience events (worker
 losses, retries, quarantined cells, executor degradations) as
@@ -127,8 +128,10 @@ class CampaignJournal:
 
     # -- I/O -------------------------------------------------------------
     def _load_existing(self) -> None:
-        with open(self.path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        # newline="": offsets into the text are the file's own
+        with open(self.path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        lines = text.splitlines()
         try:
             head = json.loads(lines[0])
         except (json.JSONDecodeError, IndexError) as error:
@@ -146,6 +149,7 @@ class CampaignJournal:
                     f"{self.header.get(key)!r} requested")
         body = [(number, line) for number, line in
                 enumerate(lines[1:], start=2) if line.strip()]
+        complete = text
         for position, (number, line) in enumerate(body):
             try:
                 cell = json.loads(line)
@@ -156,6 +160,7 @@ class CampaignJournal:
                         f"journal {self.path} ends in a torn line "
                         "(the writer died mid-append); discarding it — "
                         "that cell will be re-evaluated")
+                    complete = text[:text.rindex(line)]
                     break
                 # mid-file damage is not an append-crash artifact: the
                 # journal cannot be trusted, so refuse rather than guess
@@ -167,6 +172,16 @@ class CampaignJournal:
             if "point" in cell and "repeat" in cell and "accuracy" in cell:
                 self.completed[(cell["point"], cell["repeat"])] = \
                     cell["accuracy"]
+        # the next append must start a line of its own: cut the torn
+        # line off, and end a complete last line that lacks its newline
+        if complete != text or not text.endswith("\n"):
+            with open(self.path, "r+b") as handle:
+                handle.truncate(len(complete.encode("utf-8")))
+                if not complete.endswith("\n"):
+                    handle.seek(0, os.SEEK_END)
+                    handle.write(b"\n")
+                if self.fsync:
+                    os.fsync(handle.fileno())
 
     def _write_line(self, payload: dict) -> None:
         self._handle.write(json.dumps(payload) + "\n")

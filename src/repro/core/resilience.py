@@ -30,12 +30,16 @@ Three cooperating pieces:
     The same retry/quarantine contract for in-process execution — the
     bottom rung of the degradation ladder and the serial executor.
 
-Events (:class:`JobRetried`, :class:`JobQuarantined`,
-:class:`WorkerLost`, :class:`ExecutorDegraded`) are frozen dataclasses
-with JSON-able fields; executors forward them through their ``on_event``
-hook, campaigns journal them as ``{"kind": "event", ...}`` lines and
-summarize them in ``SweepResult.meta["resilience"]``, and
-:mod:`repro.api` mirrors them as typed run events.
+The run's engine records are defined here, once: the resilience events
+(:class:`JobRetried`, :class:`JobQuarantined`, :class:`WorkerLost`,
+:class:`ExecutorDegraded`) and :class:`RunWarning`, all subclasses of
+the marker base :class:`RunEvent` and frozen dataclasses with JSON-able
+fields.  An executor reports each one through the ``emit`` callback its
+campaign hands it; the campaign summarizes the resilience events in
+``SweepResult.meta["resilience"]``, journals them as
+``{"kind": "event", ...}`` lines and forwards every record to its
+listener.  :mod:`repro.api.events` imports these classes into the run
+event vocabulary, so subscribers receive the engine's own records.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ from typing import Any
 
 __all__ = [
     "RetryPolicy",
+    "RunEvent",
+    "RunWarning",
     "JobRetried",
     "JobQuarantined",
     "WorkerLost",
@@ -138,10 +144,23 @@ class RetryPolicy:
                    self.backoff * self.backoff_factor ** (attempt - 1))
 
 
-# -- typed resilience events ----------------------------------------------
+# -- the engine's run events -----------------------------------------------
 
 @dataclass(frozen=True)
-class JobRetried:
+class RunEvent:
+    """Base class of every streamed run event (useful for isinstance
+    gates)."""
+
+
+@dataclass(frozen=True)
+class RunWarning(RunEvent):
+    """A non-fatal condition the consumer should surface."""
+
+    message: str
+
+
+@dataclass(frozen=True)
+class JobRetried(RunEvent):
     """One job attempt failed and the job was re-scheduled.
 
     ``cause`` is ``"error"`` (the job raised) or ``"timeout"`` (its
@@ -158,7 +177,7 @@ class JobRetried:
 
 
 @dataclass(frozen=True)
-class JobQuarantined:
+class JobQuarantined(RunEvent):
     """A job failed ``attempts`` times and was set aside (its cell
     reports NaN) instead of aborting the campaign."""
 
@@ -169,7 +188,7 @@ class JobQuarantined:
 
 
 @dataclass(frozen=True)
-class WorkerLost:
+class WorkerLost(RunEvent):
     """Pool workers died (or stalled) and were killed and re-forked; the
     ``in_flight`` jobs they held were re-dispatched without attempt
     charges."""
@@ -179,7 +198,7 @@ class WorkerLost:
 
 
 @dataclass(frozen=True)
-class ExecutorDegraded:
+class ExecutorDegraded(RunEvent):
     """One rung of the executor ladder kept failing; execution moved
     from ``from_mode`` to ``to_mode`` for the remaining jobs."""
 
@@ -257,7 +276,7 @@ def _grid_coords(task: object) -> tuple[int, int]:
 
 def supervised_serial(tasks: Sequence[Any], call: Callable[[Any], Any],
                       policy: RetryPolicy | None = None, *,
-                      on_event: Callable[[object], None] | None = None,
+                      on_event: Callable[[RunEvent], None] | None = None,
                       sleep: Callable[[float], None] = time.sleep
                       ) -> Iterator[tuple[Any, tuple[str, Any]]]:
     """Run ``call(task)`` per task with the retry/quarantine contract.
@@ -266,7 +285,7 @@ def supervised_serial(tasks: Sequence[Any], call: Callable[[Any], Any],
     error_repr))`` per task, in task order.  With ``policy=None`` the
     first failure raises (legacy semantics).
     """
-    def emit(record: object) -> None:
+    def emit(record: RunEvent) -> None:
         if on_event is not None:
             on_event(record)
 
@@ -398,7 +417,7 @@ class PoolSupervisor:
                  workers: int,
                  initializer: Callable[..., object] | None = None,
                  initargs: tuple[Any, ...] = (),
-                 on_event: Callable[[object], None] | None = None) -> None:
+                 on_event: Callable[[RunEvent], None] | None = None) -> None:
         self._func = func
         self._tasks = list(tasks)
         self.policy = policy
@@ -413,7 +432,7 @@ class PoolSupervisor:
         """Tasks with no outcome yet (for hand-off to the next rung)."""
         return [self._tasks[index] for index in sorted(self._unfinished)]
 
-    def _emit(self, record: object) -> None:
+    def _emit(self, record: RunEvent) -> None:
         if self._on_event is not None:
             self._on_event(record)
 

@@ -25,65 +25,41 @@ __all__ = ["DEFAULT_RATES", "layer_sweeps", "line_sweeps", "run_fig4f"]
 DEFAULT_RATES = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
 
-def _campaign(model: Sequential, test: Dataset, rows: int, cols: int,
-              executor: str | object = "serial", n_jobs: int | None = None,
-              backend: str = "float",
-              cache_bytes: int | None = None) -> FaultCampaign:
-    return FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
-                         executor=executor, n_jobs=n_jobs, backend=backend,
-                         cache_bytes=cache_bytes)
-
-
-def _series_hooks(progress, journal_for, name):
-    """Per-series campaign hooks from the driver-level ones.
-
-    ``progress(series, done, total, cell)`` narrows to the engine's
-    ``progress(done, total, cell)`` for one series; ``journal_for(name)``
-    yields that series' own journal path (each series is its own grid,
-    so each needs its own fingerprinted journal).
-    """
-    campaign_progress = None
-    if progress is not None:
-        def campaign_progress(done, total, cell, _name=name):
-            progress(_name, done, total, cell)
-    journal = journal_for(name) if journal_for is not None else None
-    return campaign_progress, journal
-
-
 def layer_sweeps(model: Sequential, test: Dataset, spec_factory,
                  xs, repeats: int, rows: int = 40, cols: int = 10,
                  layer_names=LENET_MAPPED_LAYERS, seed: int = 0,
-                 executor: str | object = "serial", n_jobs: int | None = None,
-                 backend: str = "float", cache_bytes: int | None = None,
-                 progress=None, journal_for=None) -> dict[str, SweepResult]:
+                 progress_for=None, journal_for=None,
+                 **engine) -> dict[str, SweepResult]:
     """Per-layer sweeps plus the 'combined' all-layer sweep (Fig. 4a/b).
 
-    The campaign engine options (``executor``/``n_jobs``/``backend``/
-    ``cache_bytes``) pass straight through, so every Fig. 4 scenario can
-    run on the pool executor and the packed backend — all bit-identical
-    to serial/float.  ``progress(series, done, total, cell)`` and
-    ``journal_for(series) -> path`` are the streaming hooks of the
-    :mod:`repro.api` layer: one callback / journal per series curve.
+    ``engine`` holds :class:`~repro.core.FaultCampaign`'s options
+    (``executor``, ``n_jobs``, ``backend``, ``cache_bytes``, ``policy``,
+    ``on_event``, ...) and passes straight through, so every Fig. 4
+    scenario can run on the pool executor and the packed backend — all
+    bit-identical to serial/float.  ``progress_for(series)`` and
+    ``journal_for(series)`` give each series curve its own
+    ``progress(done, total, cell)`` callback and journal path (each
+    series is its own grid, so each needs its own fingerprinted
+    journal); these are the streaming hooks of the :mod:`repro.api`
+    layer.
     """
     results: dict[str, SweepResult] = {}
-    with _campaign(model, test, rows, cols, executor, n_jobs, backend,
-                   cache_bytes) as campaign:
+    with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
+                       **engine) as campaign:
         for name in (*layer_names, "combined"):
-            campaign_progress, journal = _series_hooks(progress,
-                                                       journal_for, name)
             results[name] = campaign.run(
                 spec_factory, xs, repeats=repeats, seed=seed,
                 layers=None if name == "combined" else [name], label=name,
-                journal=journal, progress=campaign_progress)
+                journal=journal_for(name) if journal_for else None,
+                progress=progress_for(name) if progress_for else None)
     return results
 
 
 def line_sweeps(model: Sequential, test: Dataset, spec_factory, counts,
                 repeats: int, rows: int = 40, cols: int = 10,
                 layer_names=LENET_MAPPED_LAYERS, seed: int = 0,
-                executor: str | object = "serial", n_jobs: int | None = None,
-                backend: str = "float", cache_bytes: int | None = None,
-                progress=None, journal_for=None) -> dict[str, SweepResult]:
+                progress_for=None, journal_for=None,
+                **engine) -> dict[str, SweepResult]:
     """Per-layer faulty-line sweeps (Fig. 4d columns / Fig. 4e rows).
 
     Same hooks and engine options as :func:`layer_sweeps`, without the
@@ -91,15 +67,14 @@ def line_sweeps(model: Sequential, test: Dataset, spec_factory, counts,
     lines on one layer's crossbar at a time.
     """
     results = {}
-    with _campaign(model, test, rows, cols, executor, n_jobs, backend,
-                   cache_bytes) as campaign:
+    with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
+                       **engine) as campaign:
         for name in layer_names:
-            campaign_progress, journal = _series_hooks(progress,
-                                                       journal_for, name)
             results[name] = campaign.run(
                 spec_factory, xs=list(counts), repeats=repeats, seed=seed,
-                layers=[name], label=name, journal=journal,
-                progress=campaign_progress)
+                layers=[name], label=name,
+                journal=journal_for(name) if journal_for else None,
+                progress=progress_for(name) if progress_for else None)
     return results
 
 

@@ -26,17 +26,18 @@ DYNAMIC_PERIODS = (0, 1, 2, 3, 4, 5)
 def model_sweep(spec_factory, xs, models: list[str] | None = None,
                 repeats: int = 5, rows: int = 40, cols: int = 10,
                 seed: int = 0, test: Dataset | None = None,
-                executor: str | object = "serial", n_jobs: int | None = None,
-                backend: str = "float", cache_bytes: int | None = None,
-                progress=None, journal_for=None) -> dict[str, SweepResult]:
+                progress_for=None, journal_for=None,
+                **engine) -> dict[str, SweepResult]:
     """Run one sweep on every zoo model; returns label -> SweepResult.
 
-    The campaign engine options (``executor``/``n_jobs``/``backend``/
-    ``cache_bytes``) pass straight through, so the nine-architecture
-    grids can run on the pool executor and the packed backend — all
-    bit-identical to serial/float.  ``progress(series, done, total,
-    cell)`` and ``journal_for(series) -> path`` stream/journal one model
-    curve at a time (each model is its own campaign grid).
+    ``engine`` holds :class:`~repro.core.FaultCampaign`'s options
+    (``executor``, ``n_jobs``, ``backend``, ``cache_bytes``, ``policy``,
+    ``on_event``, ...) and passes straight through, so the
+    nine-architecture grids can run on the pool executor and the packed
+    backend — all bit-identical to serial/float.
+    ``progress_for(series)`` and ``journal_for(series)`` give each model
+    curve its own ``progress(done, total, cell)`` callback and journal
+    path (each model is its own campaign grid).
     """
     if models is None:
         models = model_names()
@@ -45,17 +46,11 @@ def model_sweep(spec_factory, xs, models: list[str] | None = None,
     results: dict[str, SweepResult] = {}
     for name in models:
         model = trained_zoo_model(name)
-        campaign_progress = None
-        if progress is not None:
-            def campaign_progress(done, total, cell, _name=name):
-                progress(_name, done, total, cell)
-        journal = journal_for(name) if journal_for is not None else None
+        journal = journal_for(name) if journal_for else None
         with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
-                           executor=executor, n_jobs=n_jobs,
-                           backend=backend,
-                           cache_bytes=cache_bytes) as campaign:
-            results[name] = campaign.run(spec_factory, xs, repeats=repeats,
-                                         seed=seed, label=name,
-                                         journal=journal,
-                                         progress=campaign_progress)
+                           **engine) as campaign:
+            results[name] = campaign.run(
+                spec_factory, xs, repeats=repeats, seed=seed, label=name,
+                journal=journal,
+                progress=progress_for(name) if progress_for else None)
     return results

@@ -2,7 +2,8 @@
 
 Mechanically enforces the contracts the reproduction's trustworthiness
 rests on: seeded-RNG determinism, typed failure routing, frozen
-protocol records, and event-protocol exhaustiveness.
+protocol records, and one event vocabulary that every consumer knows
+(``protocol-drift``).
 Since PR 10 the determinism and ordering rules are *flow-sensitive*: they
 reason over intraprocedural CFGs (:mod:`repro.lint.cfg`) with reaching
 definitions and taint propagation (:mod:`repro.lint.flow`), so a
@@ -23,10 +24,10 @@ from .findings import Finding, Rule
 from .flow import propagate_taint, reaching_definitions, use_def
 from .project import (LintUsageError, Module, ParseFailure, Project,
                       load_project)
-from .rules import (DEFAULT_RULES, EventExhaustiveness, FrozenRecords,
-                    JournalOrder, NoGlobalRng, NoSilentExcept,
-                    NoUnpicklableSubmit, NoWallClock, ObsPickleBoundary,
-                    ProtocolDrift, RngTaint, UnboundedQueue)
+from .rules import (DEFAULT_RULES, FrozenRecords, JournalOrder, NoGlobalRng,
+                    NoSilentExcept, NoUnpicklableSubmit, NoWallClock,
+                    ObsPickleBoundary, ProtocolDrift, RngTaint,
+                    UnboundedQueue)
 from .runner import LintResult, changed_files, lint_command, main, run_lint
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "CFG",
     "CFGNode",
     "DEFAULT_RULES",
-    "EventExhaustiveness",
     "Finding",
     "FrozenRecords",
     "JournalOrder",

@@ -2,8 +2,8 @@
 
 Each rule encodes one contract the reproduction's trustworthiness rests
 on — determinism (seeded RNG flow), failure routing (no silent
-excepts), and the typed-event protocol (frozen records, exhaustive
-rendering/relaying).  Rules are
+excepts), and the typed-event protocol (frozen records, every event
+known to every consumer).  Rules are
 pure AST analyses over a :class:`~repro.lint.project.Project`; none of
 them import or execute the code under check.
 
@@ -34,7 +34,6 @@ from .project import Module, Project
 
 __all__ = [
     "DEFAULT_RULES",
-    "EventExhaustiveness",
     "FrozenRecords",
     "JournalOrder",
     "NoGlobalRng",
@@ -51,7 +50,6 @@ __all__ = [
 EVENTS_MODULE = "src/repro/api/events.py"
 RESILIENCE_MODULE = "src/repro/core/resilience.py"
 CLI_MODULE = "src/repro/cli.py"
-HANDLE_MODULE = "src/repro/api/handle.py"
 WIRE_MODULE = "src/repro/service/wire.py"
 #: the telemetry clock — the only other legitimate monotonic reader
 OBS_CLOCK_MODULE = "src/repro/obs/clock.py"
@@ -74,17 +72,6 @@ def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     args = node.args
     return {a.arg for a in
             (*args.posonlyargs, *args.args, *args.kwonlyargs)}
-
-
-def _walk_own_scope(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested function or
-    lambda scopes (their parameters establish their own contracts)."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(child, (*_FUNCTION_NODES, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(child))
 
 
 def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
@@ -216,7 +203,7 @@ class NoSilentExcept:
 
     A bare ``except:`` or ``except Exception:`` whose body is only
     ``pass`` swallows executor failures that the typed-event protocol
-    (``on_warning``, JobRetried/JobQuarantined) exists to surface.
+    (RunWarning, JobRetried/JobQuarantined) exists to surface.
     Narrow handlers (``except OSError: pass``) stay legal — they
     document exactly what is being ignored.
     """
@@ -292,9 +279,9 @@ class FrozenRecords:
                     "records never mutating mid-stream")
 
 
-def _api_event_classes(module: Module) -> dict[str, ast.ClassDef]:
+def _run_event_classes(module: Module) -> dict[str, ast.ClassDef]:
     """RunEvent subclasses defined in ``module`` (transitively, by local
-    base name) — the protocol vocabulary shared by every layer."""
+    base name)."""
     event_names = {"RunEvent"}
     found: dict[str, ast.ClassDef] = {}
     for node in module.tree.body:
@@ -306,6 +293,17 @@ def _api_event_classes(module: Module) -> dict[str, ast.ClassDef]:
             event_names.add(node.name)
             found[node.name] = node
     return found
+
+
+def _imported_from_resilience(module: Module) -> set[str]:
+    """Names ``module`` imports from ``core/resilience.py`` (by a
+    relative or absolute ``from ... import``)."""
+    names: set[str] = set()
+    for node in module.tree.body:
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").endswith("core.resilience"):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def _isinstance_targets(module: Module) -> set[str]:
@@ -326,92 +324,6 @@ def _isinstance_targets(module: Module) -> set[str]:
             elif isinstance(element, ast.Attribute):
                 targets.add(element.attr)
     return targets
-
-
-class EventExhaustiveness:
-    """Engine records must mirror into the api event vocabulary.
-
-    Cross-module contract: each record the engine supervision layer
-    emits (``core/resilience.py``) needs a mirror entry in
-    ``api/handle.py``'s ``_ENGINE_EVENTS`` relay table plus a
-    same-named api event.  Without this, adding a record silently drops
-    it from api subscribers.  Consumer-side exhaustiveness (wire table,
-    CLI renderer, docs) lives in the ``protocol-drift`` rule.  Findings
-    are never baseline-waivable.
-    """
-
-    rule_id = "event-exhaustiveness"
-    summary = ("every engine record needs an api mirror event and an "
-               "api/handle.py relay entry")
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        events = project.get(EVENTS_MODULE)
-        if events is None:
-            return  # partial lint run without the protocol modules
-        api_events = _api_event_classes(events)
-        resilience = project.get(RESILIENCE_MODULE)
-        handle = project.get(HANDLE_MODULE)
-        if resilience is None:
-            return
-        emitted = self._emitted_records(resilience)
-        relayed = (self._engine_events_keys(handle)
-                   if handle is not None else None)
-        for name, node in emitted.items():
-            if name not in api_events:
-                yield from _finding(
-                    resilience, node, self.rule_id,
-                    f"engine record {name} has no same-named mirror "
-                    "event in api/events.py; api consumers can never "
-                    "see it", waivable=False)
-            if relayed is not None and name not in relayed:
-                yield from _finding(
-                    resilience, node, self.rule_id,
-                    f"engine record {name} is missing from "
-                    "api/handle.py's _ENGINE_EVENTS relay table; it "
-                    "would never be mirrored to api subscribers",
-                    waivable=False)
-
-    @staticmethod
-    def _emitted_records(module: Module) -> dict[str, ast.ClassDef]:
-        """Dataclasses the supervision layer constructs inside an
-        ``emit``/``_emit`` call — the records executors forward."""
-        classes = {node.name: node for node in module.tree.body
-                   if isinstance(node, ast.ClassDef)
-                   and _dataclass_decorator(node) is not None}
-        emitted: dict[str, ast.ClassDef] = {}
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            called = (callee.attr if isinstance(callee, ast.Attribute)
-                      else callee.id if isinstance(callee, ast.Name)
-                      else None)
-            if called is None or not called.lstrip("_").startswith("emit"):
-                continue
-            for arg in node.args:
-                if (isinstance(arg, ast.Call)
-                        and isinstance(arg.func, ast.Name)
-                        and arg.func.id in classes):
-                    emitted[arg.func.id] = classes[arg.func.id]
-        return emitted
-
-    @staticmethod
-    def _engine_events_keys(module: Module) -> set[str]:
-        """Key class names of the ``_ENGINE_EVENTS`` dict literal."""
-        keys: set[str] = set()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not any(isinstance(t, ast.Name) and t.id == "_ENGINE_EVENTS"
-                       for t in node.targets):
-                continue
-            if isinstance(node.value, ast.Dict):
-                for key in node.value.keys:
-                    if isinstance(key, ast.Attribute):
-                        keys.add(key.attr)
-                    elif isinstance(key, ast.Name):
-                        keys.add(key.id)
-        return keys
 
 
 class NoUnpicklableSubmit:
@@ -773,23 +685,28 @@ class JournalOrder:
 class ProtocolDrift:
     """Every RunEvent must exist consistently across all four layers.
 
-    The event protocol is defined once (``api/events.py``) and consumed
-    three more times: the wire codec's ``EVENT_TYPES`` registry
-    (``service/wire.py``), the CLI renderer's ``isinstance`` dispatch
-    (``cli.py``), and the human-facing catalogs (``docs/api.md`` events
-    table, ``docs/static-analysis.md`` rule catalog).  A subclass
-    missing from any layer is protocol drift: the wire silently drops
-    it, the CLI swallows it, or the docs lie.  This rule reads all four
-    layers and fails unwaivably on any asymmetry — including the
-    reverse direction (a wire/docs entry for an event that no longer
-    exists).  Docs layers are read from ``project.root`` and skipped
-    when absent, so fixture trees without docs stay checkable.
+    The event vocabulary is the ``RunEvent`` subclasses ``api/events.py``
+    defines plus the engine records it imports from
+    ``core/resilience.py`` (``RunWarning`` and the resilience events).
+    Every ``RunEvent`` subclass ``core/resilience.py`` defines must be
+    imported there: an engine record outside the vocabulary is one the
+    wire refuses to encode and the CLI drops.  The vocabulary is
+    consumed three more times: the wire codec's ``EVENT_TYPES``
+    registry (``service/wire.py``), the CLI renderer's ``isinstance``
+    dispatch (``cli.py``), and the human-facing catalogs
+    (``docs/api.md`` events table, ``docs/static-analysis.md`` rule
+    catalog).  A subclass missing from any layer is protocol drift: the
+    wire silently drops it, the CLI swallows it, or the docs lie.  This
+    rule reads all four layers and fails unwaivably on any asymmetry —
+    including the reverse direction (a wire entry for an event that no
+    longer exists).  Docs layers are read from ``project.root`` and
+    skipped when absent, so fixture trees without docs stay checkable.
     """
 
     rule_id = "protocol-drift"
-    summary = ("RunEvent subclasses must agree across events.py, "
-               "wire.py EVENT_TYPES, the CLI renderer, and the docs "
-               "catalogs")
+    summary = ("RunEvent subclasses must agree across events.py (with "
+               "the engine records it imports), wire.py EVENT_TYPES, "
+               "the CLI renderer, and the docs catalogs")
     docs_api = "docs/api.md"
     docs_lint = "docs/static-analysis.md"
 
@@ -797,14 +714,28 @@ class ProtocolDrift:
         events = project.get(EVENTS_MODULE)
         if events is None:
             return  # partial lint run without the protocol modules
-        api_events = _api_event_classes(events)
-        yield from self._check_wire(project, events, api_events)
-        yield from self._check_cli(project, events, api_events)
-        yield from self._check_docs(project, events, api_events)
+        vocabulary: dict[str, tuple[Module, ast.ClassDef]] = {
+            name: (events, node)
+            for name, node in _run_event_classes(events).items()}
+        imported = _imported_from_resilience(events)
+        resilience = project.get(RESILIENCE_MODULE)
+        if resilience is not None:
+            for name, node in _run_event_classes(resilience).items():
+                if name in imported:
+                    vocabulary[name] = (resilience, node)
+                    continue
+                yield from _finding(
+                    resilience, node, self.rule_id,
+                    f"engine record {name} is not in api/events.py's "
+                    "vocabulary; import it there, or the wire refuses to "
+                    "encode it and the CLI drops it", waivable=False)
+        yield from self._check_wire(project, vocabulary, imported)
+        yield from self._check_cli(project, vocabulary)
+        yield from self._check_docs(project, vocabulary)
 
-    def _check_wire(self, project: Project, events: Module,
-                    api_events: dict[str, ast.ClassDef]
-                    ) -> Iterator[Finding]:
+    def _check_wire(self, project: Project,
+                    vocabulary: dict[str, tuple[Module, ast.ClassDef]],
+                    imported: set[str]) -> Iterator[Finding]:
         wire = project.get(WIRE_MODULE)
         if wire is None:
             return
@@ -817,44 +748,46 @@ class ProtocolDrift:
                         "against the event vocabulary", waivable=False)
             return
         names, node = registered
-        for name, cls in api_events.items():
+        for name, (module, cls) in vocabulary.items():
             if name not in names:
                 yield from _finding(
-                    events, cls, self.rule_id,
+                    module, cls, self.rule_id,
                     f"event {name} is missing from service/wire.py's "
                     "EVENT_TYPES registry; the wire codec would drop it "
                     "on decode", waivable=False)
-        for name in sorted(names - api_events.keys()):
+        # names imported from core/resilience.py count as known even when
+        # a partial run leaves that module out
+        for name in sorted(names - vocabulary.keys() - imported):
             yield from _finding(
                 wire, node, self.rule_id,
                 f"wire.py EVENT_TYPES registers {name}, which is not a "
                 "RunEvent subclass in api/events.py; stale registry "
                 "entry", waivable=False)
 
-    def _check_cli(self, project: Project, events: Module,
-                   api_events: dict[str, ast.ClassDef]
+    def _check_cli(self, project: Project,
+                   vocabulary: dict[str, tuple[Module, ast.ClassDef]]
                    ) -> Iterator[Finding]:
         cli = project.get(CLI_MODULE)
         if cli is None:
             return
         dispatched = _isinstance_targets(cli)
-        for name, cls in api_events.items():
+        for name, (module, cls) in vocabulary.items():
             if name not in dispatched:
                 yield from _finding(
-                    events, cls, self.rule_id,
+                    module, cls, self.rule_id,
                     f"event {name} has no isinstance dispatch branch in "
                     "cli.py's renderer; a run emitting it would be "
                     "silently dropped from the CLI", waivable=False)
 
-    def _check_docs(self, project: Project, events: Module,
-                    api_events: dict[str, ast.ClassDef]
+    def _check_docs(self, project: Project,
+                    vocabulary: dict[str, tuple[Module, ast.ClassDef]]
                     ) -> Iterator[Finding]:
         api_text = self._read_doc(project, self.docs_api)
         if api_text is not None:
-            for name, cls in api_events.items():
+            for name, (module, cls) in vocabulary.items():
                 if name not in api_text:
                     yield from _finding(
-                        events, cls, self.rule_id,
+                        module, cls, self.rule_id,
                         f"event {name} is not documented in "
                         f"{self.docs_api}'s event catalog; the public "
                         "protocol docs have drifted", waivable=False)
@@ -919,6 +852,6 @@ class ProtocolDrift:
 
 DEFAULT_RULES: tuple[Rule, ...] = (
     NoGlobalRng(), NoWallClock(), NoSilentExcept(), FrozenRecords(),
-    EventExhaustiveness(), ProtocolDrift(), NoUnpicklableSubmit(),
-    UnboundedQueue(), RngTaint(), ObsPickleBoundary(), JournalOrder(),
+    ProtocolDrift(), NoUnpicklableSubmit(), UnboundedQueue(), RngTaint(),
+    ObsPickleBoundary(), JournalOrder(),
 )

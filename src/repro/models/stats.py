@@ -2,7 +2,8 @@
 
 For each model: parameter count, binarized fraction, serialized size
 (binary weights cost 1 bit, everything else 32), and multiply-accumulate
-operations per inference (conv + dense layers, from the built shapes).
+operations per inference: the XNOR operations of the quantized conv and
+dense layers, from their built shapes.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..binary.layers import QuantLayer
-from ..nn.layers import Conv2D, Dense
 from ..nn.model import Sequential
 
 __all__ = ["ModelStats", "compute_stats", "format_count"]
@@ -51,19 +51,6 @@ def format_count(value: int) -> str:
     return str(value)
 
 
-def _layer_macs(layer, input_shape) -> int:
-    """Multiply-accumulates a layer performs per image."""
-    if isinstance(layer, QuantLayer):
-        return layer.xnor_ops_per_image()
-    if isinstance(layer, Conv2D):
-        oh, ow, c_out = layer.compute_output_shape(input_shape)
-        k = layer.kernel_size
-        return oh * ow * c_out * k * k * input_shape[-1]
-    if isinstance(layer, Dense):
-        return input_shape[0] * layer.units
-    return 0
-
-
 def compute_stats(model: Sequential) -> ModelStats:
     """Compute the Table-II quantities from a built model."""
     if not model.built:
@@ -71,16 +58,10 @@ def compute_stats(model: Sequential) -> ModelStats:
     params = model.num_params()
     binary = sum(layer.binary_param_count()
                  for layer in model.layers_of_type(QuantLayer))
-    # MACs need shapes: walk top-level layers; composite blocks expose the
-    # conv through sub_layers with its own built input shape
-    macs = 0
-    for layer in model.all_layers():
-        if isinstance(layer, QuantLayer):
-            macs += layer.xnor_ops_per_image()
-        elif isinstance(layer, (Conv2D, Dense)):
-            # non-quantized layers of the numpy engine are not used in the
-            # zoo's compute path, but account for them if present
-            macs += 0
+    # MACs need shapes: composite blocks expose their quantized layers
+    # through sub_layers, each with its own built input shape
+    macs = sum(layer.xnor_ops_per_image()
+               for layer in model.layers_of_type(QuantLayer))
     size_bits = binary * 1 + (params - binary) * 32
     return ModelStats(
         name=model.name,

@@ -129,17 +129,17 @@ class ScenarioResult:
 
 def run_scenario(scenario, model, x_test, y_test, *,
                  repeats: int = 3, seed: int = 0,
-                 rows: int = 40, cols: int = 10, batch_size: int = 256,
-                 executor: str | object = "serial",
-                 n_jobs: int | None = None, backend: str = "float",
-                 cache_bytes: int | None = None, policy=None, layers=None,
+                 rows: int = 40, cols: int = 10, layers=None,
                  journal=None,
                  progress: Callable[[int, int, tuple], None] | None = None,
-                 grid: CompiledGrid | None = None) -> ScenarioResult:
+                 grid: CompiledGrid | None = None,
+                 **engine) -> ScenarioResult:
     """Compile ``scenario`` and run it as one fault campaign.
 
-    Parameters mirror :class:`~repro.core.FaultCampaign` /
-    :meth:`~repro.core.FaultCampaign.run`; ``scenario`` may be a
+    Parameters mirror :meth:`~repro.core.FaultCampaign.run`, and
+    ``engine`` passes :class:`~repro.core.FaultCampaign`'s options
+    (``executor``, ``n_jobs``, ``backend``, ``batch_size``, ``policy``,
+    ``on_event``, ...) straight through; ``scenario`` may be a
     :class:`Scenario`, a zoo name (``"end-of-life"``), or a
     ``.yaml``/``.json`` spec path.  ``layers`` optionally restricts the
     whole scenario to a mapped-layer subset on top of any per-clause
@@ -154,9 +154,7 @@ def run_scenario(scenario, model, x_test, y_test, *,
     if grid is None:
         grid = compile_scenario(scenario, model, rows=rows, cols=cols)
     with FaultCampaign(model, x_test, y_test, rows=rows, cols=cols,
-                       batch_size=batch_size, executor=executor,
-                       n_jobs=n_jobs, backend=backend,
-                       cache_bytes=cache_bytes, policy=policy) as campaign:
+                       **engine) as campaign:
         sweep = campaign.run(grid.spec_factory, xs=grid.xs, repeats=repeats,
                              seed=seed, layers=layers, label=scenario.name,
                              journal=journal, progress=progress)

@@ -8,6 +8,7 @@ calls of the sweep helpers they run.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,41 @@ def test_sweep_journal_resume_through_request(tmp_path):
     assert resumed.meta["resumed_cells"] == 4
     np.testing.assert_array_equal(resumed.raw.accuracies,
                                   first.raw.accuracies)
+
+
+@pytest.mark.parametrize("engine", [
+    {},
+    {"executor": "shared_memory", "n_jobs": 2},
+], ids=["serial", "shared_memory"])
+def test_torn_journal_resume_streams_one_run_warning(tmp_path, engine):
+    """A resumed journal's torn final line reaches the event stream as
+    a RunWarning on every executor, never as a Python warning; the
+    fully journaled grid left to run adds no pool warning."""
+    from repro.testing import truncate_last_line
+
+    journal = tmp_path / "sweep.jsonl"
+    api.run("sweep", quick=True, journal=str(journal), **engine)
+    truncate_last_line(journal)
+    events = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        api.run("sweep", quick=True, journal=str(journal), resume=True,
+                on_event=events.append, **engine)
+    messages = [e.message for e in events if isinstance(e, RunWarning)]
+    assert len(messages) == 1 and "torn" in messages[0]
+
+
+def test_complete_journal_resumed_on_the_pool_warns_nothing(tmp_path):
+    """Resuming a complete journal leaves no job, which is not a grid
+    too small for the pool."""
+    journal = tmp_path / "sweep.jsonl"
+    engine = dict(executor="shared_memory", n_jobs=2)
+    api.run("sweep", quick=True, journal=str(journal), **engine)
+    events = []
+    report = api.run("sweep", quick=True, journal=str(journal), resume=True,
+                     on_event=events.append, **engine)
+    assert report.meta["resumed_cells"] == 2
+    assert [e for e in events if isinstance(e, RunWarning)] == []
 
 
 def test_fig4a_derives_one_journal_per_series(tmp_path):

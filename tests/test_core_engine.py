@@ -14,6 +14,7 @@ from repro.core import (CampaignEvaluator, FaultCampaign, FaultGenerator,
                         SharedMemoryExecutor, build_jobs, get_executor,
                         plan_has_faults)
 from repro.core import engine as engine_mod
+from repro.core.resilience import RunWarning
 from repro.experiments.common import get_mnist, trained_lenet
 
 
@@ -197,13 +198,14 @@ def test_one_job_grid_runs_serially_with_a_warning(trained_setup):
     kwargs = dict(xs=[0.35], repeats=1, seed=11)
     serial = FaultCampaign(model, x, y, rows=8, cols=4,
                            batch_size=16).run(FaultSpec.bitflip, **kwargs)
+    events = []
     with FaultCampaign(model, x, y, rows=8, cols=4, batch_size=16,
-                       executor="shared_memory", n_jobs=2) as campaign:
-        warnings = []
-        campaign._executor.on_warning = warnings.append
+                       executor="shared_memory", n_jobs=2,
+                       on_event=events.append) as campaign:
         result = campaign.run(FaultSpec.bitflip, **kwargs)
     np.testing.assert_array_equal(serial.accuracies, result.accuracies)
-    assert len(warnings) == 1 and "serial" in warnings[0]
+    assert len(events) == 1 and isinstance(events[0], RunWarning)
+    assert "serial" in events[0].message
 
 
 def test_pool_starts_no_idle_worker(trained_setup, monkeypatch):
@@ -270,8 +272,8 @@ def test_pool_workers_pin_blas_threads_on_float(trained_setup, monkeypatch,
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3], 4, 0, 8, 4)
     monkeypatch.setattr(engine_mod, "_run_worker_task",
                         _report_blas_threads)
-    results = SharedMemoryExecutor(n_jobs=2).run(
-        jobs, CampaignEvaluator(model, x, y, backend=backend))
+    results = list(SharedMemoryExecutor(n_jobs=2).run_iter(
+        jobs, CampaignEvaluator(model, x, y, backend=backend)))
     expected = (max(1, engine_mod._usable_cpus() // 2)
                 if backend == "float" else getter())
     assert [accuracy for _, _, accuracy in results] == [expected] * len(jobs)
@@ -294,7 +296,7 @@ def test_pool_preserves_caller_caches(trained_setup):
 
     warm = memo()
     assert warm, "test premise: the memo must be warm"
-    SharedMemoryExecutor(n_jobs=2).run(jobs, evaluator)
+    list(SharedMemoryExecutor(n_jobs=2).run_iter(jobs, evaluator))
     after = memo()
     assert [entry[:2] for entry in after] == [entry[:2] for entry in warm]
     assert all(new[2] is old[2] for new, old in zip(after, warm))

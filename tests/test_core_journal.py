@@ -38,7 +38,7 @@ class AbortAfter:
         self.cells = cells
         self.executed = 0
 
-    def run_iter(self, jobs, evaluator):
+    def run_iter(self, jobs, evaluator, emit=None, obs=None):
         for job in jobs:
             if self.executed >= self.cells:
                 raise KeyboardInterrupt("simulated kill")
@@ -94,10 +94,36 @@ def test_journal_tolerates_torn_final_line(trained_setup, tmp_path):
     text = journal.read_text()
     lines = text.splitlines(keepends=True)
     journal.write_text("".join(lines[:-1]) + lines[-1][:17])  # tear the tail
-    resumed = FaultCampaign(model, x, y, rows=8, cols=4).run(
-        FaultSpec.bitflip, journal=journal, **KWARGS)
+    with pytest.warns(RuntimeWarning, match="torn"):
+        resumed = FaultCampaign(model, x, y, rows=8, cols=4).run(
+            FaultSpec.bitflip, journal=journal, **KWARGS)
     assert resumed.meta["resumed_cells"] == 9 - 1
     np.testing.assert_array_equal(resumed.accuracies, reference.accuracies)
+
+
+def test_torn_journal_stays_resumable(trained_setup, tmp_path):
+    """A campaign killed mid-append, resumed, and killed again resumes
+    again: the first resume cuts the torn line off instead of gluing
+    its first record onto it."""
+    from repro.testing import truncate_last_line
+
+    model, x, y = trained_setup
+    reference = FaultCampaign(model, x, y, rows=8, cols=4).run(
+        FaultSpec.bitflip, **KWARGS)
+    journal = tmp_path / "sweep.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        FaultCampaign(model, x, y, rows=8, cols=4,
+                      executor=AbortAfter(4)).run(
+            FaultSpec.bitflip, journal=journal, **KWARGS)
+    truncate_last_line(journal)
+    with pytest.warns(RuntimeWarning, match="torn"):
+        first = FaultCampaign(model, x, y, rows=8, cols=4).run(
+            FaultSpec.bitflip, journal=journal, **KWARGS)
+    assert first.meta["resumed_cells"] == 4 - 1
+    again = FaultCampaign(model, x, y, rows=8, cols=4).run(
+        FaultSpec.bitflip, journal=journal, **KWARGS)
+    assert again.meta["resumed_cells"] == 9
+    np.testing.assert_array_equal(again.accuracies, reference.accuracies)
 
 
 def test_journal_rejects_mismatched_grid(trained_setup, tmp_path):
@@ -233,3 +259,18 @@ def test_campaign_journal_direct_api(tmp_path):
         journal.record(0, 0, 0.0, 0.5)
     with CampaignJournal(path, header) as journal:
         assert journal.completed == {(0, 0): 0.5}
+
+
+def test_journal_ends_an_unterminated_last_line(tmp_path):
+    """A last line written whole but without its newline gets one before
+    the next append, so both records stay readable."""
+    header = {"xs": [0.0], "repeats": 2, "seed": 0, "rows": 8, "cols": 4,
+              "layers": None, "backend": "float", "label": "t"}
+    path = tmp_path / "j.jsonl"
+    with CampaignJournal(path, header) as journal:
+        journal.record(0, 0, 0.0, 0.5)
+    path.write_text(path.read_text().rstrip("\n"))
+    with CampaignJournal(path, header) as journal:
+        journal.record(0, 1, 0.0, 0.75)
+    with CampaignJournal(path, header) as journal:
+        assert journal.completed == {(0, 0): 0.5, (0, 1): 0.75}

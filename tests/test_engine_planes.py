@@ -53,8 +53,8 @@ def test_pool_workers_compute_no_prefix(trained_setup, monkeypatch,
     split layer's memoized output, so every worker lookup hits."""
     model, x, y = trained_setup
     jobs = build_jobs(model, FaultSpec.bitflip, [0.0, 0.3], 2, 0, 8, 4)
-    serial = SerialExecutor().run(
-        jobs, CampaignEvaluator(model, x, y, batch_size=25, backend=backend))
+    serial = list(SerialExecutor().run_iter(
+        jobs, CampaignEvaluator(model, x, y, batch_size=25, backend=backend)))
     evaluator = CampaignEvaluator(model, x, y, batch_size=25,
                                   backend=backend)
     evaluator.baseline()  # the warm-up the executor runs before forking
@@ -64,7 +64,7 @@ def test_pool_workers_compute_no_prefix(trained_setup, monkeypatch,
         raise AssertionError("a pool worker computed the prefix")
 
     monkeypatch.setattr(CampaignEvaluator, "_compute_batches", refuse)
-    pooled = SharedMemoryExecutor(n_jobs=2).run(jobs, evaluator)
+    pooled = list(SharedMemoryExecutor(n_jobs=2).run_iter(jobs, evaluator))
     assert sorted(pooled) == sorted(serial)
     after = evaluator.input_cache_stats()
     assert after["misses"] == before["misses"]
@@ -81,8 +81,8 @@ def test_parent_warms_every_split_the_jobs_use(trained_setup, tmp_path,
     model, x, y = trained_setup
     jobs = build_jobs(model, FaultSpec.bitflip, [0.0, 0.3], 2, 0, 8, 4,
                       layers=[model.layers[3].name])
-    serial = SerialExecutor().run(
-        jobs, CampaignEvaluator(model, x, y, batch_size=25))
+    serial = list(SerialExecutor().run_iter(
+        jobs, CampaignEvaluator(model, x, y, batch_size=25)))
     log = tmp_path / "pids"
     compute = CampaignEvaluator._compute_batches
 
@@ -92,8 +92,8 @@ def test_parent_warms_every_split_the_jobs_use(trained_setup, tmp_path,
         return compute(self, *args)
 
     monkeypatch.setattr(CampaignEvaluator, "_compute_batches", logged)
-    pooled = SharedMemoryExecutor(n_jobs=2).run(
-        jobs, CampaignEvaluator(model, x, y, batch_size=25))
+    pooled = list(SharedMemoryExecutor(n_jobs=2).run_iter(
+        jobs, CampaignEvaluator(model, x, y, batch_size=25)))
     assert sorted(pooled) == sorted(serial)
     assert log.read_text().split() == [str(os.getpid())] * 2
 
@@ -124,7 +124,7 @@ def test_planes_released_when_worker_crashes(trained_setup, monkeypatch):
     executor = SharedMemoryExecutor(n_jobs=2)
     jobs = build_jobs(model, FaultSpec.bitflip, [0.3, 0.4], 2, 0, 8, 4)
     with pytest.raises(RuntimeError, match="worker died"):
-        executor.run(jobs, evaluator)
+        list(executor.run_iter(jobs, evaluator))
     assert _psm_entries() == before
 
 

@@ -1,11 +1,11 @@
 """Tests for the `repro lint` AST invariant checker.
 
 Each rule gets one known-good and one known-bad snippet, checked in
-isolation against a synthetic tree; the cross-module/cross-layer rules
-(event-exhaustiveness, protocol-drift) are additionally exercised
-against a copy of the *real* protocol modules (the acceptance scenario:
-a new event dataclass with no wire entry or renderer branch must fail
-the gate).  A self-check pins the shipped tree to zero findings with an
+isolation against a synthetic tree; the cross-layer rule
+(protocol-drift) is additionally exercised against a copy of the *real*
+protocol modules (the acceptance scenarios: a new event dataclass with
+no wire entry or renderer branch, or an engine record api/events.py
+does not import, must fail the gate).  A self-check pins the shipped tree to zero findings with an
 empty baseline.  Flow-rule path semantics (CFG, taint, dominance) live
 in ``tests/test_lint_flow.py``.
 """
@@ -17,11 +17,10 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint import (Baseline, BaselineEntry, EventExhaustiveness,
-                        FrozenRecords, LintUsageError, NoGlobalRng,
-                        NoSilentExcept, NoUnpicklableSubmit, NoWallClock,
-                        ProtocolDrift, RngTaint, UnboundedQueue,
-                        load_baseline, run_lint)
+from repro.lint import (Baseline, BaselineEntry, FrozenRecords,
+                        LintUsageError, NoGlobalRng, NoSilentExcept,
+                        NoUnpicklableSubmit, NoWallClock, ProtocolDrift,
+                        RngTaint, UnboundedQueue, load_baseline, run_lint)
 from repro.lint.runner import lint_command
 from repro.lint.runner import main as lint_main
 
@@ -30,11 +29,10 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: the code modules the event protocol spans (events, wire codec, CLI
-#: renderer, engine relay, supervision layer)
+#: renderer, the engine records' home)
 PROTOCOL_FILES = (
     "src/repro/api/events.py",
     "src/repro/cli.py",
-    "src/repro/api/handle.py",
     "src/repro/core/resilience.py",
     "src/repro/service/wire.py",
 )
@@ -266,20 +264,13 @@ def test_frozen_records_covers_obs_spans(tmp_path):
     assert "SpanRecord" in findings[0].message
 
 
-# -- event-exhaustiveness --------------------------------------------------
+# -- protocol-drift --------------------------------------------------------
 
 def copy_protocol_tree(tmp_path):
     for rel in PROTOCOL_FILES:
         dest = tmp_path / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
         dest.write_text((REPO_ROOT / rel).read_text(encoding="utf-8"))
-
-
-def test_event_exhaustiveness_real_tree_is_clean(tmp_path):
-    copy_protocol_tree(tmp_path)
-    findings = run_lint([tmp_path], root=tmp_path,
-                        rules=[EventExhaustiveness()]).findings
-    assert findings == []
 
 
 def test_new_event_without_consumers_fails_every_layer(tmp_path):
@@ -336,49 +327,40 @@ def test_protocol_drift_clean_tree_and_stale_wire_entry(tmp_path):
     assert "GhostEvent" in messages and "RunWarning" in messages
 
 
-def test_engine_record_without_mirror_or_relay_fails(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/api/events.py": """\
-            from dataclasses import dataclass
+def test_engine_record_outside_the_vocabulary_fails(tmp_path):
+    """A RunEvent subclass core/resilience.py defines but api/events.py
+    does not import is one the wire refuses to encode and the CLI
+    drops: protocol-drift fails on it, unwaivably.  Once imported, it is
+    checked against every consumer like any other event."""
+    copy_protocol_tree(tmp_path)
+    resilience = tmp_path / "src/repro/core/resilience.py"
+    resilience.write_text(resilience.read_text(encoding="utf-8")
+                          + textwrap.dedent('''
 
-            class RunEvent:
-                pass
+        @dataclass(frozen=True)
+        class PoolDrained(RunEvent):
+            """Every pool worker finished its last job."""
 
-            @dataclass(frozen=True)
-            class JobRetried(RunEvent):
-                job: int = 0
-            """,
-        "src/repro/cli.py": """\
-            from repro.api.events import JobRetried
+            workers: int = 0
+        '''))
+    findings = run_lint([tmp_path], root=tmp_path,
+                        rules=[ProtocolDrift()]).findings
+    assert rule_ids(findings) == ["protocol-drift"]
+    (finding,) = findings
+    assert finding.path == "src/repro/core/resilience.py"
+    assert "engine record PoolDrained is not in api/events.py's " \
+        "vocabulary" in finding.message
+    assert finding.waivable is False
 
-            def render(event, out):
-                if isinstance(event, JobRetried):
-                    print(event.job, file=out)
-            """,
-        "src/repro/api/handle.py": """\
-            from repro.core import resilience
-
-            _ENGINE_EVENTS = {resilience.JobRetried: "JobRetried"}
-            """,
-        "src/repro/core/resilience.py": """\
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class JobRetried:
-                job: int = 0
-
-            @dataclass(frozen=True)
-            class WorkerLost:
-                pid: int = 0
-
-            def run(emit):
-                emit(JobRetried(job=1))
-                emit(WorkerLost(pid=2))
-            """,
-    }, rules=[EventExhaustiveness()])
-    # WorkerLost is emitted but has no mirror api event and no relay entry
-    assert rule_ids(findings) == ["event-exhaustiveness"] * 2
-    assert all("WorkerLost" in f.message for f in findings)
+    events = tmp_path / "src/repro/api/events.py"
+    events.write_text(events.read_text(encoding="utf-8")
+                      + "\nfrom ..core.resilience import PoolDrained\n")
+    findings = run_lint([tmp_path], root=tmp_path,
+                        rules=[ProtocolDrift()]).findings
+    assert rule_ids(findings) == ["protocol-drift"] * 2
+    assert all("PoolDrained" in f.message for f in findings)
+    layers = " ".join(f.message for f in findings)
+    assert "EVENT_TYPES" in layers and "isinstance" in layers
 
 
 # -- no-unpicklable-submit -------------------------------------------------
@@ -698,13 +680,15 @@ def test_cli_list_rules_prints_catalog():
     assert lint_command([], list_rules=True, stdout=out) == 0
     text = out.getvalue()
     for rule_id in ("no-global-rng", "no-wall-clock", "no-silent-except",
-                    "frozen-records", "event-exhaustiveness",
-                    "protocol-drift", "no-unpicklable-submit",
-                    "no-unbounded-queue", "rng-taint",
-                    "obs-pickle-boundary", "journal-order"):
+                    "frozen-records", "protocol-drift",
+                    "no-unpicklable-submit", "no-unbounded-queue",
+                    "rng-taint", "obs-pickle-boundary", "journal-order"):
         assert rule_id in text
     # retired: src/ creates no shared-memory block left to check
     assert "shm-leak-path" not in text
+    # retired: the engine records are the api events, so there are no
+    # mirrors or relay table left to keep in step
+    assert "event-exhaustiveness" not in text
 
 
 def test_cli_json_output(tmp_path):
@@ -793,4 +777,4 @@ def test_python_dash_m_entry_point():
         capture_output=True, text=True, cwd=REPO_ROOT,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0
-    assert "event-exhaustiveness" in proc.stdout
+    assert "protocol-drift" in proc.stdout

@@ -229,10 +229,10 @@ def trained_setup():
     return model, x[300:], y[300:]
 
 
-def _campaign(trained_setup, executor=None):
+def _campaign(trained_setup, executor=None, on_event=None):
     model, x, y = trained_setup
     return FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
-                         executor=executor or "serial")
+                         executor=executor or "serial", on_event=on_event)
 
 
 @pytest.fixture(scope="module")
@@ -250,9 +250,8 @@ def test_killed_worker_costs_only_its_own_job(trained_setup, reference,
         n_jobs=2, chaos=chaos,
         policy=RetryPolicy(backoff=0.0, stall_timeout=5.0, max_rebuilds=1))
     events = []
-    executor.on_event = events.append
-    result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
-                                                    **GRID)
+    result = _campaign(trained_setup, executor, events.append).run(
+        FaultSpec.bitflip, **GRID)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
     lost = [event for event in events if isinstance(event, WorkerLost)]
     assert len(lost) == 1 and lost[0].in_flight == 1
@@ -283,8 +282,8 @@ def test_timed_out_job_reforks_only_its_worker(trained_setup, reference,
     result = _campaign(trained_setup, executor).run(FaultSpec.bitflip,
                                                     **GRID)
     np.testing.assert_array_equal(result.accuracies, reference.accuracies)
-    assert executor.resilience["timeouts"] == 1
-    assert executor.resilience["workers_lost"] == 0
+    assert result.meta["resilience"]["timeouts"] == 1
+    assert result.meta["resilience"]["workers_lost"] == 0
     assert len(inits.read_text().split()) == 3
 
 
