@@ -403,20 +403,6 @@ def _cmd_scenarios_list(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    """Registry-independent static-analysis gate (``repro.lint``).
-
-    Exit codes follow the repo convention: 0 clean, 1 findings, 2
-    usage/validation errors (``LintUsageError`` is a ``ValueError``, so
-    :func:`main` maps it like every other validation failure).
-    """
-    from .lint import lint_command
-    return lint_command(args.paths, root=args.root, baseline=args.baseline,
-                        update_baseline=args.write_baseline,
-                        list_rules=args.list_rules, json_output=args.json,
-                        changed=args.changed)
-
-
 def _cmd_cost(args) -> int:
     from .lim import estimate_model_cost
     model = _resolve_model(args.model)
@@ -610,30 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
     scen_sub = p_scen.add_subparsers(dest="scenarios_command", required=True)
     p_slist = scen_sub.add_parser("list", help="the scenario zoo")
     p_slist.set_defaults(func=_cmd_scenarios_list)
-    p_lint = sub.add_parser(
-        "lint", help="AST-based invariant checker (determinism, "
-                     "shared-memory lifecycle, event protocol)")
-    p_lint.add_argument("paths", nargs="*",
-                        help="files or directories (default: src/ and "
-                             "tests/ under --root)")
-    p_lint.add_argument("--root", default=None, metavar="DIR",
-                        help="repository root for relative paths and "
-                             "per-module rules (default: cwd)")
-    p_lint.add_argument("--baseline", default=None, metavar="FILE",
-                        help="baseline file (default: "
-                             "<root>/lint-baseline.json when present)")
-    p_lint.add_argument("--write-baseline", action="store_true",
-                        help="regenerate the baseline waiving every "
-                             "current finding")
-    p_lint.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                        metavar="BASE",
-                        help="lint only python files git reports changed "
-                             "vs BASE (default HEAD) plus untracked ones")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable findings on stdout")
-    p_lint.set_defaults(func=_cmd_lint)
+    # listed for `repro --help` only: main() hands every `repro lint`
+    # argument to repro.lint.runner.main, which defines the lint flags
+    sub.add_parser("lint", help="AST-based invariant checker (determinism, "
+                                "typed failures, event protocol)")
 
     p_cost = sub.add_parser("cost", help="LIM energy/latency estimate")
     p_cost.add_argument("--model", default="lenet", choices=model_choices)
@@ -649,6 +615,11 @@ def main(argv: list[str] | None = None) -> int:
     docstring): validation errors (any :class:`ValueError`, which
     includes ``ApiError`` and ``ScenarioError``) exit 2, runtime
     failures exit 1."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        # one definition of the lint flags, shared with python -m repro.lint
+        from .lint.runner import main as lint_main
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -227,8 +227,8 @@ class FaultCampaign:
         xs : sequence of float
             Sweep points (injection rates, periods, line counts, ...).
         repeats : int
-            Repetitions per point, each with a fresh seed (the paper runs
-            100).
+            Repetitions per point (at least one), each with a fresh seed
+            (the paper runs 100).
         seed : int
             Base seed.  Each cell's plan seed is the pure function
             ``seed + 7919*repeat + 104729*point`` of its grid coordinates,
@@ -265,6 +265,8 @@ class FaultCampaign:
             packed GEMM that ran (``"c"`` or ``"numpy"``, see
             :func:`repro.binary.bitops.kernel`).
         """
+        if repeats < 1:
+            raise ValueError(f"a campaign needs repeats >= 1, got {repeats}")
         xs = list(xs)
         total = len(xs) * repeats
         accuracies = np.zeros((len(xs), repeats), dtype=np.float64)

@@ -212,6 +212,9 @@ class CampaignEvaluator:
         self.x_test.flags.writeable = False
         self.y_test = np.array(y_test)
         self.y_test.flags.writeable = False
+        if len(self.y_test) == 0:
+            raise ValueError("the test set is empty: a campaign needs at "
+                             "least one image")
         self.injector = FaultInjector(continue_time_across_layers)
         self._baseline: float | None = None
         #: split -> list of (activation batch, label batch)

@@ -50,8 +50,9 @@ class FaultGenerator:
     Parameters
     ----------
     rows, cols:
-        Crossbar geometry; every mapped layer gets its own crossbar with
-        these dimensions ("each layer is mapped onto a single crossbar").
+        Crossbar geometry, each at least 1; every mapped layer gets its
+        own crossbar with these dimensions ("each layer is mapped onto a
+        single crossbar").
     specs:
         Fault directives, combined per layer (e.g. bit-flips + stuck-at).
     seed:
@@ -62,6 +63,9 @@ class FaultGenerator:
 
     def __init__(self, specs: list[FaultSpec] | FaultSpec,
                  rows: int = 40, cols: int = 10, seed: int = 0):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"a crossbar needs rows >= 1 and cols >= 1, "
+                             f"got {rows}x{cols}")
         if isinstance(specs, FaultSpec):
             specs = [specs]
         self.specs = list(specs)

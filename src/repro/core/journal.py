@@ -20,9 +20,10 @@ snapshot + model weights); every following line is a result cell::
 Resuming validates the header against the requested grid and refuses to
 mix journals across campaigns.  A torn final line (the process was killed
 mid-write) is discarded with a warning and cut off the file, so the
-resumed run appends on a line of its own; that cell is simply
-re-evaluated.  Corruption anywhere *before* the final line is not a crash
-artifact of append-only writes and is refused outright.
+resumed run appends on a line of its own.  The warning names the kind of
+line torn: a torn cell is simply re-evaluated, while a torn event or
+trace line loses no cell.  Corruption anywhere *before* the final line
+is not a crash artifact of append-only writes and is refused outright.
 
 Besides result cells, the journal records resilience events (worker
 losses, retries, quarantined cells, executor degradations) as
@@ -38,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import warnings
 from collections.abc import Callable
 from pathlib import Path
@@ -51,6 +53,22 @@ _VERSION = 1
 #: data or a retrained model cannot silently mix into a resumed result
 _GRID_KEYS = ("xs", "repeats", "seed", "rows", "cols", "layers", "backend",
               "continue_time", "specs", "fingerprint")
+
+
+def _torn_tail_message(path: Path, line: str) -> str:
+    """The warning for a torn final ``line``.  It names the kind of line
+    that was torn, since only a torn cell line is re-evaluated: audit
+    lines start with their ``kind``, cell lines with ``"point"``."""
+    match = re.match(r'\{"kind": "(\w+)"', line)
+    if match is not None:
+        what = f"it was a {match.group(1)} line; no cell is lost"
+    elif line.startswith('{"point"'):
+        what = "it was a cell line; that cell will be re-evaluated"
+    else:
+        what = ("too little of it is left to tell its kind; a cell it "
+                "held will be re-evaluated")
+    return (f"journal {path} ends in a torn line (the writer died "
+            f"mid-append); discarding it — {what}")
 
 
 class CampaignJournal:
@@ -155,11 +173,8 @@ class CampaignJournal:
                 cell = json.loads(line)
             except json.JSONDecodeError as error:
                 if position == len(body) - 1:
-                    # torn tail from a killed writer: warn, re-evaluate it
-                    self._warn(
-                        f"journal {self.path} ends in a torn line "
-                        "(the writer died mid-append); discarding it — "
-                        "that cell will be re-evaluated")
+                    # torn tail from a killed writer: warn, drop it
+                    self._warn(_torn_tail_message(self.path, line))
                     complete = text[:text.rindex(line)]
                     break
                 # mid-file damage is not an append-crash artifact: the

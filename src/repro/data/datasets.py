@@ -32,6 +32,8 @@ class Dataset:
 
     def subset(self, n: int, seed: int | None = None) -> "Dataset":
         """First-n (or random-n when seeded) subset — for quick sweeps."""
+        if n < 0:
+            raise ValueError(f"a subset holds n >= 0 images, got n={n}")
         if n >= len(self):
             return self
         if seed is None:
@@ -106,6 +108,6 @@ class LazyDataset(Dataset):
         return f"LazyDataset({len(self._x)} of {len(self)} images rendered)"
 
     def subset(self, n: int, seed: int | None = None) -> Dataset:
-        if seed is None and n < len(self):
+        if seed is None and 0 <= n < len(self):
             return Dataset(self._prefix(n).copy(), self.y[:n].copy())
         return super().subset(n, seed)

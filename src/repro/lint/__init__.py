@@ -8,9 +8,9 @@ Since PR 10 the determinism and ordering rules are *flow-sensitive*: they
 reason over intraprocedural CFGs (:mod:`repro.lint.cfg`) with reaching
 definitions and taint propagation (:mod:`repro.lint.flow`), so a
 violation is a provable path, not a missing keyword nearby.
-See ``docs/static-analysis.md`` for the rule catalog, the
-``# repro: allow[rule-id]`` suppression syntax, and the baseline
-workflow; run it as ``repro lint`` or ``python -m repro.lint``.
+See ``docs/static-analysis.md`` for the rule catalog and the
+``# repro: allow[rule-id]`` suppression syntax; run it as ``repro
+lint`` or ``python -m repro.lint``.
 
 The package deliberately has no numpy/engine dependencies — it parses
 the tree with :mod:`ast` and never imports the code under check.
@@ -18,21 +18,17 @@ the tree with :mod:`ast` and never imports the code under check.
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineEntry, load_baseline, write_baseline
 from .cfg import CFG, CFGNode, build_cfg, iter_scopes
 from .findings import Finding, Rule
 from .flow import propagate_taint, reaching_definitions, use_def
 from .project import (LintUsageError, Module, ParseFailure, Project,
                       load_project)
 from .rules import (DEFAULT_RULES, FrozenRecords, JournalOrder, NoGlobalRng,
-                    NoSilentExcept, NoUnpicklableSubmit, NoWallClock,
-                    ObsPickleBoundary, ProtocolDrift, RngTaint,
-                    UnboundedQueue)
+                    NoSilentExcept, NoWallClock, ObsPickleBoundary,
+                    ProtocolDrift, RngTaint, UnboundedQueue)
 from .runner import LintResult, changed_files, lint_command, main, run_lint
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "CFG",
     "CFGNode",
     "DEFAULT_RULES",
@@ -44,7 +40,6 @@ __all__ = [
     "Module",
     "NoGlobalRng",
     "NoSilentExcept",
-    "NoUnpicklableSubmit",
     "NoWallClock",
     "ObsPickleBoundary",
     "ParseFailure",
@@ -57,12 +52,10 @@ __all__ = [
     "changed_files",
     "iter_scopes",
     "lint_command",
-    "load_baseline",
     "load_project",
     "main",
     "propagate_taint",
     "reaching_definitions",
     "run_lint",
     "use_def",
-    "write_baseline",
 ]

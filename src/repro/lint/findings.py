@@ -1,17 +1,16 @@
 """The result vocabulary of the lint pass: findings and the rule protocol.
 
 A :class:`Finding` is one violation of one rule at one source location;
-rules yield them, the runner (:mod:`repro.lint.runner`) filters them
-through inline suppressions and the committed baseline, and whatever
-survives fails the build.  Everything here is deliberately free of
-numpy/engine imports so the checker can parse the whole tree without
-executing any of it.
+rules yield them, skipping lines an inline suppression covers, and
+whatever they yield fails the build (:mod:`repro.lint.runner`).
+Everything here is deliberately free of numpy/engine imports so the
+checker can parse the whole tree without executing any of it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:
@@ -26,17 +25,13 @@ class Finding:
 
     ``path`` is the file's POSIX path relative to the lint root (the
     repository root in CI), so findings are stable across checkouts;
-    ``line`` is 1-based.  ``waivable`` findings can be grandfathered by
-    a baseline entry; cross-module contract violations (event
-    exhaustiveness) set it ``False`` because a baseline would defeat the
-    rule's whole purpose.
+    ``line`` is 1-based.
     """
 
     path: str
     line: int
     rule: str
     message: str
-    waivable: bool = field(default=True, compare=False)
 
     def render(self) -> str:
         """The one-line ``path:line: [rule] message`` report form."""
@@ -51,12 +46,12 @@ class Finding:
 class Rule(Protocol):
     """What the runner requires of a rule.
 
-    ``rule_id`` is the stable kebab-case identifier used in reports,
-    ``# repro: allow[rule-id]`` suppressions, and baseline entries;
-    ``summary`` is the one-liner ``repro lint --list-rules`` prints.
-    :meth:`check` receives the whole parsed :class:`~repro.lint.project.
-    Project` — most rules iterate its modules independently, while
-    cross-module rules (event exhaustiveness) correlate several files.
+    ``rule_id`` is the stable kebab-case identifier used in reports and
+    ``# repro: allow[rule-id]`` suppressions; ``summary`` is the
+    one-liner ``repro lint --list-rules`` prints.  :meth:`check`
+    receives the whole parsed :class:`~repro.lint.project.Project` —
+    most rules iterate its modules independently, while cross-module
+    rules (``protocol-drift``) correlate several files.
     """
 
     rule_id: str

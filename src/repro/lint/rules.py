@@ -38,7 +38,6 @@ __all__ = [
     "JournalOrder",
     "NoGlobalRng",
     "NoSilentExcept",
-    "NoUnpicklableSubmit",
     "NoWallClock",
     "ObsPickleBoundary",
     "ProtocolDrift",
@@ -59,13 +58,13 @@ OBS_SPANS_MODULE = "src/repro/obs/spans.py"
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _finding(module: Module, node: ast.AST, rule_id: str, message: str, *,
-             waivable: bool = True) -> Iterator[Finding]:
+def _finding(module: Module, node: ast.AST, rule_id: str,
+             message: str) -> Iterator[Finding]:
     """Yield one finding unless an inline suppression covers it."""
     line = getattr(node, "lineno", 1)
     if not module.suppressed(line, rule_id):
         yield Finding(path=module.relpath, line=line, rule=rule_id,
-                      message=message, waivable=waivable)
+                      message=message)
 
 
 def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -324,64 +323,6 @@ def _isinstance_targets(module: Module) -> set[str]:
             elif isinstance(element, ast.Attribute):
                 targets.add(element.attr)
     return targets
-
-
-class NoUnpicklableSubmit:
-    """Work shipped to executor pools must be picklable.
-
-    A lambda or nested function handed to ``apply_async``/``submit``/
-    ``imap*`` dies with ``PicklingError`` only once a real pool runs it
-    — the serial executor masks the bug.  Callbacks (keyword arguments)
-    run parent-side and are exempt.
-    """
-
-    rule_id = "no-unpicklable-submit"
-    summary = ("no lambdas/nested functions as the task callable of "
-               "executor submit/apply paths")
-    _submit_names = frozenset({
-        "apply_async", "apply", "submit", "imap", "imap_unordered",
-        "map_async", "starmap", "starmap_async",
-    })
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for module in project.modules:
-            nested = self._nested_defs(module)
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not (isinstance(node.func, ast.Attribute)
-                        and node.func.attr in self._submit_names):
-                    continue
-                if not node.args:
-                    continue
-                task = node.args[0]
-                if isinstance(task, ast.Lambda):
-                    yield from _finding(
-                        module, task, self.rule_id,
-                        f"lambda passed to .{node.func.attr}() cannot be "
-                        "pickled into a worker process; use a "
-                        "module-level function")
-                elif isinstance(task, ast.Name) and task.id in nested:
-                    yield from _finding(
-                        module, task, self.rule_id,
-                        f"nested function {task.id}() passed to "
-                        f".{node.func.attr}() cannot be pickled into a "
-                        "worker process; move it to module level")
-
-    @staticmethod
-    def _nested_defs(module: Module) -> set[str]:
-        """Names defined by ``def`` inside another function, excluding
-        names that also exist at module level (those resolve fine)."""
-        top_level = {node.name for node in module.tree.body
-                     if isinstance(node, _FUNCTION_NODES)}
-        nested: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, _FUNCTION_NODES):
-                for child in ast.walk(node):
-                    if child is not node and isinstance(child,
-                                                        _FUNCTION_NODES):
-                        nested.add(child.name)
-        return nested - top_level
 
 
 class UnboundedQueue:
@@ -697,7 +638,7 @@ class ProtocolDrift:
     (``docs/api.md`` events table, ``docs/static-analysis.md`` rule
     catalog).  A subclass missing from any layer is protocol drift: the
     wire silently drops it, the CLI swallows it, or the docs lie.  This
-    rule reads all four layers and fails unwaivably on any asymmetry —
+    rule reads all four layers and fails on any asymmetry —
     including the reverse direction (a wire entry for an event that no
     longer exists).  Docs layers are read from ``project.root`` and
     skipped when absent, so fixture trees without docs stay checkable.
@@ -728,7 +669,7 @@ class ProtocolDrift:
                     resilience, node, self.rule_id,
                     f"engine record {name} is not in api/events.py's "
                     "vocabulary; import it there, or the wire refuses to "
-                    "encode it and the CLI drops it", waivable=False)
+                    "encode it and the CLI drops it")
         yield from self._check_wire(project, vocabulary, imported)
         yield from self._check_cli(project, vocabulary)
         yield from self._check_docs(project, vocabulary)
@@ -745,7 +686,7 @@ class ProtocolDrift:
                 path=wire.relpath, line=1, rule=self.rule_id,
                 message="service/wire.py has no parseable EVENT_TYPES "
                         "registry; the wire codec cannot be checked "
-                        "against the event vocabulary", waivable=False)
+                        "against the event vocabulary")
             return
         names, node = registered
         for name, (module, cls) in vocabulary.items():
@@ -754,7 +695,7 @@ class ProtocolDrift:
                     module, cls, self.rule_id,
                     f"event {name} is missing from service/wire.py's "
                     "EVENT_TYPES registry; the wire codec would drop it "
-                    "on decode", waivable=False)
+                    "on decode")
         # names imported from core/resilience.py count as known even when
         # a partial run leaves that module out
         for name in sorted(names - vocabulary.keys() - imported):
@@ -762,7 +703,7 @@ class ProtocolDrift:
                 wire, node, self.rule_id,
                 f"wire.py EVENT_TYPES registers {name}, which is not a "
                 "RunEvent subclass in api/events.py; stale registry "
-                "entry", waivable=False)
+                "entry")
 
     def _check_cli(self, project: Project,
                    vocabulary: dict[str, tuple[Module, ast.ClassDef]]
@@ -777,7 +718,7 @@ class ProtocolDrift:
                     module, cls, self.rule_id,
                     f"event {name} has no isinstance dispatch branch in "
                     "cli.py's renderer; a run emitting it would be "
-                    "silently dropped from the CLI", waivable=False)
+                    "silently dropped from the CLI")
 
     def _check_docs(self, project: Project,
                     vocabulary: dict[str, tuple[Module, ast.ClassDef]]
@@ -790,7 +731,7 @@ class ProtocolDrift:
                         module, cls, self.rule_id,
                         f"event {name} is not documented in "
                         f"{self.docs_api}'s event catalog; the public "
-                        "protocol docs have drifted", waivable=False)
+                        "protocol docs have drifted")
         lint_text = self._read_doc(project, self.docs_lint)
         if lint_text is not None:
             for rule in DEFAULT_RULES:
@@ -799,8 +740,7 @@ class ProtocolDrift:
                         path=self.docs_lint, line=1, rule=self.rule_id,
                         message=f"rule {rule.rule_id} is not documented "
                                 f"in {self.docs_lint}'s catalog; the "
-                                "rule catalog has drifted",
-                        waivable=False)
+                                "rule catalog has drifted")
 
     @staticmethod
     def _read_doc(project: Project, relpath: str) -> str | None:
@@ -852,6 +792,6 @@ class ProtocolDrift:
 
 DEFAULT_RULES: tuple[Rule, ...] = (
     NoGlobalRng(), NoWallClock(), NoSilentExcept(), FrozenRecords(),
-    ProtocolDrift(), NoUnpicklableSubmit(), UnboundedQueue(), RngTaint(),
-    ObsPickleBoundary(), JournalOrder(),
+    ProtocolDrift(), UnboundedQueue(), RngTaint(), ObsPickleBoundary(),
+    JournalOrder(),
 )

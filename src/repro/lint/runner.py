@@ -1,21 +1,23 @@
-"""Run the rules, apply suppressions and the baseline, report.
+"""Run the rules and report what they find.
 
 :func:`run_lint` is the library entry point (used by the tests and the
-docs snippet); :func:`lint_command` implements the shared CLI semantics
-behind both ``repro lint`` and ``python -m repro.lint`` with the
-repository's uniform exit codes:
+docs snippet).  :func:`main` is the command line of both ``repro lint``
+and ``python -m repro.lint`` — the flags are defined here, once — and
+:func:`lint_command` its body, with the repository's uniform exit
+codes:
 
-* ``0`` — no active findings;
-* ``1`` — at least one active finding (the build should fail);
-* ``2`` — usage/validation error (unknown path, malformed baseline,
-  raised as :class:`LintUsageError`) **or** an unparsable checked file —
-  the latter is also reported as an unwaivable ``syntax-error`` finding
-  so it shows up in ``--json`` artifacts instead of vanishing from the
-  walk.
+* ``0`` — no findings;
+* ``1`` — at least one finding (the build should fail);
+* ``2`` — usage/validation error (unknown path, raised as
+  :class:`LintUsageError`) **or** an unparsable checked file — the
+  latter is also reported as a ``syntax-error`` finding so it shows up
+  in ``--json`` artifacts instead of vanishing from the walk.
 
-``--changed`` scopes the run to the files git reports as modified
-(versus ``HEAD`` or a given base ref) plus untracked files, so the gate
-runs in seconds pre-commit while CI keeps the full-tree run.
+The only waiver is an inline ``# repro: allow[rule-id]`` comment, which
+the rules honour themselves.  ``--changed`` scopes the run to the files
+git reports as modified (versus ``HEAD`` or a given base ref) plus
+untracked files, so the gate runs in seconds pre-commit while CI keeps
+the full-tree run.
 """
 
 from __future__ import annotations
@@ -23,24 +25,21 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
-from .baseline import Baseline, BaselineEntry, load_baseline, write_baseline
 from .findings import Finding, Rule
 from .project import LintUsageError, load_project
 from .rules import DEFAULT_RULES
 
-__all__ = ["LintResult", "changed_files", "lint_command", "run_lint"]
+__all__ = ["LintResult", "changed_files", "lint_command", "main",
+           "run_lint"]
 
 #: what a bare ``repro lint`` scans, relative to the root
 DEFAULT_PATHS = ("src", "tests")
-#: the committed grandfather file, relative to the root
-BASELINE_NAME = "lint-baseline.json"
-#: pseudo-rule id for unparsable checked files (unwaivable, exit 2)
+#: pseudo-rule id for unparsable checked files (exit 2)
 SYNTAX_RULE = "syntax-error"
 
 
@@ -48,12 +47,8 @@ SYNTAX_RULE = "syntax-error"
 class LintResult:
     """Everything one lint pass determined."""
 
-    #: findings that fail the build (not suppressed, not waived)
+    #: findings that fail the build (those not suppressed inline)
     findings: list[Finding] = field(default_factory=list)
-    #: findings absorbed by baseline entries
-    waived: list[Finding] = field(default_factory=list)
-    #: baseline entries with unconsumed budget (should be tightened)
-    stale_entries: list[BaselineEntry] = field(default_factory=list)
     #: number of files parsed
     files: int = 0
     #: number of checked files the parser rejected
@@ -65,35 +60,26 @@ class LintResult:
 
 
 def run_lint(paths: Sequence[Path | str], root: Path | str | None = None,
-             rules: Sequence[Rule] = DEFAULT_RULES,
-             baseline: Baseline | None = None) -> LintResult:
+             rules: Sequence[Rule] = DEFAULT_RULES) -> LintResult:
     """Lint ``paths`` (files or directories) against ``rules``.
 
-    ``root`` anchors the relative paths that rules, suppressions, and
-    baseline entries are keyed on; it defaults to the current working
-    directory.  Inline ``# repro: allow[rule-id]`` suppressions are
-    honored inside the rules themselves; the ``baseline`` (if given)
-    then absorbs grandfathered findings.  A checked file that fails to
-    parse becomes an unwaivable ``syntax-error`` finding — never a
-    silent skip.
+    ``root`` anchors the relative paths that rules and suppressions are
+    keyed on; it defaults to the current working directory.  Inline
+    ``# repro: allow[rule-id]`` suppressions are honored inside the
+    rules themselves.  A checked file that fails to parse becomes a
+    ``syntax-error`` finding — never a silent skip.
     """
     root = Path(root) if root is not None else Path.cwd()
     project = load_project([Path(p) for p in paths], root)
     findings: list[Finding] = [
         Finding(path=failure.relpath, line=failure.line, rule=SYNTAX_RULE,
                 message=f"cannot parse file: {failure.message}; the rules "
-                        "did not run on it", waivable=False)
+                        "did not run on it")
         for failure in project.failures]
     for rule in rules:
         findings.extend(rule.check(project))
-    findings.sort()
-    result = LintResult(files=len(project.modules),
-                        syntax_errors=len(project.failures))
-    if baseline is None:
-        baseline = Baseline(entries=[])
-    result.findings, result.waived, result.stale_entries = (
-        baseline.apply(findings))
-    return result
+    return LintResult(findings=sorted(findings), files=len(project.modules),
+                      syntax_errors=len(project.failures))
 
 
 def changed_files(root: Path, base: str = "HEAD") -> list[Path]:
@@ -120,8 +106,6 @@ def changed_files(root: Path, base: str = "HEAD") -> list[Path]:
 
 def lint_command(paths: Sequence[str] = (), *,
                  root: Path | str | None = None,
-                 baseline: str | None = None,
-                 update_baseline: bool = False,
                  list_rules: bool = False,
                  json_output: bool = False,
                  changed: str | None = None,
@@ -151,47 +135,20 @@ def lint_command(paths: Sequence[str] = (), *,
         raise LintUsageError(
             f"nothing to lint: no paths given and {root} contains none of "
             f"{'/'.join(DEFAULT_PATHS)}")
-    baseline_path = (Path(baseline) if baseline is not None
-                     else root / BASELINE_NAME)
-    if update_baseline:
-        result = run_lint(scan, root=root, rules=rules)
-        count = write_baseline(baseline_path, result.findings)
-        print(f"wrote {baseline_path} with {count} grandfathered "
-              f"entr{'y' if count == 1 else 'ies'}", file=out)
-        unwaivable = [f for f in result.findings if not f.waivable]
-        for finding in unwaivable:
-            print(finding.render(), file=out)
-        if result.syntax_errors:
-            return 2
-        return 1 if unwaivable else 0
-    result = run_lint(scan, root=root, rules=rules,
-                      baseline=load_baseline(baseline_path))
+    result = run_lint(scan, root=root, rules=rules)
     if json_output:
         payload = {
             "files": result.files,
             "syntax_errors": result.syntax_errors,
             "findings": [f.to_dict() for f in result.findings],
-            "waived": len(result.waived),
-            "stale_baseline_entries": [
-                {"rule": e.rule, "path": e.path, "count": e.count}
-                for e in result.stale_entries],
         }
         print(json.dumps(payload, indent=2), file=out)
         return _exit_code(result)
     for finding in result.findings:
         print(finding.render(), file=out)
-    used = Counter((f.rule, f.path) for f in result.waived)
-    for entry in result.stale_entries:
-        matched = used[entry.key()]
-        print(f"note: stale baseline entry should be tightened: "
-              f"{entry.rule} in {entry.path} allows {entry.count} but "
-              f"matched {matched}", file=out)
-    summary = (f"checked {result.files} files: "
-               + ("OK" if result.ok
-                  else f"{len(result.findings)} finding(s)"))
-    if result.waived:
-        summary += f" ({len(result.waived)} waived by baseline)"
-    print(summary, file=out)
+    print(f"checked {result.files} files: "
+          + ("OK" if result.ok else f"{len(result.findings)} finding(s)"),
+          file=out)
     return _exit_code(result)
 
 
@@ -202,7 +159,8 @@ def _exit_code(result: LintResult) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.lint`` entry point (argparse + exit codes)."""
+    """``repro lint`` / ``python -m repro.lint`` (argparse + exit
+    codes)."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -212,15 +170,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="files or directories to lint "
                              "(default: src/ and tests/ under --root)")
     parser.add_argument("--root", default=None, metavar="DIR",
-                        help="repository root that relative paths, "
-                             "baseline entries, and per-module rules are "
-                             "keyed on (default: cwd)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=f"baseline file (default: <root>/"
-                             f"{BASELINE_NAME} when present)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="regenerate the baseline file waiving every "
-                             "current finding, then exit")
+                        help="repository root that relative paths and "
+                             "per-module rules are keyed on (default: "
+                             "cwd)")
     parser.add_argument("--changed", nargs="?", const="HEAD", default=None,
                         metavar="BASE",
                         help="lint only python files git reports changed "
@@ -232,8 +184,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return lint_command(args.paths, root=args.root,
-                            baseline=args.baseline,
-                            update_baseline=args.write_baseline,
                             list_rules=args.list_rules,
                             json_output=args.json,
                             changed=args.changed)

@@ -377,19 +377,25 @@ def test_sweep_journal_resume_through_request(tmp_path):
 def test_torn_journal_resume_streams_one_run_warning(tmp_path, engine):
     """A resumed journal's torn final line reaches the event stream as
     a RunWarning on every executor, never as a Python warning; the
-    fully journaled grid left to run adds no pool warning."""
+    fully journaled grid left to run adds no pool warning.  Under the
+    api the last line is a trace span, so the warning says no cell is
+    lost, and none is re-evaluated."""
     from repro.testing import truncate_last_line
 
     journal = tmp_path / "sweep.jsonl"
-    api.run("sweep", quick=True, journal=str(journal), **engine)
+    first = api.run("sweep", quick=True, journal=str(journal), **engine)
     truncate_last_line(journal)
     events = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        api.run("sweep", quick=True, journal=str(journal), resume=True,
-                on_event=events.append, **engine)
+        resumed = api.run("sweep", quick=True, journal=str(journal),
+                          resume=True, on_event=events.append, **engine)
     messages = [e.message for e in events if isinstance(e, RunWarning)]
     assert len(messages) == 1 and "torn" in messages[0]
+    assert "it was a trace line; no cell is lost" in messages[0]
+    assert "re-evaluated" not in messages[0]
+    assert resumed.meta["resumed_cells"] == first.raw.accuracies.size
+    assert not any(isinstance(e, CellDone) for e in events)
 
 
 def test_complete_journal_resumed_on_the_pool_warns_nothing(tmp_path):

@@ -365,6 +365,33 @@ def test_run_non_finite_job_timeout_exits_2(capsys, value):
     assert "job_timeout" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "sweep", "--quick", "--progress", "--param", "repeats=0"],
+     "repeats >= 1"),
+    (["run", "sweep", "--quick", "--progress", "--param", "images=0"],
+     "test set is empty"),
+    (["run", "sweep", "--quick", "--progress", "--param", "images=-5"],
+     "n >= 0"),
+    (["run", "sweep", "--quick", "--progress", "--param", "rows=0"],
+     "rows >= 1"),
+    (["vectors", "PLAN", "--rows", "0"], "rows >= 1"),
+], ids=["repeats=0", "images=0", "images=-5", "rows=0", "vectors-rows=0"])
+def test_degenerate_inputs_exit_2_before_any_cell(capsys, tmp_path, argv,
+                                                  message):
+    """No repeats, no images, a negative image count or a crossbar
+    without rows is refused where the value enters: exit 2 before any
+    cell runs (no progress, retry or quarantine line) and before any
+    fault file is written."""
+    plan = tmp_path / "plan.flim"
+    code = main([str(plan) if arg == "PLAN" else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert not re.search(r"^(\[\d+/\d+\]|retry:|quarantined:)", err,
+                         re.MULTILINE)
+    assert not plan.exists()
+
+
 def test_run_runtime_failure_exits_1(capsys):
     from repro import api
 

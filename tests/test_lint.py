@@ -5,22 +5,22 @@ isolation against a synthetic tree; the cross-layer rule
 (protocol-drift) is additionally exercised against a copy of the *real*
 protocol modules (the acceptance scenarios: a new event dataclass with
 no wire entry or renderer branch, or an engine record api/events.py
-does not import, must fail the gate).  A self-check pins the shipped tree to zero findings with an
-empty baseline.  Flow-rule path semantics (CFG, taint, dominance) live
-in ``tests/test_lint_flow.py``.
+does not import, must fail the gate).  A self-check pins the shipped
+tree to zero findings.  Flow-rule path semantics (CFG, taint, dominance)
+live in ``tests/test_lint_flow.py``.
 """
 
 import io
 import json
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint import (Baseline, BaselineEntry, FrozenRecords,
-                        LintUsageError, NoGlobalRng, NoSilentExcept,
-                        NoUnpicklableSubmit, NoWallClock, ProtocolDrift,
-                        RngTaint, UnboundedQueue, load_baseline, run_lint)
+from repro.lint import (DEFAULT_RULES, FrozenRecords, LintUsageError,
+                        NoGlobalRng, NoSilentExcept, NoWallClock,
+                        ProtocolDrift, RngTaint, UnboundedQueue, run_lint)
 from repro.lint.runner import lint_command
 from repro.lint.runner import main as lint_main
 
@@ -300,13 +300,6 @@ def test_new_event_without_consumers_fails_every_layer(tmp_path):
     assert "EVENT_TYPES" in layers
     assert "isinstance" in layers
     assert "docs/api.md" in layers
-    assert all(f.waivable is False for f in findings)
-    # ...and the baseline can never absorb them
-    baseline = Baseline(entries=[BaselineEntry(
-        rule="protocol-drift", path="src/repro/api/events.py",
-        count=5)])
-    active, waived, _ = baseline.apply(findings)
-    assert len(active) == 3 and waived == []
 
 
 def test_protocol_drift_clean_tree_and_stale_wire_entry(tmp_path):
@@ -330,7 +323,7 @@ def test_protocol_drift_clean_tree_and_stale_wire_entry(tmp_path):
 def test_engine_record_outside_the_vocabulary_fails(tmp_path):
     """A RunEvent subclass core/resilience.py defines but api/events.py
     does not import is one the wire refuses to encode and the CLI
-    drops: protocol-drift fails on it, unwaivably.  Once imported, it is
+    drops: protocol-drift fails on it.  Once imported, it is
     checked against every consumer like any other event."""
     copy_protocol_tree(tmp_path)
     resilience = tmp_path / "src/repro/core/resilience.py"
@@ -350,7 +343,6 @@ def test_engine_record_outside_the_vocabulary_fails(tmp_path):
     assert finding.path == "src/repro/core/resilience.py"
     assert "engine record PoolDrained is not in api/events.py's " \
         "vocabulary" in finding.message
-    assert finding.waivable is False
 
     events = tmp_path / "src/repro/api/events.py"
     events.write_text(events.read_text(encoding="utf-8")
@@ -361,36 +353,6 @@ def test_engine_record_outside_the_vocabulary_fails(tmp_path):
     assert all("PoolDrained" in f.message for f in findings)
     layers = " ".join(f.message for f in findings)
     assert "EVENT_TYPES" in layers and "isinstance" in layers
-
-
-# -- no-unpicklable-submit -------------------------------------------------
-
-def test_unpicklable_submit_bad_lambda_and_nested(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            def run(pool, xs):
-                def task(x):
-                    return x + 1
-                pool.apply_async(lambda: 1)
-                return pool.imap(task, xs)
-            """,
-    }, rules=[NoUnpicklableSubmit()])
-    assert rule_ids(findings) == ["no-unpicklable-submit"] * 2
-
-
-def test_unpicklable_submit_good_module_level_and_callbacks(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/a.py": """\
-            def work(x):
-                return x + 1
-
-            def run(pool, done):
-                # parent-side callbacks may be closures
-                return pool.apply_async(work, (1,),
-                                        callback=lambda r: done(r))
-            """,
-    }, rules=[NoUnpicklableSubmit()])
-    assert findings == []
 
 
 # -- rng-taint -------------------------------------------------------------
@@ -517,109 +479,11 @@ def test_suppression_star_allows_every_rule(tmp_path):
     assert findings == []
 
 
-# -- baseline --------------------------------------------------------------
-
-def test_baseline_waives_by_rule_path_count(tmp_path):
-    files = {
-        "src/a.py": """\
-            import random
-
-            x = random.random()
-            y = random.random()
-            """,
-    }
-    baseline = Baseline(entries=[BaselineEntry(
-        rule="no-global-rng", path="src/a.py", count=1)])
-    for relpath, source in files.items():
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    result = run_lint([tmp_path], root=tmp_path, rules=[NoGlobalRng()],
-                      baseline=baseline)
-    # budget of 1 absorbs one finding; the second stays active
-    assert len(result.waived) == 1
-    assert len(result.findings) == 1
-    assert result.stale_entries == []
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    (tmp_path / "src").mkdir(parents=True)
-    (tmp_path / "src/a.py").write_text("x = 1\n")
-    baseline = Baseline(entries=[BaselineEntry(
-        rule="no-global-rng", path="src/gone.py")])
-    result = run_lint([tmp_path], root=tmp_path, rules=[NoGlobalRng()],
-                      baseline=baseline)
-    assert result.ok
-    assert [e.path for e in result.stale_entries] == ["src/gone.py"]
-
-
-def test_baseline_count_decrease_is_reported_as_slack(tmp_path):
-    """An entry matching fewer findings than its count must be flagged
-    so the baseline gets tightened — otherwise the unused budget could
-    silently absorb a future regression."""
-    (tmp_path / "src").mkdir(parents=True)
-    (tmp_path / "src/a.py").write_text(
-        "import random\nx = random.random()\n")
-    baseline = Baseline(entries=[BaselineEntry(
-        rule="no-global-rng", path="src/a.py", count=3)])
-    result = run_lint([tmp_path], root=tmp_path, rules=[NoGlobalRng()],
-                      baseline=baseline)
-    assert result.ok and len(result.waived) == 1
-    assert [(e.rule, e.count) for e in result.stale_entries] == [
-        ("no-global-rng", 3)]
-    # the CLI note names the slack explicitly
-    out = io.StringIO()
-    path = tmp_path / "lint-baseline.json"
-    path.write_text(json.dumps({"version": 1, "entries": [
-        {"rule": "no-global-rng", "path": "src/a.py", "count": 3}]}))
-    assert lint_command([], root=tmp_path, stdout=out) == 0
-    assert "allows 3 but matched 1" in out.getvalue()
-
-
-def test_write_baseline_is_idempotent_and_tightens(tmp_path):
-    """Regenerating twice produces byte-identical output, and after a
-    violation is fixed the regenerated file drops the slack."""
-    (tmp_path / "src").mkdir(parents=True)
-    (tmp_path / "src/a.py").write_text(
-        "import random\nx = random.random()\ny = random.random()\n")
-    base = tmp_path / "lint-baseline.json"
-    assert lint_command([], root=tmp_path, update_baseline=True,
-                        stdout=io.StringIO()) == 0
-    first = base.read_text(encoding="utf-8")
-    assert json.loads(first)["entries"] == [
-        {"rule": "no-global-rng", "path": "src/a.py", "count": 2}]
-    assert lint_command([], root=tmp_path, update_baseline=True,
-                        stdout=io.StringIO()) == 0
-    assert base.read_text(encoding="utf-8") == first
-    # burn one violation down: the count must decrease, not linger
-    (tmp_path / "src/a.py").write_text(
-        "import random\nx = random.random()\n")
-    assert lint_command([], root=tmp_path, update_baseline=True,
-                        stdout=io.StringIO()) == 0
-    assert json.loads(base.read_text(encoding="utf-8"))["entries"] == [
-        {"rule": "no-global-rng", "path": "src/a.py", "count": 1}]
-
-
-def test_load_baseline_missing_is_empty_and_malformed_raises(tmp_path):
-    assert load_baseline(tmp_path / "absent.json").entries == []
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(LintUsageError):
-        load_baseline(bad)
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(LintUsageError):
-        load_baseline(wrong)
-
-
 # -- CLI / exit codes ------------------------------------------------------
 
 def test_shipped_tree_is_clean_with_empty_baseline():
     """The acceptance self-check: `repro lint` exits 0 on the shipped
-    tree and the committed baseline waives nothing in src/repro."""
-    shipped = json.loads(
-        (REPO_ROOT / "lint-baseline.json").read_text(encoding="utf-8"))
-    assert shipped["entries"] == []
+    tree, with nothing waived but the inline allow comments."""
     out = io.StringIO()
     assert lint_command([], root=REPO_ROOT, stdout=out) == 0
     assert "OK" in out.getvalue()
@@ -649,7 +513,7 @@ def test_cli_exit_two_on_unparsable_file(tmp_path, capsys):
 
 def test_unparsable_file_beside_healthy_ones_still_checked(tmp_path):
     """Other files still get the full rule pass; the broken one is
-    reported, unwaivable, and forces exit 2 over exit 1."""
+    reported and forces exit 2 over exit 1."""
     (tmp_path / "src").mkdir()
     (tmp_path / "src/bad.py").write_text(
         "import random\nx = random.random()\n")
@@ -659,20 +523,6 @@ def test_unparsable_file_beside_healthy_ones_still_checked(tmp_path):
     assert code == 2
     text = out.getvalue()
     assert "[syntax-error]" in text and "[no-global-rng]" in text
-    # the baseline cannot absorb a syntax error
-    result = run_lint([tmp_path / "src"], root=tmp_path,
-                      baseline=Baseline(entries=[BaselineEntry(
-                          rule="syntax-error", path="src/broken.py")]))
-    assert "syntax-error" in rule_ids(result.findings)
-
-
-def test_cli_exit_two_on_malformed_baseline(tmp_path, capsys):
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src/ok.py").write_text("x = 1\n")
-    bad = tmp_path / "base.json"
-    bad.write_text("[]")
-    assert lint_main(["--root", str(tmp_path),
-                      "--baseline", str(bad)]) == 2
 
 
 def test_cli_list_rules_prints_catalog():
@@ -680,8 +530,7 @@ def test_cli_list_rules_prints_catalog():
     assert lint_command([], list_rules=True, stdout=out) == 0
     text = out.getvalue()
     for rule_id in ("no-global-rng", "no-wall-clock", "no-silent-except",
-                    "frozen-records", "protocol-drift",
-                    "no-unpicklable-submit", "no-unbounded-queue",
+                    "frozen-records", "protocol-drift", "no-unbounded-queue",
                     "rng-taint", "obs-pickle-boundary", "journal-order"):
         assert rule_id in text
     # retired: src/ creates no shared-memory block left to check
@@ -689,6 +538,21 @@ def test_cli_list_rules_prints_catalog():
     # retired: the engine records are the api events, so there are no
     # mirrors or relay table left to keep in step
     assert "event-exhaustiveness" not in text
+    # retired: src/ hands no callable to a pool; the task function
+    # reaches the workers through fork
+    assert "no-unpicklable-submit" not in text
+
+
+def test_rule_catalog_rows_are_exactly_the_rules():
+    """docs/static-analysis.md's catalog has one row per rule in
+    DEFAULT_RULES plus `syntax-error`, and no row for a retired rule
+    (`protocol-drift` only checks that every rule has a row)."""
+    text = (REPO_ROOT / "docs/static-analysis.md").read_text(
+        encoding="utf-8")
+    catalog = text.split("\n## Rule catalog\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|", catalog, re.MULTILINE)
+    assert sorted(rows) == sorted(
+        [rule.rule_id for rule in DEFAULT_RULES] + ["syntax-error"])
 
 
 def test_cli_json_output(tmp_path):
@@ -700,23 +564,9 @@ def test_cli_json_output(tmp_path):
                         stdout=out)
     payload = json.loads(out.getvalue())
     assert code == 1
+    assert set(payload) == {"files", "syntax_errors", "findings"}
     assert payload["findings"][0]["rule"] == "no-global-rng"
     assert payload["findings"][0]["path"] == "src/bad.py"
-
-
-def test_cli_write_baseline_then_clean(tmp_path):
-    bad = tmp_path / "src" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import random\nx = random.random()\n")
-    out = io.StringIO()
-    assert lint_command([], root=tmp_path, update_baseline=True,
-                        stdout=out) == 0
-    written = json.loads(
-        (tmp_path / "lint-baseline.json").read_text(encoding="utf-8"))
-    assert written["entries"] == [
-        {"rule": "no-global-rng", "path": "src/bad.py", "count": 1}]
-    # with the regenerated baseline the gate passes again
-    assert lint_command([], root=tmp_path, stdout=io.StringIO()) == 0
 
 
 def _git(tmp_path, *args):
@@ -762,19 +612,40 @@ def test_changed_rejects_explicit_paths_and_non_git_roots(tmp_path):
 
 
 def test_repro_cli_subcommand_wiring(capsys):
-    """`repro lint` must work without touching the experiment registry."""
+    """`repro lint` must work without touching the experiment registry,
+    and hands its arguments to the one definition of the lint flags:
+    both entry points print the same help and catalog."""
     from repro.cli import main as cli_main
 
     assert cli_main(["lint", "--list-rules"]) == 0
-    assert "rng-taint" in capsys.readouterr().out
+    listed = capsys.readouterr().out
+    assert "rng-taint" in listed
+    assert lint_main(["--list-rules"]) == 0
+    assert capsys.readouterr().out == listed
+    helps = []
+    for entry, argv in ((cli_main, ["lint", "--help"]),
+                        (lint_main, ["--help"])):
+        with pytest.raises(SystemExit) as exit_info:
+            entry(argv)
+        assert exit_info.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--changed" in helps[0]
     # LintUsageError maps to the repo-wide validation exit code
     assert cli_main(["lint", "definitely-not-here.py"]) == 2
 
 
-def test_python_dash_m_entry_point():
+def test_python_dash_m_entry_point(tmp_path):
+    """`python -m repro.lint` runs where numpy cannot be imported: the
+    checker parses the tree and never imports the code under check."""
+    (tmp_path / "numpy.py").write_text(
+        "raise ImportError('numpy is not installed here')\n")
+    env = {"PYTHONPATH": f"{tmp_path}:{REPO_ROOT / 'src'}",
+           "PATH": "/usr/bin:/bin"}
+    blocked = subprocess.run([sys.executable, "-c", "import numpy"],
+                             capture_output=True, cwd=REPO_ROOT, env=env)
+    assert blocked.returncode != 0
     proc = subprocess.run(
         [sys.executable, "-m", "repro.lint", "--list-rules"],
-        capture_output=True, text=True, cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
-    assert proc.returncode == 0
+        capture_output=True, text=True, cwd=REPO_ROOT, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert "protocol-drift" in proc.stdout
