@@ -2,10 +2,13 @@
 entry, and the only way to run one.
 
 Each entry declares its parameters (with their defaults) and quick smoke
-configuration, then calls the sweep helpers of :mod:`repro.experiments`
-(``fig4.layer_sweeps``, ``fig4.line_sweeps``, ``fig5.model_sweep``,
-``fig4.run_fig4f``) or :func:`repro.scenarios.run_scenario` directly,
-adding per-series journals and the typed event stream.
+configuration.  The sweep entries build their campaigns here: one
+:class:`~repro.core.FaultCampaign` per model, running its series in
+turn (a LeNet layer for Fig. 4a–e, a zoo model for Fig. 5), each with
+its own journal and the typed event stream.  Fig. 4f calls
+``repro.experiments.fig4.run_fig4f``, the tables
+:mod:`repro.experiments.tables` and the stories
+:func:`repro.scenarios.run_scenario`.
 
 Registered entries (``repro list``):
 
@@ -67,15 +70,31 @@ def _lenet_mnist(images: int):
         return model, test.subset(images)
 
 
-def _imagenet_test(images: int):
-    from ..experiments.common import get_imagenet
-    with _setup_span("data"):
-        _, test = get_imagenet()
-        return test.subset(images)
+def _series_sweeps(ctx, campaigns, spec_factory, xs, repeats, rows, cols,
+                   seed):
+    """Run every ``(model, test, [(label, layers), ...])`` of
+    ``campaigns`` on one :class:`~repro.core.FaultCampaign`, its series
+    in order, and report them as one ``{label: SweepResult}`` family
+    with the bookkeeping they share.
 
-
-def _multi_meta(results: dict) -> dict:
-    """Aggregate bookkeeping over a ``{label: SweepResult}`` family."""
+    A model's series share its campaign's prefix caches.  ``campaigns``
+    may be a generator, so the next model loads only once the previous
+    model's campaign has closed.  Each series is its own grid, so it
+    streams ``CellDone`` under its label and journals to its own
+    sibling file (``fig4a.conv1.jsonl``).
+    """
+    from ..core import FaultCampaign
+    engine = ctx.engine_kwargs()
+    results = {}
+    for model, test, series in campaigns:
+        with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
+                           **engine) as campaign:
+            for label, layers in series:
+                results[label] = campaign.run(
+                    spec_factory, xs, repeats=repeats, seed=seed,
+                    layers=layers, label=label,
+                    journal=ctx.journal_for(label),
+                    progress=ctx.progress_for(label))
     first = next(iter(results.values()))
     meta = {"executor": first.meta.get("executor"),
             "backend": first.meta.get("backend"),
@@ -86,17 +105,34 @@ def _multi_meta(results: dict) -> dict:
                if "resumed_cells" in r.meta]
     if resumed:
         meta["resumed_cells"] = int(sum(resumed))
-    return meta
-
-
-def _sweep_report(ctx, results: dict, raw=None):
     # run-level baseline is the first series' (one model → the only
-    # one; fig5 families keep every model's own baseline on its
+    # one; fig5 entries keep every model's own baseline on its
     # SeriesReport)
-    first = next(iter(results.values()))
-    return ctx.report(series=results, raw=raw if raw is not None else results,
-                      baseline=float(first.baseline),
-                      meta=_multi_meta(results))
+    return ctx.report(series=results, raw=results,
+                      baseline=float(first.baseline), meta=meta)
+
+
+def _lenet_campaign(images: int, combined: bool):
+    """LeNet's one campaign: a series per mapped layer, then all of them
+    together when ``combined`` (Fig. 4a/b)."""
+    from ..models.lenet import LENET_MAPPED_LAYERS
+    model, test = _lenet_mnist(images)
+    series = [(name, [name]) for name in LENET_MAPPED_LAYERS]
+    if combined:
+        series.append(("combined", None))
+    return [(model, test, series)]
+
+
+def _zoo_campaigns(models, images: int):
+    """One campaign per zoo model (default: all nine), each one
+    all-layer series named after its model, loaded as it is reached."""
+    from ..experiments.common import get_imagenet, trained_zoo_model
+    from ..models.zoo import model_names
+    with _setup_span("data"):
+        _, test = get_imagenet()
+        test = test.subset(images)
+    for name in models or model_names():
+        yield trained_zoo_model(name), test, [(name, None)]
 
 
 # -- the ad-hoc sweep (the old `repro sweep` subcommand) ------------------
@@ -139,26 +175,17 @@ _FIG4_RATE_PARAMS = (Param("rates", "floats", None, "injection rates "
 _FIG4_QUICK = dict(rates=[0.0, 0.2], **_QUICK_MNIST)
 
 
-def _fig4_layer_family(ctx, spec_factory, rates, repeats, images, rows,
-                       cols, seed):
-    from ..experiments import fig4
-    model, test = _lenet_mnist(images)
-    results = fig4.layer_sweeps(
-        model, test, spec_factory,
-        tuple(rates if rates is not None else fig4.DEFAULT_RATES),
-        repeats, rows, cols, seed=seed, progress_for=ctx.progress_for,
-        journal_for=ctx.journal_for, **ctx.engine_kwargs())
-    return _sweep_report(ctx, results)
-
-
 @experiment("fig4a", params=_FIG4_RATE_PARAMS, supports_journal=True,
             quick=_FIG4_QUICK,
             description="Fig. 4a: bit-flip injection rate vs accuracy, "
                         "per LeNet layer plus combined.")
 def _fig4a(ctx, rates, repeats, images, rows, cols, seed):
     from ..core import FaultSpec
-    return _fig4_layer_family(ctx, FaultSpec.bitflip, rates, repeats,
-                              images, rows, cols, seed)
+    from ..experiments.fig4 import DEFAULT_RATES
+    return _series_sweeps(ctx, _lenet_campaign(images, combined=True),
+                          FaultSpec.bitflip,
+                          rates if rates is not None else DEFAULT_RATES,
+                          repeats, rows, cols, seed)
 
 
 @experiment("fig4b", params=_FIG4_RATE_PARAMS, supports_journal=True,
@@ -167,8 +194,11 @@ def _fig4a(ctx, rates, repeats, images, rows, cols, seed):
                         "per LeNet layer plus combined.")
 def _fig4b(ctx, rates, repeats, images, rows, cols, seed):
     from ..core import FaultSpec
-    return _fig4_layer_family(ctx, FaultSpec.stuck_at, rates, repeats,
-                              images, rows, cols, seed)
+    from ..experiments.fig4 import DEFAULT_RATES
+    return _series_sweeps(ctx, _lenet_campaign(images, combined=True),
+                          FaultSpec.stuck_at,
+                          rates if rates is not None else DEFAULT_RATES,
+                          repeats, rows, cols, seed)
 
 
 @experiment(
@@ -205,27 +235,16 @@ _FIG4_LINE_PARAMS = (Param("counts", "ints", None,
 _FIG4_LINE_QUICK = dict(counts=[0, 2], **_QUICK_MNIST)
 
 
-def _fig4_line_family(ctx, spec_factory, counts, repeats, images, rows,
-                      cols, seed, default_counts):
-    from ..experiments import fig4
-    model, test = _lenet_mnist(images)
-    results = fig4.line_sweeps(
-        model, test, spec_factory,
-        counts if counts is not None else default_counts, repeats, rows,
-        cols, seed=seed, progress_for=ctx.progress_for,
-        journal_for=ctx.journal_for, **ctx.engine_kwargs())
-    return _sweep_report(ctx, results)
-
-
 @experiment("fig4d", params=_FIG4_LINE_PARAMS, supports_journal=True,
             quick=_FIG4_LINE_QUICK,
             description="Fig. 4d: faulty crossbar columns vs accuracy, "
                         "per LeNet layer.")
 def _fig4d(ctx, counts, repeats, images, rows, cols, seed):
     from ..core import FaultSpec
-    return _fig4_line_family(ctx, lambda c: FaultSpec.faulty_columns(int(c)),
-                             counts, repeats, images, rows, cols, seed,
-                             (0, 1, 2, 3, 4))
+    return _series_sweeps(ctx, _lenet_campaign(images, combined=False),
+                          lambda c: FaultSpec.faulty_columns(int(c)),
+                          counts if counts is not None else (0, 1, 2, 3, 4),
+                          repeats, rows, cols, seed)
 
 
 @experiment("fig4e", params=_FIG4_LINE_PARAMS, supports_journal=True,
@@ -234,9 +253,11 @@ def _fig4d(ctx, counts, repeats, images, rows, cols, seed):
                         "per LeNet layer.")
 def _fig4e(ctx, counts, repeats, images, rows, cols, seed):
     from ..core import FaultSpec
-    return _fig4_line_family(ctx, lambda r: FaultSpec.faulty_rows(int(r)),
-                             counts, repeats, images, rows, cols, seed,
-                             (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20))
+    return _series_sweeps(ctx, _lenet_campaign(images, combined=False),
+                          lambda r: FaultSpec.faulty_rows(int(r)),
+                          counts if counts is not None
+                          else (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20),
+                          repeats, rows, cols, seed)
 
 
 def _tiny_runtime_workload(seed: int):
@@ -307,17 +328,6 @@ def _fig4f(ctx, model, images, passes, xfault_images, serial_images,
 
 # -- Fig. 5: model-zoo resilience -----------------------------------------
 
-def _fig5_family(ctx, spec_factory, xs, models, repeats, images, rows,
-                 cols, seed):
-    from ..experiments import fig5
-    results = fig5.model_sweep(
-        spec_factory, list(xs), models=list(models) if models else None,
-        repeats=repeats, rows=rows, cols=cols, seed=seed,
-        test=_imagenet_test(images), progress_for=ctx.progress_for,
-        journal_for=ctx.journal_for, **ctx.engine_kwargs())
-    return _sweep_report(ctx, results)
-
-
 _FIG5_QUICK = dict(models=["binary_alexnet"], repeats=1, images=40)
 
 
@@ -333,10 +343,11 @@ _FIG5_QUICK = dict(models=["binary_alexnet"], repeats=1, images=40)
     quick=dict(rates=[0.0, 0.2], **_FIG5_QUICK))
 def _fig5a(ctx, models, rates, repeats, images, rows, cols, seed):
     from ..core import FaultSpec
-    from ..experiments import fig5
-    return _fig5_family(ctx, FaultSpec.bitflip,
-                        rates if rates is not None else fig5.BITFLIP_RATES,
-                        models, repeats, images, rows, cols, seed)
+    from ..experiments.fig5 import BITFLIP_RATES
+    return _series_sweeps(ctx, _zoo_campaigns(models, images),
+                          FaultSpec.bitflip,
+                          rates if rates is not None else BITFLIP_RATES,
+                          repeats, rows, cols, seed)
 
 
 @experiment(
@@ -351,10 +362,11 @@ def _fig5a(ctx, models, rates, repeats, images, rows, cols, seed):
     quick=dict(rates=[0.0, 0.02], **_FIG5_QUICK))
 def _fig5b(ctx, models, rates, repeats, images, rows, cols, seed):
     from ..core import FaultSpec
-    from ..experiments import fig5
-    return _fig5_family(ctx, FaultSpec.stuck_at,
-                        rates if rates is not None else fig5.STUCKAT_RATES,
-                        models, repeats, images, rows, cols, seed)
+    from ..experiments.fig5 import STUCKAT_RATES
+    return _series_sweeps(ctx, _zoo_campaigns(models, images),
+                          FaultSpec.stuck_at,
+                          rates if rates is not None else STUCKAT_RATES,
+                          repeats, rows, cols, seed)
 
 
 @experiment(
@@ -370,11 +382,11 @@ def _fig5b(ctx, models, rates, repeats, images, rows, cols, seed):
     quick=dict(periods=[0, 4], **_FIG5_QUICK))
 def _fig5c(ctx, models, periods, rate, repeats, images, rows, cols, seed):
     from ..core import FaultSpec
-    from ..experiments import fig5
-    return _fig5_family(ctx, lambda n: FaultSpec.bitflip(rate, period=int(n)),
-                        periods if periods is not None
-                        else fig5.DYNAMIC_PERIODS,
-                        models, repeats, images, rows, cols, seed)
+    from ..experiments.fig5 import DYNAMIC_PERIODS
+    return _series_sweeps(ctx, _zoo_campaigns(models, images),
+                          lambda n: FaultSpec.bitflip(rate, period=int(n)),
+                          periods if periods is not None else DYNAMIC_PERIODS,
+                          repeats, rows, cols, seed)
 
 
 # -- tables ---------------------------------------------------------------

@@ -63,10 +63,9 @@ class RunContext:
 
     # -- engine options -------------------------------------------------
     def engine_kwargs(self) -> dict:
-        """Keyword arguments for :class:`~repro.core.FaultCampaign` (and
-        the sweep helpers that forward to it): the request's engine
-        options, and :meth:`emit` as the campaign's ``on_event``
-        listener."""
+        """Keyword arguments for :class:`~repro.core.FaultCampaign`: the
+        request's engine options, and :meth:`emit` as the campaign's
+        ``on_event`` listener."""
         request = self.request
         return {"executor": request.executor, "n_jobs": request.n_jobs,
                 "policy": request.retry_policy(),

@@ -40,6 +40,7 @@ from ..binary import bitops
 from ..nn.model import Sequential
 from .engine import CampaignEvaluator, build_jobs, get_executor
 from .faults import FaultSpec
+from .generator import check_crossbar
 from .journal import CampaignJournal
 from .resilience import (RunEvent, RunWarning, new_stats, note_stats,
                          stats_to_metrics)
@@ -159,6 +160,7 @@ class FaultCampaign:
                  backend: str = "float", cache_bytes: int | None = None,
                  policy=None, obs=None,
                  on_event: Callable[[RunEvent], None] | None = None):
+        check_crossbar(rows, cols)  # before any run opens its journal
         self.obs = obs if obs is not None else _obs.current()
         self.on_event = on_event
         self.model = model
@@ -185,9 +187,10 @@ class FaultCampaign:
         self.close()
 
     def close(self) -> None:
-        """Release this campaign's memoized state (:meth:`clear_caches`).
-        Idempotent; also usable as a context manager
-        (``with FaultCampaign(...)``).
+        """Release this campaign's memoized evaluation state (baseline,
+        prefix activations, per-batch memo, packed kernels), e.g. before
+        discarding the campaign in a long-lived process.  Idempotent;
+        also usable as a context manager (``with FaultCampaign(...)``).
         """
         self._evaluator.clear_caches()
 
@@ -204,12 +207,6 @@ class FaultCampaign:
         the model's weights change in place).
         """
         return self._evaluator.baseline()
-
-    def clear_caches(self) -> None:
-        """Release memoized evaluation state (baseline, prefix activations,
-        per-batch memo, packed kernels) — e.g. before discarding the
-        campaign in a long-lived process."""
-        self._evaluator.clear_caches()
 
     def run(self, spec_factory: Callable[[float], list[FaultSpec] | FaultSpec],
             xs: Sequence[float], repeats: int = 10, seed: int = 0,

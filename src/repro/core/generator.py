@@ -20,10 +20,17 @@ from .faults import FaultSpec
 from .mapping import LayerMapping
 from .masks import LayerMasks, assemble_layer_masks
 
-__all__ = ["FaultPlan", "FaultGenerator", "mapped_layers"]
+__all__ = ["FaultPlan", "FaultGenerator", "check_crossbar", "mapped_layers"]
 
 #: A fault plan assigns each mapped layer (by name) its crossbar masks.
 FaultPlan = dict[str, LayerMasks]
+
+
+def check_crossbar(rows: int, cols: int) -> None:
+    """Refuse a crossbar without rows or columns (``ValueError``)."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"a crossbar needs rows >= 1 and cols >= 1, "
+                         f"got {rows}x{cols}")
 
 
 def mapped_layers(model: Sequential,
@@ -63,9 +70,7 @@ class FaultGenerator:
 
     def __init__(self, specs: list[FaultSpec] | FaultSpec,
                  rows: int = 40, cols: int = 10, seed: int = 0):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"a crossbar needs rows >= 1 and cols >= 1, "
-                             f"got {rows}x{cols}")
+        check_crossbar(rows, cols)
         if isinstance(specs, FaultSpec):
             specs = [specs]
         self.specs = list(specs)

@@ -1,7 +1,9 @@
-"""Experiment runners for the paper's Fig. 4 (layer resilience + runtime).
+"""The paper's Fig. 4 (layer resilience + runtime): the Fig. 4a/b rate
+axis and the Fig. 4f runtime protocol.
 
-The :mod:`repro.api` catalog runs every sub-figure through these
-helpers (``repro run fig4a`` .. ``fig4f``; ``--out`` exports the report).
+The :mod:`repro.api` catalog runs every sub-figure (``repro run fig4a``
+.. ``fig4f``; ``--out`` exports the report) and builds the Fig. 4a–e
+campaigns itself.
 
 The paper's protocol: binary LeNet on MNIST, "each layer is mapped onto a
 single crossbar while sweeping the injection rate", every experiment
@@ -13,69 +15,15 @@ from __future__ import annotations
 
 from ..analysis.runtime import (RuntimeSample, extrapolate, measure,
                                 measure_interleaved, speedup_table)
-from ..core import FaultCampaign, FaultInjector, FaultGenerator, FaultSpec, SweepResult
+from ..core import FaultGenerator, FaultInjector, FaultSpec
 from ..data import Dataset
 from ..lim import CrossbarConfig, XFaultSimulator
-from ..models.lenet import LENET_MAPPED_LAYERS
 from ..nn.model import Sequential
 
-__all__ = ["DEFAULT_RATES", "layer_sweeps", "line_sweeps", "run_fig4f"]
+__all__ = ["DEFAULT_RATES", "run_fig4f"]
 
 #: the paper sweeps 0..30% injection rate in Fig. 4a/4b
 DEFAULT_RATES = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-
-
-def layer_sweeps(model: Sequential, test: Dataset, spec_factory,
-                 xs, repeats: int, rows: int = 40, cols: int = 10,
-                 layer_names=LENET_MAPPED_LAYERS, seed: int = 0,
-                 progress_for=None, journal_for=None,
-                 **engine) -> dict[str, SweepResult]:
-    """Per-layer sweeps plus the 'combined' all-layer sweep (Fig. 4a/b).
-
-    ``engine`` holds :class:`~repro.core.FaultCampaign`'s options
-    (``executor``, ``n_jobs``, ``backend``, ``cache_bytes``, ``policy``,
-    ``on_event``, ...) and passes straight through, so every Fig. 4
-    scenario can run on the pool executor and the packed backend — all
-    bit-identical to serial/float.  ``progress_for(series)`` and
-    ``journal_for(series)`` give each series curve its own
-    ``progress(done, total, cell)`` callback and journal path (each
-    series is its own grid, so each needs its own fingerprinted
-    journal); these are the streaming hooks of the :mod:`repro.api`
-    layer.
-    """
-    results: dict[str, SweepResult] = {}
-    with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
-                       **engine) as campaign:
-        for name in (*layer_names, "combined"):
-            results[name] = campaign.run(
-                spec_factory, xs, repeats=repeats, seed=seed,
-                layers=None if name == "combined" else [name], label=name,
-                journal=journal_for(name) if journal_for else None,
-                progress=progress_for(name) if progress_for else None)
-    return results
-
-
-def line_sweeps(model: Sequential, test: Dataset, spec_factory, counts,
-                repeats: int, rows: int = 40, cols: int = 10,
-                layer_names=LENET_MAPPED_LAYERS, seed: int = 0,
-                progress_for=None, journal_for=None,
-                **engine) -> dict[str, SweepResult]:
-    """Per-layer faulty-line sweeps (Fig. 4d columns / Fig. 4e rows).
-
-    Same hooks and engine options as :func:`layer_sweeps`, without the
-    'combined' series: ``spec_factory(count)`` marks that many faulty
-    lines on one layer's crossbar at a time.
-    """
-    results = {}
-    with FaultCampaign(model, test.x, test.y, rows=rows, cols=cols,
-                       **engine) as campaign:
-        for name in layer_names:
-            results[name] = campaign.run(
-                spec_factory, xs=list(counts), repeats=repeats, seed=seed,
-                layers=[name], label=name,
-                journal=journal_for(name) if journal_for else None,
-                progress=progress_for(name) if progress_for else None)
-    return results
 
 
 def run_fig4f(model: Sequential, test: Dataset, passes: int = 3,

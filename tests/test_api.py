@@ -3,8 +3,8 @@
 Covers the registry contracts (duplicate names, unknown params, quick
 overrides), request validation, the streaming event contract
 (CellDone/CheckpointDone/RunWarning ordering), journal/resume through
-``RunRequest``, and bit-identity of registry entries against direct
-calls of the sweep helpers they run.
+``RunRequest``, and bit-identity of registry entries against plain
+``FaultCampaign`` loops and ``run_scenario`` calls.
 """
 
 import json
@@ -238,7 +238,7 @@ def test_report_save_is_atomic(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]
 
 
-# -- bit-identity against the sweep helpers ------------------------------
+# -- bit-identity against plain campaigns ---------------------------------
 
 def _lenet_test(images):
     from repro.experiments import get_mnist, trained_lenet
@@ -247,19 +247,51 @@ def _lenet_test(images):
     return model, test.subset(images)
 
 
+def _campaign_sweeps(model, test, spec_factory, xs, series, repeats,
+                     rows=40, cols=10):
+    """``{label: SweepResult}`` and the ``(series, done, total, point,
+    repeat, accuracy)`` progress sequence of running every ``(label,
+    layers)`` of ``series`` in turn on one plain ``FaultCampaign``."""
+    from repro.core import FaultCampaign
+    results, cells = {}, []
+    with FaultCampaign(model, test.x, test.y, rows=rows,
+                       cols=cols) as campaign:
+        for label, layers in series:
+            def progress(done, total, cell, label=label):
+                cells.append((label, done, total, *cell))
+            results[label] = campaign.run(
+                spec_factory, xs, repeats=repeats, layers=layers,
+                label=label, progress=progress)
+    return results, cells
+
+
+def _cell_stream(events):
+    return [(e.series, e.done, e.total, e.point, e.repeat, e.accuracy)
+            for e in events if isinstance(e, CellDone)]
+
+
 def test_fig4a_registry_matches_legacy_driver():
+    """fig4a is one campaign running a series per mapped layer, then
+    every layer combined: accuracies, baselines, the memo's cumulative
+    counts and the CellDone stream equal a plain FaultCampaign loop's."""
     from repro.core import FaultSpec
-    from repro.experiments import fig4
+    from repro.models.lenet import LENET_MAPPED_LAYERS
     model, test = _lenet_test(TINY["images"])
-    direct = fig4.layer_sweeps(
-        model, test, FaultSpec.bitflip, tuple(TINY["rates"]),
+    direct, cells = _campaign_sweeps(
+        model, test, FaultSpec.bitflip, TINY["rates"],
+        [*((name, [name]) for name in LENET_MAPPED_LAYERS),
+         ("combined", None)],
         TINY["repeats"], rows=TINY["rows"], cols=TINY["cols"])
-    report = api.run("fig4a", params=TINY)
-    assert set(report.raw) == set(direct)
+    events = []
+    report = api.run("fig4a", params=TINY, on_event=events.append)
+    assert list(report.raw) == list(direct)
     for label, result in direct.items():
         np.testing.assert_array_equal(report.raw[label].accuracies,
                                       result.accuracies)
         assert report.raw[label].baseline == result.baseline
+        assert (report.raw[label].meta["input_cache"]
+                == result.meta["input_cache"])
+    assert _cell_stream(events) == cells
 
 
 def test_fig4a_quick_renders_only_the_images_it_evaluates(monkeypatch):
@@ -291,17 +323,22 @@ def test_fig4a_quick_renders_only_the_images_it_evaluates(monkeypatch):
 
 def test_fig5a_registry_matches_legacy_driver():
     from repro.core import FaultSpec
-    from repro.experiments import fig5, get_imagenet
+    from repro.experiments import get_imagenet, trained_zoo_model
     _, test = get_imagenet()
-    direct = fig5.model_sweep(
-        FaultSpec.bitflip, [0.0, 0.2], models=["binary_alexnet"],
-        repeats=1, test=test.subset(60))
+    direct, cells = _campaign_sweeps(
+        trained_zoo_model("binary_alexnet"), test.subset(60),
+        FaultSpec.bitflip, [0.0, 0.2], [("binary_alexnet", None)], 1)
+    events = []
     report = api.run("fig5a", params=dict(models=["binary_alexnet"],
                                           rates=[0.0, 0.2], repeats=1,
-                                          images=60))
+                                          images=60),
+                     on_event=events.append)
     np.testing.assert_array_equal(
         report.raw["binary_alexnet"].accuracies,
         direct["binary_alexnet"].accuracies)
+    assert (report.raw["binary_alexnet"].baseline
+            == direct["binary_alexnet"].baseline)
+    assert _cell_stream(events) == cells
 
 
 def test_end_of_life_registry_matches_legacy_driver():

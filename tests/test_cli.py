@@ -392,6 +392,19 @@ def test_degenerate_inputs_exit_2_before_any_cell(capsys, tmp_path, argv,
     assert not plan.exists()
 
 
+def test_refused_geometry_leaves_no_journal(capsys, tmp_path):
+    """A crossbar without rows is refused before its journal opens, so
+    the corrected run starts afresh on the same path."""
+    journal = tmp_path / "sweep.jsonl"
+    code = main(["run", "sweep", "--quick", "--param", "rows=0",
+                 "--journal", str(journal)])
+    assert code == 2
+    assert "rows >= 1" in capsys.readouterr().err
+    assert not journal.exists()
+    assert main(["run", "sweep", "--quick", "--journal", str(journal)]) == 0
+    assert journal.exists()
+
+
 def test_run_runtime_failure_exits_1(capsys):
     from repro import api
 

@@ -458,7 +458,7 @@ def test_clear_caches_releases_memoized_state(trained_setup):
     campaign.run(FaultSpec.bitflip, xs=[0.0, 0.3], repeats=2)
     assert campaign._evaluator._suffix_batches
     assert campaign.input_cache_stats()["entries"] > 0
-    campaign.clear_caches()
+    campaign.close()
     assert not campaign._evaluator._suffix_batches
     assert campaign._evaluator._baseline is None
     assert not campaign._evaluator._memo

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import FaultSpec
+from repro.core import FaultCampaign, FaultSpec
 from repro.core import campaign as campaign_module
 from repro.core.engine import CampaignEvaluator
-from repro.experiments import fig4, get_mnist, trained_lenet
+from repro.experiments import get_mnist, trained_lenet
 from repro.experiments.tables import table1_setup
 from repro.models.lenet import LENET_MAPPED_LAYERS
 
@@ -80,11 +80,11 @@ def test_fig4c_dynamic_recovers():
     assert means[1] >= means[0]
 
 
-def test_fig4d_columns_within_range(lenet, tiny_test):
-    results = fig4.line_sweeps(lenet, tiny_test, _columns, (0, 4), 2,
-                               layer_names=("conv1",))
-    assert list(results) == ["conv1"]
-    conv1 = results["conv1"]
+def test_fig4d_columns_within_range():
+    report = api.run("fig4d", params=dict(counts=[0, 4], repeats=2,
+                                          images=60))
+    assert list(report.raw) == list(LENET_MAPPED_LAYERS)
+    conv1 = report.raw["conv1"]
     assert conv1.mean()[1] <= conv1.mean()[0]
 
 
@@ -92,39 +92,38 @@ def test_fig4e_rows_milder_than_columns(lenet, tiny_test):
     """160 faulty cells via rows must hurt less than via columns (paper:
     'the impact of faulty columns is more substantial than of faulty
     rows')."""
-    cols = fig4.line_sweeps(lenet, tiny_test, _columns, (4,), 3,
-                            layer_names=("conv1",))["conv1"]
-    rows = fig4.line_sweeps(lenet, tiny_test, _rows, (16,), 3,
-                            layer_names=("conv1",))["conv1"]
+    with FaultCampaign(lenet, tiny_test.x, tiny_test.y) as campaign:
+        cols = campaign.run(_columns, [4], repeats=3, layers=["conv1"])
+        rows = campaign.run(_rows, [16], repeats=3, layers=["conv1"])
     assert rows.mean()[0] >= cols.mean()[0] - 0.05
 
 
-@pytest.mark.parametrize("sweep,spec_factory,xs", [
-    (fig4.layer_sweeps, FaultSpec.bitflip, (0.0, 0.3)),
-    (fig4.line_sweeps, _columns, (0, 2)),
-])
-def test_sweep_helpers_free_caches_on_return(tiny_test, sweep, spec_factory,
-                                             xs, monkeypatch):
+@pytest.mark.parametrize("name,params", [
+    ("fig4a", dict(rates=[0.0, 0.3])),
+    ("fig4d", dict(counts=[0, 2])),
+], ids=["fig4a", "fig4d"])
+def test_sweep_entries_free_caches_on_return(name, params, monkeypatch):
     """Campaign memory is freed by scope, not by the cyclic GC: with
     collection off, the evaluator and its memo are gone once a sweep
-    helper returns, and no layer still holds the memo it was lent."""
-    evaluators = []
+    entry returns, and no layer still holds the memo it was lent."""
+    evaluators, models = [], []
 
     class Recorded(CampaignEvaluator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, model, *args, **kwargs):
+            super().__init__(model, *args, **kwargs)
             evaluators.append(weakref.ref(self))
+            models.append(model)
 
     monkeypatch.setattr(campaign_module, "CampaignEvaluator", Recorded)
-    model = trained_lenet()
     gc.disable()
     try:
-        sweep(model, tiny_test, spec_factory, xs, 2, layer_names=("conv1",))
+        api.run(name, params=dict(params, repeats=2, images=60))
         alive = [ref() for ref in evaluators if ref() is not None]
     finally:
         gc.enable()
     assert evaluators and not alive
-    assert all(layer._input_memo is None for layer in model.all_layers()
+    assert all(layer._input_memo is None for model in models
+               for layer in model.all_layers()
                if hasattr(layer, "_input_memo"))
 
 

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.experiments import fig5, get_imagenet, tables, trained_zoo_model
+from repro.experiments import fig5, tables, trained_zoo_model
 from repro.experiments.tables import table2_model_stats
 from repro.models.zoo import MODEL_PAPER_STATS, model_names
-
-
-@pytest.fixture(scope="module")
-def tiny_imagenet_test():
-    _, test = get_imagenet()
-    return test.subset(60)
 
 
 def test_trained_zoo_model_loads_from_cache():
@@ -30,16 +24,40 @@ def test_trained_zoo_model_rejects_unknown():
         trained_zoo_model("lenet5000")
 
 
-def test_model_sweep_single_model(tiny_imagenet_test):
-    from repro.core import FaultSpec
-    results = fig5.model_sweep(
-        FaultSpec.bitflip, xs=[0.0, 0.2], models=["binary_alexnet"],
-        repeats=2, test=tiny_imagenet_test)
+def test_model_sweep_single_model():
+    results = api.run("fig5a", params=dict(models=["binary_alexnet"],
+                                           rates=[0.0, 0.2], repeats=2,
+                                           images=60)).raw
     assert list(results) == ["binary_alexnet"]
     result = results["binary_alexnet"]
     assert result.accuracies.shape == (2, 2)
     assert result.mean()[0] == pytest.approx(result.baseline)
     assert result.mean()[1] <= result.mean()[0]
+
+
+def test_fig5_loads_each_model_after_the_previous_campaign_closed(
+        monkeypatch):
+    """Zoo models load one at a time: the next model is built only once
+    the previous model's campaign has released its caches."""
+    from repro.core import FaultCampaign
+    from repro.experiments import common
+    steps = []
+    load, close = common.trained_zoo_model, FaultCampaign.close
+
+    def loading(name, *args, **kwargs):
+        steps.append(name)
+        return load(name, *args, **kwargs)
+
+    def closing(campaign):
+        steps.append("close")
+        close(campaign)
+
+    monkeypatch.setattr(common, "trained_zoo_model", loading)
+    monkeypatch.setattr(FaultCampaign, "close", closing)
+    api.run("fig5a", params=dict(models=["binary_alexnet",
+                                         "binary_resnet_e18"],
+                                 rates=[0.0], repeats=1, images=20))
+    assert steps == ["binary_alexnet", "close", "binary_resnet_e18", "close"]
 
 
 def test_fig5c_recovers_with_period():
