@@ -125,9 +125,16 @@ def _lenet_campaign(images: int, combined: bool):
 
 def _zoo_campaigns(models, images: int):
     """One campaign per zoo model (default: all nine), each one
-    all-layer series named after its model, loaded as it is reached."""
+    all-layer series named after its model, loaded as it is reached.
+    A name given twice is refused before any model loads: its two
+    series would share one label."""
     from ..experiments.common import get_imagenet, trained_zoo_model
     from ..models.zoo import model_names
+    repeated = sorted({name for name in models or ()
+                       if models.count(name) > 1})
+    if repeated:
+        raise ApiError(f"models: {', '.join(repeated)} given more than "
+                       "once; name each model once")
     with _setup_span("data"):
         _, test = get_imagenet()
         test = test.subset(images)

@@ -40,7 +40,7 @@ from ..binary import bitops
 from ..nn.model import Sequential
 from .engine import CampaignEvaluator, build_jobs, get_executor
 from .faults import FaultSpec
-from .generator import check_crossbar
+from .generator import check_crossbar, mapped_layers
 from .journal import CampaignJournal
 from .resilience import (RunEvent, RunWarning, new_stats, note_stats,
                          stats_to_metrics)
@@ -283,6 +283,10 @@ class FaultCampaign:
             if listener is not None:
                 listener(record)
 
+        if layers is not None:
+            # an unknown name raises KeyError here, before any journal
+            # opens, not in build_jobs
+            mapped_layers(self.model, layers)
         if journal is not None:
             header = {"xs": [float(x) for x in xs], "repeats": repeats,
                       "seed": seed, "rows": self.rows, "cols": self.cols,

@@ -44,7 +44,24 @@ Redundant-work elimination
   product-level plans) memoizes its **derived input** per batch instead:
   the im2col columns (float) or packed words (packed).  The activation
   batches are *identically the same objects* across jobs, so the memo
-  keys on their identity (see :mod:`repro.binary.layers`).
+  keys on their identity (see :mod:`repro.binary.layers`);
+* each **BatchNorm that feeds a sign** runs as one compare per channel
+  (:class:`SignFold`).  In a top-level ``BatchNorm → [Flatten] →
+  QuantLayer`` chain whose quantized layer's input quantizer is
+  ``SteSign`` or ``ApproxSign``, the layer only reads the sign of BN's
+  output, and that sign is a step in x because each of BN's four
+  float32 operations is monotone in x.  The fold hands the layer's
+  unchanged ``forward`` the same ±1 map.  Its per-channel thresholds
+  are searched, with ``BatchNorm.forward`` as the oracle, by the
+  evaluator's first suffix pass: on a pool that is the parent's
+  baseline pass before it forks, so the workers inherit them.
+  :meth:`CampaignEvaluator.clear_caches` (a weight change) drops them.
+  A BatchNorm with a zero or non-finite gamma or statistic, one that
+  feeds argmax (LeNet's bn4) and one followed by any other layer keep
+  calling ``forward``;
+* each plan's **output flips** are a ±1 vector built once when the plan
+  is attached (:func:`repro.core.semantics.flip_signs`); the hook
+  multiplies every image by it.
 
 The evaluator takes a **defensive snapshot** of the test set at
 construction: mutating the caller's arrays afterwards can never desync the
@@ -106,6 +123,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..binary.layers import QuantLayer
+from ..binary.quantizers import ApproxSign, SteSign
+from ..nn.layers import BatchNorm, Flatten
 from ..nn.model import Sequential
 from .faults import FaultSpec
 from .generator import FaultGenerator, FaultPlan, mapped_layers
@@ -181,6 +201,148 @@ def build_jobs(model: Sequential,
     return jobs
 
 
+# -- sign folds -------------------------------------------------------------
+
+#: key of +inf on the float32 key line of :func:`_float_keys` (-inf is at
+#: its negation)
+_INF_KEY = 0x7F800000
+
+#: half-width, in float32 steps, of the bracket around a channel's
+#: analytic threshold; a threshold outside it is bisected
+_BRACKET = 32
+
+
+def _float_keys(x: np.ndarray) -> np.ndarray:
+    """int64 keys that order float32 values: ``key(a) < key(b)`` exactly
+    when ``a < b``, both zeros at 0 and ``±inf`` at ``±_INF_KEY``."""
+    bits = np.asarray(x, dtype=np.float32).view(np.int32).astype(np.int64)
+    return np.where(bits < 0, -(bits & 0x7FFFFFFF), bits)
+
+
+def _key_floats(keys: np.ndarray) -> np.ndarray:
+    """The float32 values of :func:`_float_keys` keys (0 is +0.0)."""
+    bits = np.where(keys < 0, -keys | 0x80000000, keys)
+    return bits.astype(np.uint32).view(np.float32)
+
+
+class SignFold:
+    """``bipolar_sign(bn.forward(x))`` as one compare per channel.
+
+    Inference BatchNorm computes ``x - mean``, ``* inv_std``, ``* gamma``
+    and ``+ beta`` in float32, and each operation is monotone in x
+    because round-to-nearest is: non-decreasing where gamma_c > 0,
+    non-increasing where gamma_c < 0.  With finite statistics and a
+    nonzero gamma no x but NaN gives NaN.  So ``BN(x) >= 0``, the sign
+    the next layer's input quantizer takes, is a step in x: ``x >= t_c``
+    where gamma_c > 0 and ``x <= t_c`` where gamma_c < 0, and NaN fails
+    both, as it fails ``bipolar_sign``.  The fold returns the same ±1
+    float32 array.
+
+    Use :func:`sign_fold`, which finds each ``t_c`` with ``bn.forward``
+    as the oracle.
+    """
+
+    def __init__(self, bn: BatchNorm, thresholds: np.ndarray,
+                 descending: np.ndarray):
+        self.bn = bn
+        #: ±1 per channel where some gamma is negative, else None:
+        #: ``x <= t`` is ``-x >= -t``, and negation is exact
+        self.negate = (np.where(descending, np.float32(-1), np.float32(1))
+                       if descending.any() else None)
+        self.thresholds = (thresholds if self.negate is None
+                           else thresholds * self.negate)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.dtype != np.float32:  # the thresholds are float32 inputs
+            return self.bn.forward(x)
+        if self.negate is not None:
+            x = x * self.negate
+        out = (x >= self.thresholds).astype(np.float32)
+        out *= 2
+        out -= 1
+        return out
+
+
+def sign_fold(bn: BatchNorm) -> SignFold | None:
+    """``bn``'s :class:`SignFold`, or ``None`` when a gamma is zero or a
+    statistic is not finite (BN is then not a step in x).
+
+    Each channel's threshold is searched over float32 bit patterns with
+    ``bn.forward`` itself as the oracle, so it is exact by construction.
+    One oracle call covers, per channel, ``±inf`` and the
+    ``2 * _BRACKET + 1`` floats around the analytic root ``mean - beta /
+    (gamma * inv_std)``; a channel whose sign changes outside that
+    bracket is bisected between the bracket rows it changes between, all
+    such channels in one oracle call per step.
+    """
+    gamma, beta = bn.params["gamma"], bn.params["beta"]
+    mean = bn.running_mean
+    # the oracle overflows near ±3.4e38, and so can the root's cast
+    with np.errstate(all="ignore"):
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.epsilon)
+        if not (np.isfinite(gamma).all() and np.isfinite(beta).all()
+                and np.isfinite(mean).all() and np.isfinite(inv_std).all()
+                and (gamma != 0).all() and (inv_std > 0).all()):
+            return None
+        descending = gamma < 0
+        root = mean - beta / (gamma.astype(np.float64) * inv_std)
+        channels = len(gamma)
+        rows = np.clip(_float_keys(root.astype(np.float32))
+                       + np.arange(-_BRACKET, _BRACKET + 1)[:, None],
+                       -_INF_KEY, _INF_KEY)
+        rows = np.concatenate([np.full((1, channels), -_INF_KEY), rows,
+                               np.full((1, channels), _INF_KEY)])
+
+        def past(keys: np.ndarray) -> np.ndarray:
+            """Whether each key lies past its channel's sign change."""
+            return (bn.forward(_key_floats(keys)) >= 0) != descending
+
+        passed = past(rows)  # False, then True, down every column
+        change = passed.argmax(axis=0)
+        columns = np.arange(channels)
+        # the first key past the change is in (lo, hi]; a column never
+        # past has change 0, and rows[-1] is +inf
+        hi = np.where(passed[-1], rows[change, columns], _INF_KEY + 1)
+        lo = np.where(passed[0], -_INF_KEY - 1, rows[change - 1, columns])
+        while (open_ := hi - lo > 1).any():
+            mid = np.clip((lo + hi) // 2, -_INF_KEY, _INF_KEY)
+            now = past(mid[None, :])[0]
+            hi = np.where(open_ & now, mid, hi)
+            lo = np.where(open_ & ~now, mid, lo)
+        # BN(x) >= 0 from hi on (ascending) or up to hi - 1 (descending);
+        # a threshold off the key line is "never": NaN, which no x passes
+        last = np.where(descending, hi - 1, hi)
+        thresholds = np.where(
+            np.abs(last) <= _INF_KEY,
+            _key_floats(np.clip(last, -_INF_KEY, _INF_KEY)),
+            np.float32(np.nan))
+    return SignFold(bn, thresholds, descending)
+
+
+def sign_folds(model: Sequential, start: int = 0) -> dict[int, SignFold]:
+    """The :class:`SignFold` of every top-level BatchNorm from
+    ``model.layers[start]`` on whose next layer, past any ``Flatten``,
+    is a quantized layer with a sign input quantizer (``SteSign`` or
+    ``ApproxSign``), keyed by the BatchNorm's index.  That quantizer
+    gives the fold's ±1 output the BatchNorm output's signs."""
+    layers = model.layers
+    folds: dict[int, SignFold] = {}
+    for index in range(start, len(layers)):
+        if type(layers[index]) is not BatchNorm:
+            continue
+        after = index + 1
+        while after < len(layers) and type(layers[after]) is Flatten:
+            after += 1
+        if not (after < len(layers) and isinstance(layers[after], QuantLayer)
+                and type(layers[after].input_quantizer) in (SteSign,
+                                                            ApproxSign)):
+            continue
+        fold = sign_fold(layers[index])
+        if fold is not None:
+            folds[index] = fold
+    return folds
+
+
 class CampaignEvaluator:
     """Evaluates fault plans on a fixed model + test set, with caching.
 
@@ -227,6 +389,11 @@ class CampaignEvaluator:
         #: never evicts
         self._memo: dict[int, tuple[np.ndarray, dict]] = {}
         self._memo_counts = {"hits": 0, "misses": 0, "bytes": 0}
+        #: top-level index -> the :class:`SignFold` that stands in for
+        #: that BatchNorm in every suffix; found by the first suffix pass
+        #: (a pool's is the parent's baseline), so forked workers
+        #: inherit them
+        self._folds: dict[int, SignFold] | None = None
         self._weights_version = getattr(model, "weights_version", None)
 
     def _check_weights_version(self) -> None:
@@ -238,9 +405,11 @@ class CampaignEvaluator:
 
     def clear_caches(self) -> None:
         """Release every memoized evaluation artifact — the baseline, the
-        prefix activation batches and the per-batch memo — and the
-        model's per-layer scratch state (packed kernels)."""
+        prefix activation batches, the per-batch memo and the sign
+        folds' thresholds — and the model's per-layer scratch state
+        (packed kernels)."""
         self._baseline = None
+        self._folds = None
         self._suffix_batches.clear()
         self._memo.clear()
         self._memo_counts = dict.fromkeys(self._memo_counts, 0)
@@ -382,14 +551,19 @@ class CampaignEvaluator:
         return batches
 
     def _evaluate_suffix(self, split: int) -> float:
-        """Accuracy of ``layers[split:]`` over the cached prefix batches."""
-        suffix = self.model.layers[split:]
+        """Accuracy of ``layers[split:]`` over the cached prefix batches,
+        each BatchNorm that feeds a sign replaced by its
+        :class:`SignFold`."""
+        if self._folds is None:
+            self._folds = sign_folds(self.model, self._baseline_split())
+        steps = [self._folds.get(index, layer.forward) for index, layer
+                 in enumerate(self.model.layers[split:], split)]
         correct = 0
         total = 0
         for z, labels in self._batches_for(split):
             out = z
-            for layer in suffix:
-                out = layer.forward(out, training=False)
+            for step in steps:
+                out = step(out)
             correct += int((out.argmax(axis=-1) == labels).sum())
             total += len(labels)
         return correct / total

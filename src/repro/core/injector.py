@@ -102,8 +102,9 @@ class FaultInjector:
                 selector = mapping.output_flip_selector(
                     masks.flip_vector(), masks.flip_period, time_offset)
                 if selector.any() or self.force_hooks:
+                    signs = sem.flip_signs(selector)
                     output_ops.append(
-                        lambda out, _sel=selector: sem.apply_output_flips(out, _sel))
+                        lambda out, _s=signs: sem.apply_output_flips(out, _s))
             elif masks.flip_semantics == "weight":
                 kflip = mapping.weight_plane(masks.flip_mask)
                 kernel_ops.append(

@@ -15,6 +15,7 @@ import numpy as np
 from .mapping import LayerMapping
 
 __all__ = [
+    "flip_signs",
     "apply_output_flips",
     "apply_output_stuck",
     "apply_weight_stuck",
@@ -28,16 +29,22 @@ def _per_image(feature_map: np.ndarray) -> np.ndarray:
     return feature_map.reshape(feature_map.shape[0], -1)
 
 
-def apply_output_flips(feature_map: np.ndarray, selector: np.ndarray) -> np.ndarray:
-    """Flip (negate) the selected output elements of every image.
+def flip_signs(selector: np.ndarray) -> np.ndarray:
+    """The ±1 float32 vector :func:`apply_output_flips` multiplies by:
+    -1 where ``selector`` is set, +1 elsewhere."""
+    return np.where(selector, np.float32(-1), np.float32(1))
 
-    On strictly binary tensors this is exactly the paper's Fig. 3 mask
-    XNOR; on integer popcount maps it is the op-level upper-bound
-    abstraction FLIM trades accuracy for.
+
+def apply_output_flips(feature_map: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Flip (negate) the output elements of every image where ``signs``
+    (from :func:`flip_signs`) is -1, into a new array.
+
+    Multiplying by -1 is an exact negation, -0.0 included, and by +1 an
+    exact copy.  On strictly binary tensors this is exactly the paper's
+    Fig. 3 mask XNOR; on integer popcount maps it is the op-level
+    upper-bound abstraction FLIM trades accuracy for.
     """
-    flat = _per_image(feature_map).copy()
-    flat[:, selector] = -flat[:, selector]
-    return flat.reshape(feature_map.shape)
+    return (_per_image(feature_map) * signs).reshape(feature_map.shape)
 
 
 def apply_output_stuck(feature_map: np.ndarray, selector: np.ndarray,

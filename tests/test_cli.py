@@ -405,6 +405,13 @@ def test_refused_geometry_leaves_no_journal(capsys, tmp_path):
     assert journal.exists()
 
 
+def test_repeated_zoo_model_exits_2(capsys):
+    code = main(["run", "fig5a", "--quick", "--param",
+                 "models=binary_alexnet,binary_alexnet"])
+    assert code == 2
+    assert "binary_alexnet given more than once" in capsys.readouterr().err
+
+
 def test_run_runtime_failure_exits_1(capsys):
     from repro import api
 

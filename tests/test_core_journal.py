@@ -175,6 +175,22 @@ def test_journal_layer_restriction_as_tuple_resumes(trained_setup, tmp_path):
     np.testing.assert_array_equal(first.accuracies, again.accuracies)
 
 
+def test_unknown_layer_leaves_no_journal(trained_setup, tmp_path):
+    """An unknown layer name is refused before the journal opens, so
+    the corrected run starts afresh on the same path."""
+    model, x, y = trained_setup
+    journal = tmp_path / "layers.jsonl"
+    campaign = FaultCampaign(model, x, y, rows=8, cols=4)
+    with pytest.raises(KeyError, match="nope"):
+        campaign.run(FaultSpec.bitflip, [0.1], repeats=1, layers=["nope"],
+                     journal=journal)
+    assert not journal.exists()
+    result = campaign.run(FaultSpec.bitflip, [0.1], repeats=1,
+                          layers=[model.layers[0].name], journal=journal)
+    assert result.meta["resumed_cells"] == 0
+    assert journal.exists()
+
+
 def test_journal_rejects_different_fault_spec(trained_setup, tmp_path):
     """Same grid, different fault specification must not mix."""
     model, x, y = trained_setup

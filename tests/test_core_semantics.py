@@ -5,8 +5,8 @@ import numpy as np
 from repro.binary import QuantDense
 from repro.core import LayerMapping
 from repro.core.semantics import (apply_output_flips, apply_output_stuck,
-                                  apply_weight_stuck, product_flip,
-                                  product_stuck)
+                                  apply_weight_stuck, flip_signs,
+                                  product_flip, product_stuck)
 
 
 def dense_mapping(units=5, features=12, rows=4, cols=3, seed=0):
@@ -24,7 +24,7 @@ def test_output_flips_multi_dim(rng):
     fm = rng.standard_normal((2, 3, 3, 4)).astype(np.float32)
     selector = np.zeros(36, dtype=bool)
     selector[[0, 17, 35]] = True
-    out = apply_output_flips(fm, selector)
+    out = apply_output_flips(fm, flip_signs(selector))
     flat_in = fm.reshape(2, -1)
     flat_out = out.reshape(2, -1)
     np.testing.assert_array_equal(flat_out[:, selector], -flat_in[:, selector])

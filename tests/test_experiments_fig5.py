@@ -60,6 +60,20 @@ def test_fig5_loads_each_model_after_the_previous_campaign_closed(
     assert steps == ["binary_alexnet", "close", "binary_resnet_e18", "close"]
 
 
+def test_repeated_model_refused_before_any_model_loads(monkeypatch):
+    """A model named twice would run twice under one series label; it
+    is refused before any model loads."""
+    from repro.experiments import common
+    loaded = []
+    monkeypatch.setattr(common, "trained_zoo_model",
+                        lambda name, *args, **kwargs: loaded.append(name))
+    with pytest.raises(ValueError, match="binary_alexnet given more than"):
+        api.run("fig5a", params=dict(
+            models=["binary_alexnet", "binary_alexnet"], rates=[0.0, 0.2],
+            repeats=1, images=20))
+    assert loaded == []
+
+
 def test_fig5c_recovers_with_period():
     report = api.run("fig5c", params=dict(models=["binary_resnet_e18"],
                                           periods=[0, 4], rate=0.15,

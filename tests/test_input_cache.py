@@ -201,9 +201,9 @@ def test_in_place_output_hook_raises_on_the_memoized_output(
             for _, reps in campaign._evaluator._memo.values()
             for rep in reps.values()]
 
-    def flip_in_place(feature_map, selector):
+    def flip_in_place(feature_map, signs):
         flat = feature_map.reshape(feature_map.shape[0], -1)
-        flat[:, selector] *= -1
+        flat *= signs
         return feature_map
 
     monkeypatch.setattr(semantics, "apply_output_flips", flip_in_place)

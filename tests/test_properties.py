@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import (FaultSpec, assemble_layer_masks, build_bitflip_mask,
                         march_test, tile_vector)
-from repro.core.semantics import apply_output_flips, apply_weight_stuck
+from repro.core.semantics import (apply_output_flips, apply_weight_stuck,
+                                  flip_signs)
 from repro.lim import Crossbar, CrossbarConfig, TileSchedule, ideal_device_params
 
 
@@ -28,8 +29,8 @@ def test_output_flip_is_involution(batch, outputs, seed):
     rng = np.random.default_rng(seed)
     feature_map = rng.standard_normal((batch, outputs)).astype(np.float32)
     selector = rng.random(outputs) < 0.4
-    once = apply_output_flips(feature_map, selector)
-    twice = apply_output_flips(once, selector)
+    once = apply_output_flips(feature_map, flip_signs(selector))
+    twice = apply_output_flips(once, flip_signs(selector))
     np.testing.assert_array_equal(twice, feature_map)
     # flipped positions are exact negations, others untouched
     np.testing.assert_array_equal(once[:, selector], -feature_map[:, selector])
@@ -120,7 +121,7 @@ def test_flip_then_stuck_composition_order(batch, outputs, seed):
     stuck_sel = rng.random(outputs) < 0.5
     signs = rng.choice([-1.0, 1.0], size=outputs)
     rail = 9.0
-    out = apply_output_flips(feature_map, flip_sel)
+    out = apply_output_flips(feature_map, flip_signs(flip_sel))
     out = apply_output_stuck(out, stuck_sel, signs, rail)
     np.testing.assert_array_equal(out[:, stuck_sel],
                                   np.tile(signs[stuck_sel] * rail, (batch, 1)))
