@@ -28,7 +28,6 @@ campaign's ``on_event`` listener.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
@@ -309,6 +308,7 @@ class FaultCampaign:
         obs = self.obs
         cache_before = (self._evaluator.input_cache_stats()
                         if obs is not None else None)
+        store_before = dict(self._evaluator.prefix_store_counts)
         # loaded before any pool starts, so forked workers inherit it;
         # float campaigns never build or load it
         kernel = bitops.kernel() if self.backend == "packed" else None
@@ -354,12 +354,15 @@ class FaultCampaign:
                     if journal is not None:
                         meta["journal"] = str(journal)
                         meta["resumed_cells"] = resumed
+                    # before the fold: a fully resumed run looks its
+                    # prefix up here
+                    baseline = self.baseline_accuracy()
                     if obs is not None:
-                        self._fold_metrics(meta, cache_before,
+                        self._fold_metrics(meta, cache_before, store_before,
                                            done - resumed, resumed, kernel)
                     result = SweepResult(
                         label=label, xs=xs, accuracies=accuracies,
-                        baseline=self.baseline_accuracy(), meta=meta)
+                        baseline=baseline, meta=meta)
         finally:
             if journal_obj is not None:
                 journal_obj.close()
@@ -372,8 +375,10 @@ class FaultCampaign:
         return self.obs.tracer.span(name, **attrs)
 
     def _fold_metrics(self, meta: dict, cache_before: dict,
-                      evaluated: int, resumed: int, kernel) -> None:
-        """Fold this run's meta into the campaign's metrics registry.
+                      store_before: dict, evaluated: int, resumed: int,
+                      kernel) -> None:
+        """Fold this run's meta and prefix-store lookups into the
+        campaign's metrics registry.
 
         Counters take per-run deltas (the evaluator's cache stats are
         cumulative across a campaign's runs); gauges take the latest
@@ -406,6 +411,12 @@ class FaultCampaign:
                        "bytes pinned by the per-batch memo (split-layer "
                        "outputs and derived inputs)").set(
                            cache.get("bytes", 0))
+        store = self._evaluator.prefix_store_counts
+        for kind in ("hits", "misses"):
+            registry.counter(
+                f"repro_prefix_store_{kind}_total",
+                f"process-wide fault-free prefix store {kind}").inc(
+                    max(0, store[kind] - store_before[kind]))
         if kernel is not None and kernel.gemm is None:
             registry.counter(
                 "repro_kernel_fallback_total",
@@ -415,8 +426,8 @@ class FaultCampaign:
 
     def _fingerprint(self) -> str:
         """SHA-1 digest of the evaluator's test-set snapshot (shape,
-        dtype and bytes of ``x_test`` and ``y_test``) and the model
-        weights.
+        dtype and bytes of ``x_test`` and ``y_test``, hashed once per
+        evaluator) and the model weights.
 
         Journals store it so a resume against a different test set or a
         retrained model is refused instead of silently mixing
@@ -424,12 +435,8 @@ class FaultCampaign:
         before the digest gained the dtype field are refused on resume,
         never silently mixed.)
         """
-        digest = hashlib.sha1()
-        for array in (self._evaluator.x_test, self._evaluator.y_test):
-            digest.update(str(array.shape).encode())
-            digest.update(str(array.dtype).encode())
-            digest.update(np.ascontiguousarray(array).tobytes())
+        digest = self._evaluator.test_set_digest()
         for key, value in sorted(self.model.state_dict().items()):
             digest.update(key.encode())
-            digest.update(np.ascontiguousarray(value).tobytes())
+            digest.update(np.ascontiguousarray(value))
         return digest.hexdigest()

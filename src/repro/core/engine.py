@@ -34,7 +34,13 @@ Redundant-work elimination
   layer a plan can touch) is evaluated once and its activations are
   cached, batch by batch, as read-only arrays; each job then only runs
   the suffix.  For LeNet this skips the unmapped CMOS conv0 + pooling
-  stack — roughly half the inference — in every repetition;
+  stack — roughly half the inference — in every repetition.  The part
+  before the first *mapped* layer is computed once per **process**:
+  one process-wide slot (:class:`_PrefixStore`) keeps the last such
+  prefix under a content digest of the test set, the batch size and
+  those layers' arithmetic, so every campaign on the same model and
+  images (every Fig. 4 entry, every service job) starts from the same
+  arrays.  Deeper splits stay per evaluator;
 * each job **starts at its fault hook**: FLIM faults the feature map a
   layer has already computed, so the split layer's GEMM result (before
   its output hook and bias) is the same in every job whose plan puts no
@@ -64,8 +70,9 @@ Redundant-work elimination
   multiplies every image by it.
 
 The evaluator takes a **defensive snapshot** of the test set at
-construction: mutating the caller's arrays afterwards can never desync the
-cached prefix activations from the data they were computed on.
+construction, and hashes it once: mutating the caller's arrays afterwards
+can never desync the cached prefix activations from the data they were
+computed on.
 
 Packed vs float execution
 -------------------------
@@ -116,7 +123,9 @@ run on (:func:`_usable_cpus`), not the host's.
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
+import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -124,8 +133,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..binary.layers import QuantLayer
-from ..binary.quantizers import ApproxSign, SteSign
-from ..nn.layers import BatchNorm, Flatten
+from ..binary.quantizers import ApproxSign, Quantizer, SteSign
+from ..nn.layers import BatchNorm, Flatten, Layer
 from ..nn.model import Sequential
 from .faults import FaultSpec
 from .generator import FaultGenerator, FaultPlan, mapped_layers
@@ -343,11 +352,105 @@ def sign_folds(model: Sequential, start: int = 0) -> dict[int, SignFold]:
     return folds
 
 
+# -- the process-wide prefix store ------------------------------------------
+
+def _hash_array(digest, array: np.ndarray) -> None:
+    """Feed ``array``'s shape, dtype and C-order bytes into ``digest``."""
+    digest.update(str(array.shape).encode())
+    digest.update(str(array.dtype).encode())
+    digest.update(np.ascontiguousarray(array))
+
+
+#: attributes a prefix key leaves out: ``build_lenet`` leaves its pooling
+#: and Flatten layers unnamed, so their auto names change with every
+#: build, and the rest do not change what a layer before the first mapped
+#: layer computes (no plan hooks it, and it never runs packed)
+_UNKEYED = frozenset({"name", "built", "trainable", "execution_backend",
+                      "kernel_fault_hook", "output_fault_hook",
+                      "product_fault_hook"})
+
+
+def _hash_layer(digest, obj) -> None:
+    """Feed what ``obj`` (a layer or a quantizer) computes into
+    ``digest``: its class, its public scalar hyperparameters, its
+    quantizers, its parameter and statistic arrays, then its child
+    layers."""
+    digest.update(type(obj).__qualname__.encode())
+    for name, value in sorted(vars(obj).items()):
+        if name.startswith("_") or name in _UNKEYED:
+            continue
+        if isinstance(value, np.ndarray):  # BatchNorm statistics
+            digest.update(name.encode())
+            _hash_array(digest, value)
+        elif isinstance(value, Quantizer):
+            digest.update(name.encode())
+            _hash_layer(digest, value)
+        elif value is None or isinstance(value, (bool, int, float, str,
+                                                 np.generic)):
+            digest.update(f"{name}={value!r};".encode())
+    if isinstance(obj, Layer):
+        for name, value in sorted(obj.params.items()):
+            digest.update(name.encode())
+            _hash_array(digest, value)
+        for child in obj.sub_layers():
+            _hash_layer(digest, child)
+
+
+class _PrefixStore:
+    """One process-wide slot: the last fault-free prefix computed.
+
+    It holds the read-only activation batches of one test set after the
+    layers before one model's first mapped layer, under a digest of
+    their content (:meth:`CampaignEvaluator._prefix_key`), so campaigns
+    on equal weights and images share them however often the model is
+    rebuilt.  Only activations are kept; each evaluator pairs them with
+    its own labels.  A lookup under another key drops the slot before
+    the caller computes its replacement, so at most one prefix is
+    retained.  Two threads missing the same key both compute it, with
+    equal results.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._slot: tuple[bytes, tuple[np.ndarray, ...]] | None = None
+
+    def lookup(self, key: bytes) -> tuple[np.ndarray, ...] | None:
+        """The batches stored under ``key``; on a miss, ``None`` after
+        the slot is emptied."""
+        with self._lock:
+            if self._slot is not None and self._slot[0] == key:
+                return self._slot[1]
+            self._slot = None
+            return None
+
+    def store(self, key: bytes, batches: tuple[np.ndarray, ...]) -> None:
+        with self._lock:
+            self._slot = (key, batches)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._slot = None
+
+
+_PREFIX_STORE = _PrefixStore()
+
+
+def _forward(layers, z: np.ndarray) -> np.ndarray:
+    """``layers`` at inference on ``z``, as a contiguous read-only
+    array."""
+    for layer in layers:
+        z = layer.forward(z, training=False)
+    z = np.ascontiguousarray(z)
+    z.flags.writeable = False
+    return z
+
+
 class CampaignEvaluator:
     """Evaluates fault plans on a fixed model + test set, with caching.
 
-    The evaluator snapshots ``x_test``/``y_test`` at construction and
-    marks the snapshot read-only, so later caller-side mutations cannot
+    The evaluator snapshots ``x_test``/``y_test`` at construction, marks
+    the snapshot read-only and hashes it once
+    (:meth:`test_set_digest`), so later caller-side mutations cannot
     silently serve stale prefix activations.
 
     Cache invalidation keys on ``model.weights_version``, which training
@@ -377,6 +480,11 @@ class CampaignEvaluator:
         if len(self.y_test) == 0:
             raise ValueError("the test set is empty: a campaign needs at "
                              "least one image")
+        self._test_set_digest = hashlib.sha1()
+        for array in (self.x_test, self.y_test):
+            _hash_array(self._test_set_digest, array)
+        #: lookups of the process-wide prefix store (:class:`_PrefixStore`)
+        self.prefix_store_counts = {"hits": 0, "misses": 0}
         self.injector = FaultInjector(continue_time_across_layers)
         self._baseline: float | None = None
         #: split -> list of (activation batch, label batch)
@@ -528,27 +636,57 @@ class CampaignEvaluator:
     def _compute_batches(self, split: int
                          ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Evaluate prefix activations, continuing from the deepest cached
-        shallower split when one exists (else from ``x_test``) — the same
-        per-batch arithmetic either way, so results stay bit-identical."""
+        shallower split when one exists, else from the process-wide
+        prefix store's activations before the first mapped layer — the
+        same per-batch arithmetic either way, so results stay
+        bit-identical."""
         base_split = max((s for s in self._suffix_batches if s < split),
                          default=None)
         if base_split is None:
-            base_split = 0
-            step = self.batch_size
-            base = [(self.x_test[start:start + step],
-                     self.y_test[start:start + step])
-                    for start in range(0, len(self.x_test), step)]
+            base_split = min(split, self._baseline_split())
+            base = self._stored_prefix(base_split)
         else:
             base = self._suffix_batches[base_split]
         layers = self.model.layers[base_split:split]
-        batches: list[tuple[np.ndarray, np.ndarray]] = []
-        for z, labels in base:
-            for layer in layers:
-                z = layer.forward(z, training=False)
-            z = np.ascontiguousarray(z)
-            z.flags.writeable = False
-            batches.append((z, labels))
-        return batches
+        return [(_forward(layers, z), labels) for z, labels in base]
+
+    def _stored_prefix(self, stop: int
+                       ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+        """``(activations after layers[:stop], labels)`` per test batch.
+        The activations come from the process-wide prefix store; on a
+        miss they are computed and replace the slot's prefix."""
+        step = self.batch_size
+        starts = range(0, len(self.x_test), step)
+        batches = [self.x_test[start:start + step] for start in starts]
+        if stop > 0:
+            key = self._prefix_key(stop)
+            stored = _PREFIX_STORE.lookup(key)
+            if stored is None:
+                self.prefix_store_counts["misses"] += 1
+                stored = tuple(_forward(self.model.layers[:stop], x)
+                               for x in batches)
+                _PREFIX_STORE.store(key, stored)
+            else:
+                self.prefix_store_counts["hits"] += 1
+            batches = stored
+        return zip(batches, (self.y_test[start:start + step]
+                             for start in starts))
+
+    def _prefix_key(self, stop: int) -> bytes:
+        """The store key of ``layers[:stop]`` on this test set: its
+        digest, continued with the batch size and what each layer
+        computes (:func:`_hash_layer`), never a layer's name."""
+        digest = self.test_set_digest()
+        digest.update(f"batch_size={self.batch_size};".encode())
+        for layer in self.model.layers[:stop]:
+            _hash_layer(digest, layer)
+        return digest.digest()
+
+    def test_set_digest(self):
+        """A copy of the sha1 of the test-set snapshot, to continue: the
+        shape, dtype and bytes of ``x_test``, then of ``y_test``.
+        Hashed once, at construction (the snapshot is read-only)."""
+        return self._test_set_digest.copy()
 
     def _evaluate_suffix(self, split: int) -> float:
         """Accuracy of ``layers[split:]`` over the cached prefix batches,

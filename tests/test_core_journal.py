@@ -1,5 +1,6 @@
 """Tests for journaled (resumable) campaigns."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -158,6 +159,26 @@ def test_journal_rejects_different_data_or_model(trained_setup, tmp_path):
         FaultCampaign(model, x, y, rows=8, cols=4,
                       continue_time_across_layers=False).run(
             FaultSpec.bitflip, journal=journal, **KWARGS)
+
+
+def test_fingerprint_keeps_its_formula(trained_setup):
+    """The evaluator hashes its test set once; the journal fingerprint
+    continues that hash with the weights and must equal the formula
+    older journals were written with, so they still resume."""
+    model, x, y = trained_setup
+    for data, labels in ((x, y), (np.asfortranarray(x), y.astype(np.int32)),
+                         (x[::2], y[::2])):
+        digest = hashlib.sha1()
+        for array in (data, labels):
+            digest.update(str(array.shape).encode())
+            digest.update(str(array.dtype).encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        for key, value in sorted(model.state_dict().items()):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        campaign = FaultCampaign(model, data, labels, rows=8, cols=4)
+        assert campaign._fingerprint() == digest.hexdigest()
+        assert campaign._fingerprint() == digest.hexdigest()
 
 
 def test_journal_layer_restriction_as_tuple_resumes(trained_setup, tmp_path):
