@@ -187,9 +187,11 @@ class FaultCampaign:
 
     def close(self) -> None:
         """Release this campaign's memoized evaluation state (baseline,
-        prefix activations, per-batch memo, packed kernels), e.g. before
-        discarding the campaign in a long-lived process.  Idempotent;
-        also usable as a context manager (``with FaultCampaign(...)``).
+        prefix activations, per-batch memo, sign folds, packed kernels),
+        e.g. before discarding the campaign in a long-lived process.
+        The process-wide store keeps its one prefix and baseline record
+        (:class:`repro.core.engine._PrefixStore`).  Idempotent; also
+        usable as a context manager (``with FaultCampaign(...)``).
         """
         self._evaluator.clear_caches()
 
@@ -203,7 +205,11 @@ class FaultCampaign:
 
         Computed once per campaign — the model and test set are fixed at
         construction — and reused by every :meth:`run` (recomputed only if
-        the model's weights change in place).
+        the model's weights change in place).  A campaign on the same
+        model arithmetic, images, batch size and backend as an earlier
+        one of this process adopts that campaign's baseline record
+        instead of running the pass (see
+        :meth:`CampaignEvaluator.baseline`).
         """
         return self._evaluator.baseline()
 
@@ -308,7 +314,7 @@ class FaultCampaign:
         obs = self.obs
         cache_before = (self._evaluator.input_cache_stats()
                         if obs is not None else None)
-        store_before = dict(self._evaluator.prefix_store_counts)
+        stores_before = self._store_counts()
         # loaded before any pool starts, so forked workers inherit it;
         # float campaigns never build or load it
         kernel = bitops.kernel() if self.backend == "packed" else None
@@ -355,10 +361,10 @@ class FaultCampaign:
                         meta["journal"] = str(journal)
                         meta["resumed_cells"] = resumed
                     # before the fold: a fully resumed run looks its
-                    # prefix up here
+                    # prefix and baseline record up here
                     baseline = self.baseline_accuracy()
                     if obs is not None:
-                        self._fold_metrics(meta, cache_before, store_before,
+                        self._fold_metrics(meta, cache_before, stores_before,
                                            done - resumed, resumed, kernel)
                     result = SweepResult(
                         label=label, xs=xs, accuracies=accuracies,
@@ -374,10 +380,16 @@ class FaultCampaign:
             return nullcontext()
         return self.obs.tracer.span(name, **attrs)
 
+    def _store_counts(self) -> dict[str, dict]:
+        """Copies of the evaluator's lookup counts of the process-wide
+        store: its prefix and its baseline record."""
+        return {"prefix": dict(self._evaluator.prefix_store_counts),
+                "baseline": dict(self._evaluator.baseline_store_counts)}
+
     def _fold_metrics(self, meta: dict, cache_before: dict,
-                      store_before: dict, evaluated: int, resumed: int,
+                      stores_before: dict, evaluated: int, resumed: int,
                       kernel) -> None:
-        """Fold this run's meta and prefix-store lookups into the
+        """Fold this run's meta and process-wide store lookups into the
         campaign's metrics registry.
 
         Counters take per-run deltas (the evaluator's cache stats are
@@ -411,12 +423,14 @@ class FaultCampaign:
                        "bytes pinned by the per-batch memo (split-layer "
                        "outputs and derived inputs)").set(
                            cache.get("bytes", 0))
-        store = self._evaluator.prefix_store_counts
-        for kind in ("hits", "misses"):
-            registry.counter(
-                f"repro_prefix_store_{kind}_total",
-                f"process-wide fault-free prefix store {kind}").inc(
-                    max(0, store[kind] - store_before[kind]))
+        what = {"prefix": "fault-free prefix store",
+                "baseline": "baseline record store"}
+        for store, counts in self._store_counts().items():
+            for kind in ("hits", "misses"):
+                registry.counter(
+                    f"repro_{store}_store_{kind}_total",
+                    f"process-wide {what[store]} {kind}").inc(
+                        max(0, counts[kind] - stores_before[store][kind]))
         if kernel is not None and kernel.gemm is None:
             registry.counter(
                 "repro_kernel_fallback_total",

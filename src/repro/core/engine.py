@@ -41,6 +41,15 @@ Redundant-work elimination
   those layers' arithmetic, so every campaign on the same model and
   images (every Fig. 4 entry, every service job) starts from the same
   arrays.  Deeper splits stay per evaluator;
+* the **baseline pass** runs once per process too: beside the stored
+  prefix the slot keeps one record of the last pass
+  (:class:`_BaselineRecord`: the accuracy, the sign folds' thresholds
+  and the split layer's memoized outputs), under the prefix key
+  continued with the backend and the arithmetic of every later layer.
+  An evaluator whose key matches adopts the record inside
+  :meth:`CampaignEvaluator.baseline`, replaying the pass's memo lookups,
+  so its baseline, folds, memo and memo counts equal a cold
+  evaluator's;
 * each job **starts at its fault hook**: FLIM faults the feature map a
   layer has already computed, so the split layer's GEMM result (before
   its output hook and bias) is the same in every job whose plan puts no
@@ -59,8 +68,9 @@ Redundant-work elimination
   float32 operations is monotone in x.  The fold hands the layer's
   unchanged ``forward`` the same ±1 map.  Its per-channel thresholds
   are searched, with ``BatchNorm.forward`` as the oracle, by the
-  evaluator's first suffix pass: on a pool that is the parent's
-  baseline pass before it forks, so the workers inherit them.
+  evaluator's first suffix pass (or adopted with a baseline record): on
+  a pool that is the parent's baseline before it forks, so the workers
+  inherit them.
   :meth:`CampaignEvaluator.clear_caches` (a weight change) drops them.
   A BatchNorm with a zero or non-finite gamma or statistic, one that
   feeds argmax (LeNet's bn4) and one followed by any other layer keep
@@ -248,18 +258,16 @@ class SignFold:
     float32 array.
 
     Use :func:`sign_fold`, which finds each ``t_c`` with ``bn.forward``
-    as the oracle.
+    as the oracle.  ``thresholds`` come multiplied by ``negate``.
     """
 
     def __init__(self, bn: BatchNorm, thresholds: np.ndarray,
-                 descending: np.ndarray):
+                 negate: np.ndarray | None):
         self.bn = bn
         #: ±1 per channel where some gamma is negative, else None:
         #: ``x <= t`` is ``-x >= -t``, and negation is exact
-        self.negate = (np.where(descending, np.float32(-1), np.float32(1))
-                       if descending.any() else None)
-        self.thresholds = (thresholds if self.negate is None
-                           else thresholds * self.negate)
+        self.negate = negate
+        self.thresholds = thresholds
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.dtype != np.float32:  # the thresholds are float32 inputs
@@ -325,7 +333,10 @@ def sign_fold(bn: BatchNorm) -> SignFold | None:
             np.abs(last) <= _INF_KEY,
             _key_floats(np.clip(last, -_INF_KEY, _INF_KEY)),
             np.float32(np.nan))
-    return SignFold(bn, thresholds, descending)
+    if not descending.any():
+        return SignFold(bn, thresholds, None)
+    negate = np.where(descending, np.float32(-1), np.float32(1))
+    return SignFold(bn, thresholds * negate, negate)
 
 
 def sign_folds(model: Sequential, start: int = 0) -> dict[int, SignFold]:
@@ -361,13 +372,16 @@ def _hash_array(digest, array: np.ndarray) -> None:
     digest.update(np.ascontiguousarray(array))
 
 
-#: attributes a prefix key leaves out: ``build_lenet`` leaves its pooling
+#: a quantized layer's fault hooks
+_HOOKS = ("kernel_fault_hook", "output_fault_hook", "product_fault_hook")
+
+#: attributes a store key leaves out: ``build_lenet`` leaves its pooling
 #: and Flatten layers unnamed, so their auto names change with every
-#: build, and the rest do not change what a layer before the first mapped
-#: layer computes (no plan hooks it, and it never runs packed)
+#: build, and the rest do not change what a fault-free pass computes (a
+#: hooked model keeps no baseline record, and a baseline record's key
+#: names its backend)
 _UNKEYED = frozenset({"name", "built", "trainable", "execution_backend",
-                      "kernel_fault_hook", "output_fault_hook",
-                      "product_fault_hook"})
+                      *_HOOKS})
 
 
 def _hash_layer(digest, obj) -> None:
@@ -396,8 +410,23 @@ def _hash_layer(digest, obj) -> None:
             _hash_layer(digest, child)
 
 
+@dataclass(frozen=True)
+class _BaselineRecord:
+    """What one fault-free baseline pass found, for the next evaluator on
+    the same model arithmetic, test set, batch size and backend."""
+
+    #: the baseline accuracy
+    accuracy: float
+    #: top-level index -> (thresholds, negate) of each :class:`SignFold`
+    folds: dict[int, tuple[np.ndarray, np.ndarray | None]]
+    #: per stored prefix batch, the memo lookups the pass made, in order:
+    #: (position in ``model.all_layers()``, tag, the entry)
+    lookups: tuple[tuple[tuple[int, str, np.ndarray], ...], ...]
+
+
 class _PrefixStore:
-    """One process-wide slot: the last fault-free prefix computed.
+    """One process-wide slot: the last fault-free prefix computed, and
+    one baseline record beside it.
 
     It holds the read-only activation batches of one test set after the
     layers before one model's first mapped layer, under a digest of
@@ -408,31 +437,61 @@ class _PrefixStore:
     the caller computes its replacement, so at most one prefix is
     retained.  Two threads missing the same key both compute it, with
     equal results.
+
+    Beside that prefix the slot keeps one :class:`_BaselineRecord`
+    under a key that continues the prefix key with the backend and the
+    layers after the prefix (:meth:`CampaignEvaluator._record_keys`).
+    A record under another key replaces it; a new prefix drops it.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._slot: tuple[bytes, tuple[np.ndarray, ...]] | None = None
+        self._record: tuple[bytes, _BaselineRecord] | None = None
 
     def lookup(self, key: bytes) -> tuple[np.ndarray, ...] | None:
         """The batches stored under ``key``; on a miss, ``None`` after
-        the slot is emptied."""
+        the slot and its record are emptied."""
         with self._lock:
             if self._slot is not None and self._slot[0] == key:
                 return self._slot[1]
-            self._slot = None
+            self._slot = self._record = None
             return None
 
     def store(self, key: bytes, batches: tuple[np.ndarray, ...]) -> None:
         with self._lock:
+            if self._slot is None or self._slot[0] != key:
+                self._record = None
             self._slot = (key, batches)
+
+    def record(self, key: bytes) -> _BaselineRecord | None:
+        """The baseline record stored under ``key``, or ``None``."""
+        with self._lock:
+            if self._record is not None and self._record[0] == key:
+                return self._record[1]
+            return None
+
+    def keep(self, prefix_key: bytes, key: bytes,
+             record: _BaselineRecord) -> None:
+        """Keep ``record`` under ``key`` if the slot still holds the
+        prefix stored under ``prefix_key``."""
+        with self._lock:
+            if self._slot is not None and self._slot[0] == prefix_key:
+                self._record = (key, record)
 
     def clear(self) -> None:
         with self._lock:
-            self._slot = None
+            self._slot = self._record = None
 
 
 _PREFIX_STORE = _PrefixStore()
+
+
+def _subtree(layer) -> Iterator[Layer]:
+    """``layer``, then its sub-layers, depth first."""
+    yield layer
+    for child in layer.sub_layers():
+        yield from _subtree(child)
 
 
 def _forward(layers, z: np.ndarray) -> np.ndarray:
@@ -485,6 +544,8 @@ class CampaignEvaluator:
             _hash_array(self._test_set_digest, array)
         #: lookups of the process-wide prefix store (:class:`_PrefixStore`)
         self.prefix_store_counts = {"hits": 0, "misses": 0}
+        #: lookups of the baseline record beside it
+        self.baseline_store_counts = {"hits": 0, "misses": 0}
         self.injector = FaultInjector(continue_time_across_layers)
         self._baseline: float | None = None
         #: split -> list of (activation batch, label batch)
@@ -515,7 +576,9 @@ class CampaignEvaluator:
         """Release every memoized evaluation artifact — the baseline, the
         prefix activation batches, the per-batch memo and the sign
         folds' thresholds — and the model's per-layer scratch state
-        (packed kernels)."""
+        (packed kernels).  The process-wide store's prefix and baseline
+        record stay (:class:`_PrefixStore`); a changed weight changes
+        their keys."""
         self._baseline = None
         self._folds = None
         self._suffix_batches.clear()
@@ -528,20 +591,28 @@ class CampaignEvaluator:
                 layer._cache = None
 
     @contextmanager
-    def _evaluation_scope(self):
+    def _evaluation_scope(self, lookups: list | None = None):
         """Backend + memo scope for one evaluation.
 
         The quantized layers run on this evaluator's backend and memoize
         through :meth:`_memoized`; both are restored afterwards, so a
         campaign never permanently re-modes a model and a layer outside
-        an evaluation memoizes nothing.
+        an evaluation memoizes nothing.  With a ``lookups`` list, every
+        memo lookup of a replayed batch appends its ``(id(batch), layer,
+        tag)``.
         """
+        memo = self._memoized
+        if lookups is not None:
+            def memo(layer, tag, x, derive):
+                if id(x) in self._memo:
+                    lookups.append((id(x), layer, tag))
+                return self._memoized(layer, tag, x, derive)
         lent = [(layer, layer.execution_backend, layer._input_memo)
                 for layer in self.model.all_layers()
                 if hasattr(layer, "_input_memo")]
         for layer, _, _ in lent:
             layer.execution_backend = self.backend
-            layer._input_memo = self._memoized
+            layer._input_memo = memo
         try:
             yield
         finally:
@@ -604,14 +675,8 @@ class CampaignEvaluator:
         """Index of the first top-level layer whose subtree contains any of
         ``layer_names`` — everything before it is fault-free for sure."""
         names = set(layer_names)
-
-        def contains(layer) -> bool:
-            if layer.name in names:
-                return True
-            return any(contains(child) for child in layer.sub_layers())
-
         for index, layer in enumerate(self.model.layers):
-            if contains(layer):
+            if any(sub.name in names for sub in _subtree(layer)):
                 return index
         return len(self.model.layers)
 
@@ -682,6 +747,23 @@ class CampaignEvaluator:
             _hash_layer(digest, layer)
         return digest.digest()
 
+    def _record_keys(self, split: int) -> tuple[bytes, bytes] | None:
+        """``(prefix key, baseline record key)`` of a fault-free pass from
+        ``split`` on: the record key continues the prefix key with the
+        backend and what each layer from ``split`` on computes.  ``None``
+        when no prefix is stored (``split`` 0) or a fault hook is
+        attached."""
+        if split == 0 or any(getattr(layer, hook, None) is not None
+                             for layer in self.model.all_layers()
+                             for hook in _HOOKS):
+            return None
+        prefix_key = self._prefix_key(split)
+        digest = hashlib.sha1(prefix_key)
+        digest.update(f"backend={self.backend};".encode())
+        for layer in self.model.layers[split:]:
+            _hash_layer(digest, layer)
+        return prefix_key, digest.digest()
+
     def test_set_digest(self):
         """A copy of the sha1 of the test-set snapshot, to continue: the
         shape, dtype and bytes of ``x_test``, then of ``y_test``.
@@ -709,12 +791,64 @@ class CampaignEvaluator:
     # -- public API ------------------------------------------------------
     def baseline(self) -> float:
         """Fault-free accuracy, computed once per evaluator (and again only
-        if the model's weights change in place)."""
+        if the model's weights change in place).
+
+        The pass runs once per process for equal model arithmetic, test
+        set, batch size and backend: it leaves a
+        :class:`_BaselineRecord` beside the stored prefix, and the next
+        evaluator adopts it instead of running the pass, ending with the
+        same baseline, sign folds, memo entries and memo counts."""
         self._check_weights_version()
         if self._baseline is None:
-            with self._evaluation_scope():
-                self._baseline = self._evaluate_suffix(self._baseline_split())
+            split = self._baseline_split()
+            keys = self._record_keys(split)
+            record = _PREFIX_STORE.record(keys[1]) if keys else None
+            if record is not None:
+                self.baseline_store_counts["hits"] += 1
+                self._adopt(split, record)
+            else:
+                lookups = []
+                with self._evaluation_scope(lookups):
+                    self._baseline = self._evaluate_suffix(split)
+                if keys:
+                    self.baseline_store_counts["misses"] += 1
+                    self._publish(split, keys, lookups)
         return self._baseline
+
+    def _adopt(self, split: int, record: _BaselineRecord) -> None:
+        """Take the baseline and sign folds from ``record`` and replay the
+        pass's memo lookups: a held entry hits, a missing one misses and
+        is kept under ``cache_bytes``, as in the pass."""
+        layers = self.model.all_layers()
+        for (z, _), made in zip(self._batches_for(split), record.lookups):
+            for position, tag, rep in made:
+                self._memoized(layers[position], tag, z, lambda rep=rep: rep)
+        if self._folds is None:
+            self._folds = {index: SignFold(self.model.layers[index], *fold)
+                           for index, fold in record.folds.items()}
+        self._baseline = record.accuracy
+
+    def _publish(self, split: int, keys: tuple[bytes, bytes],
+                 lookups: list) -> None:
+        """Store the record of the pass that made ``lookups``, unless the
+        memo did not keep some entry they looked up."""
+        positions = {id(layer): index for index, layer
+                     in enumerate(self.model.all_layers())}
+        made = []
+        for z, _ in self._suffix_batches[split]:
+            reps = self._memo[id(z)][1]
+            entries = []
+            for batch, layer, tag in lookups:
+                if batch == id(z):
+                    if (layer, tag) not in reps:
+                        return
+                    entries.append((positions[id(layer)], tag,
+                                    reps[layer, tag]))
+            made.append(tuple(entries))
+        folds = {index: (fold.thresholds, fold.negate)
+                 for index, fold in self._folds.items()}
+        _PREFIX_STORE.keep(*keys, _BaselineRecord(self._baseline, folds,
+                                                  tuple(made)))
 
     def evaluate_plan(self, plan: FaultPlan) -> float:
         """Accuracy under ``plan`` — bit-identical to attaching the plan
@@ -745,8 +879,9 @@ class CampaignEvaluator:
         for plan in plans:
             if plan_has_faults(plan):
                 split = self._split_for(plan.keys())
-                masks = plan.get(self.model.layers[split].name)
-                hooked = masks is not None and masks.hooks_gemm
+                hooked = any(plan[sub.name].hooks_gemm for sub
+                             in _subtree(self.model.layers[split])
+                             if sub.name in plan)
                 heads.setdefault((split, hooked), plan)
         with self._evaluation_scope():
             for split, hooked in sorted(heads):

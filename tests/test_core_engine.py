@@ -464,3 +464,66 @@ def test_clear_caches_releases_memoized_state(trained_setup):
     assert not campaign._evaluator._memo
     assert campaign.input_cache_stats() == {
         "hits": 0, "misses": 0, "entries": 0, "bytes": 0, "hit_rate": 0.0}
+
+
+@pytest.fixture(scope="module")
+def residual_setup():
+    """An unmapped conv, a BatchNorm, a residual block (the split layer,
+    keyed in plans by its conv ``blk_conv``), Flatten and a dense layer;
+    50 images in 2 batches."""
+    from repro.binary import QuantConv2D
+    from repro.models.blocks import ResidualBinaryBlock
+    model = nn.Sequential([
+        QuantConv2D(8, 3, kernel_quantizer="ste_sign", name="conv"),
+        nn.BatchNorm(name="bn"),
+        ResidualBinaryBlock(8, name="blk"),
+        nn.Flatten(),
+        QuantDense(10, input_quantizer="ste_sign",
+                   kernel_quantizer="ste_sign", name="fc"),
+    ]).build((8, 8, 1), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(50, 8, 8, 1)).astype(np.float32)
+    return model, x, rng.integers(0, 10, 50)
+
+
+#: plans that hook the GEMM of the block's conv
+HOOKING = {
+    "weight-stuck": lambda x: FaultSpec.stuck_at(x,
+                                                 semantics=Semantics.WEIGHT),
+    "product-flip": lambda x: FaultSpec.bitflip(x,
+                                                semantics=Semantics.PRODUCT),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HOOKING))
+def test_warm_covers_a_hooked_conv_inside_the_split_block(residual_setup,
+                                                          fault):
+    """warm() finds the hooked conv in the split block's subtree and
+    memoizes its derived input: the next cell misses nothing."""
+    model, x, y = residual_setup
+    evaluator = CampaignEvaluator(model, x, y, batch_size=25)
+    plan = FaultGenerator(HOOKING[fault](0.2), rows=8, cols=4,
+                          seed=1).generate(model, layers=["blk_conv"])
+    evaluator.warm([plan])
+    misses = evaluator.input_cache_stats()["misses"]
+    evaluator.evaluate_plan(plan)
+    assert evaluator.input_cache_stats()["misses"] == misses
+
+
+def test_pool_workers_miss_nothing_on_a_hooked_block(residual_setup):
+    """The parent warms the block conv's derived input before it forks:
+    its baseline and warm pass miss once per batch each, and the
+    workers' 8 lookups all hit."""
+    model, x, y = residual_setup
+    results = []
+    for executor, n_jobs in (("serial", None), ("shared_memory", 2)):
+        with FaultCampaign(model, x, y, rows=8, cols=4, batch_size=25,
+                           executor=executor, n_jobs=n_jobs) as campaign:
+            results.append(campaign.run(HOOKING["weight-stuck"],
+                                        xs=[0.1, 0.2], repeats=2,
+                                        layers=["blk_conv"]))
+    serial, pool = results
+    np.testing.assert_array_equal(pool.accuracies, serial.accuracies)
+    assert [(result.meta["input_cache"]["hits"],
+             result.meta["input_cache"]["misses"])
+            for result in results] == [(6, 2), (8, 4)]
