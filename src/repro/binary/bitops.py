@@ -27,6 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..nn.ops import sign_bits
+
 if TYPE_CHECKING:
     from .native import Kernel
 
@@ -110,10 +112,10 @@ def pack_sign(x: np.ndarray) -> tuple[np.ndarray, int]:
 
     Equivalent to ``pack_bipolar(ste_sign(x))`` without materializing the
     intermediate ±1 float array — the packed fast path quantizes and packs
-    activations in one pass.
+    activations in one pass.  A boolean ``x`` is its own sign
+    (:func:`repro.nn.ops.sign_bits`): its bits are packed as they are.
     """
-    bits = (x >= 0).astype(np.uint8)
-    return pack_bits(bits), x.shape[-1]
+    return pack_bits(sign_bits(x).view(np.uint8)), x.shape[-1]
 
 
 def unpack_bipolar(packed: np.ndarray, length: int) -> np.ndarray:

@@ -69,10 +69,19 @@ its hooks:
   the layer has already computed.  The layer memoizes that result (tag
   ``"output"``, before the output hook and the bias), derives it without
   keeping its im2col columns or packed words, and marks it read-only;
-  each repetition then starts at the output hook;
+  each repetition then starts at the output hook.  The evaluator keeps
+  it as int16 where it is a popcount map whose next reader is a sign
+  (:func:`repro.core.engine.popcount_output`): the output hook then
+  runs on integers, and a bias returns float32;
 * with a kernel or product hook the GEMM result depends on the plan, so
   the layer memoizes its derived input instead: the im2col columns
   (``"cols"``, float) or packed words (``"packed"``).
+
+A boolean input is its own sign (:func:`repro.nn.ops.sign_bits`), so a
+sign-quantized layer's ``forward(x >= 0)`` equals its ``forward(x)``:
+the float path builds the ±1 map from the bits once, and the packed path
+packs them without thresholding again.  The evaluator's sign folds hand
+the layer after them such a map.
 """
 
 from __future__ import annotations
@@ -314,9 +323,10 @@ class QuantConv2D(QuantLayer):
         return flat.astype(np.float32).reshape(x.shape[0], oh, ow, self.filters)
 
     def _packed_input(self, x) -> tuple[np.ndarray, tuple[int, int]]:
-        # sign-threshold first: im2col then gathers uint8, not float32,
-        # and packing happens directly from the {0,1} bit planes
-        cols_bits, shape = self._im2col((x >= 0).astype(np.uint8))
+        # sign-threshold first (a boolean map is its own sign): im2col
+        # then gathers uint8, not float32, and packing happens directly
+        # from the {0,1} bit planes
+        cols_bits, shape = self._im2col(ops.sign_bits(x).view(np.uint8))
         return bitops.pack_bits(cols_bits), shape
 
     def _im2col(self, x) -> tuple[np.ndarray, tuple[int, int]]:

@@ -55,7 +55,12 @@ Redundant-work elimination
   its output hook and bias) is the same in every job whose plan puts no
   kernel or product hook on it.  That result is memoized per batch,
   read-only, and a job only applies its output hook and runs the layers
-  after it.  A kernel- or product-hooked split layer (weight- and
+  after it.  Where that result is a **popcount map** whose next reader
+  is a sign (:func:`popcount_output`: a strictly binary layer with
+  K < 2**15, then only max-pooling, ``Flatten`` and BatchNorm), it is
+  kept as int16, so the output hook, max-pooling and the sign fold after
+  it run on integers (LeNet: conv1, conv2 and dense0; not dense1, which
+  feeds argmax).  A kernel- or product-hooked split layer (weight- and
   product-level plans) memoizes its **derived input** per batch instead:
   the im2col columns (float) or packed words (packed).  The activation
   batches are *identically the same objects* across jobs, so the memo
@@ -66,7 +71,9 @@ Redundant-work elimination
   ``SteSign`` or ``ApproxSign``, the layer only reads the sign of BN's
   output, and that sign is a step in x because each of BN's four
   float32 operations is monotone in x.  The fold hands the layer's
-  unchanged ``forward`` the same ±1 map.  Its per-channel thresholds
+  unchanged ``forward`` the boolean sign map, which a quantized layer
+  takes as its own sign: float builds the ±1 map from it once, packed
+  packs its bits as they are.  Its per-channel thresholds
   are searched, with ``BatchNorm.forward`` as the oracle, by the
   evaluator's first suffix pass (or adopted with a baseline record): on
   a pool that is the parent's baseline before it forks, so the workers
@@ -144,8 +151,9 @@ import numpy as np
 
 from ..binary.layers import QuantLayer
 from ..binary.quantizers import ApproxSign, Quantizer, SteSign
-from ..nn.layers import BatchNorm, Flatten, Layer
+from ..nn.layers import BatchNorm, Flatten, Layer, MaxPool2D
 from ..nn.model import Sequential
+from ..nn.ops import bipolar_sign
 from .faults import FaultSpec
 from .generator import FaultGenerator, FaultPlan, mapped_layers
 from .injector import FaultInjector
@@ -254,8 +262,17 @@ class SignFold:
     nonzero gamma no x but NaN gives NaN.  So ``BN(x) >= 0``, the sign
     the next layer's input quantizer takes, is a step in x: ``x >= t_c``
     where gamma_c > 0 and ``x <= t_c`` where gamma_c < 0, and NaN fails
-    both, as it fails ``bipolar_sign``.  The fold returns the same ±1
-    float32 array.
+    both, as it fails ``bipolar_sign``.
+
+    :meth:`bits` gives that sign as a boolean map, which the next
+    quantized layer takes as its own sign (:func:`repro.nn.ops.sign_bits`);
+    calling the fold gives it as the ±1 float32 array
+    ``bipolar_sign(bn.forward(x))`` is.  Both take a float32 map, or an
+    int16 popcount map (every value an integer with ``|x| < 2**15``,
+    :func:`popcount_output`), which compares against integer thresholds:
+    for an integer x, ``x >= t`` is ``x > ceil(t) - 1``, and clipping
+    that bound to int16 keeps every outcome, ``±inf`` and NaN ("never")
+    included.  Other dtypes go through ``bn.forward``.
 
     Use :func:`sign_fold`, which finds each ``t_c`` with ``bn.forward``
     as the oracle.  ``thresholds`` come multiplied by ``negate``.
@@ -268,16 +285,29 @@ class SignFold:
         #: ``x <= t`` is ``-x >= -t``, and negation is exact
         self.negate = negate
         self.thresholds = thresholds
+        never = np.where(np.isnan(thresholds), np.inf, thresholds)
+        self._int_thresholds = np.clip(
+            np.ceil(never.astype(np.float64)) - 1, -2 ** 15,
+            2 ** 15 - 1).astype(np.int16)
+        self._int_negate = None if negate is None else negate.astype(
+            np.int16)
+
+    def bits(self, x: np.ndarray) -> np.ndarray:
+        """``bn.forward(x) >= 0`` as a boolean map."""
+        if x.dtype == np.float32:
+            if self.negate is not None:
+                x = x * self.negate
+            return x >= self.thresholds
+        if x.dtype == np.int16:
+            if self._int_negate is not None:
+                x = x * self._int_negate
+            return x > self._int_thresholds
+        return self.bn.forward(x) >= 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.dtype != np.float32:  # the thresholds are float32 inputs
+        if x.dtype not in (np.float32, np.int16):
             return self.bn.forward(x)
-        if self.negate is not None:
-            x = x * self.negate
-        out = (x >= self.thresholds).astype(np.float32)
-        out *= 2
-        out -= 1
-        return out
+        return bipolar_sign(self.bits(x))
 
 
 def sign_fold(bn: BatchNorm) -> SignFold | None:
@@ -339,6 +369,13 @@ def sign_fold(bn: BatchNorm) -> SignFold | None:
     return SignFold(bn, thresholds * negate, negate)
 
 
+def _reads_sign(layer: Layer) -> bool:
+    """Whether ``layer`` is a quantized layer whose input quantizer is a
+    sign (``SteSign`` or ``ApproxSign``): it reads only ``x >= 0``."""
+    return (isinstance(layer, QuantLayer)
+            and type(layer.input_quantizer) in (SteSign, ApproxSign))
+
+
 def sign_folds(model: Sequential, start: int = 0) -> dict[int, SignFold]:
     """The :class:`SignFold` of every top-level BatchNorm from
     ``model.layers[start]`` on whose next layer, past any ``Flatten``,
@@ -353,14 +390,36 @@ def sign_folds(model: Sequential, start: int = 0) -> dict[int, SignFold]:
         after = index + 1
         while after < len(layers) and type(layers[after]) is Flatten:
             after += 1
-        if not (after < len(layers) and isinstance(layers[after], QuantLayer)
-                and type(layers[after].input_quantizer) in (SteSign,
-                                                            ApproxSign)):
+        if not (after < len(layers) and _reads_sign(layers[after])):
             continue
         fold = sign_fold(layers[index])
         if fold is not None:
             folds[index] = fold
     return folds
+
+
+#: layers that keep an integer map's values exact up to the next sign:
+#: max-pooling and Flatten keep its dtype, and a BatchNorm (folded, or
+#: ``forward`` promoting to float32) sees the values a float32 map has
+_INT_SAFE = (MaxPool2D, Flatten, BatchNorm)
+
+
+def popcount_output(layers: Sequence[Layer], index: int) -> bool:
+    """Whether the GEMM output of top-level ``layers[index]`` can be
+    memoized as int16: a strictly binary quantized layer with reduction
+    length K < 2**15 (every value, and every stuck-at rail ``±K``, is an
+    exact integer in int16), followed by nothing but max-pooling,
+    ``Flatten`` and BatchNorm up to a layer that reads only the sign."""
+    layer = layers[index]
+    if not (isinstance(layer, QuantLayer)
+            and getattr(layer.input_quantizer, "strictly_binary", False)
+            and getattr(layer.kernel_quantizer, "strictly_binary", False)
+            and layer.reduction_length() < 2 ** 15):
+        return False
+    for after in layers[index + 1:]:
+        if type(after) not in _INT_SAFE:
+            return _reads_sign(after)
+    return False
 
 
 # -- the process-wide prefix store ------------------------------------------
@@ -563,6 +622,11 @@ class CampaignEvaluator:
         #: (a pool's is the parent's baseline), so forked workers
         #: inherit them
         self._folds: dict[int, SignFold] | None = None
+        #: the top-level layers whose ``"output"`` entries are int16
+        #: (:func:`popcount_output`)
+        self._popcount_layers: set[Layer] | None = None
+        #: split -> :meth:`_prefix_key`, hashed once per weights version
+        self._prefix_keys: dict[int, bytes] = {}
         self._weights_version = getattr(model, "weights_version", None)
 
     def _check_weights_version(self) -> None:
@@ -574,13 +638,15 @@ class CampaignEvaluator:
 
     def clear_caches(self) -> None:
         """Release every memoized evaluation artifact — the baseline, the
-        prefix activation batches, the per-batch memo and the sign
-        folds' thresholds — and the model's per-layer scratch state
-        (packed kernels).  The process-wide store's prefix and baseline
-        record stay (:class:`_PrefixStore`); a changed weight changes
-        their keys."""
+        prefix activation batches and their store keys, the per-batch
+        memo and the sign folds' thresholds — and the model's per-layer
+        scratch state (packed kernels).  The process-wide store's prefix
+        and baseline record stay (:class:`_PrefixStore`); a changed
+        weight changes their keys."""
         self._baseline = None
         self._folds = None
+        self._popcount_layers = None
+        self._prefix_keys.clear()
         self._suffix_batches.clear()
         self._memo.clear()
         self._memo_counts = dict.fromkeys(self._memo_counts, 0)
@@ -624,7 +690,8 @@ class CampaignEvaluator:
         """``derive()`` — ``layer``'s ``tag`` value for input ``x``: its
         pre-hook output or a derived input — memoized when ``x`` is a
         batch this evaluator replays and the memo still has room under
-        ``cache_bytes``."""
+        ``cache_bytes``.  A popcount layer's output is kept as int16
+        (:func:`popcount_output`)."""
         entry = self._memo.get(id(x))
         if entry is None:
             return derive()  # not a replayed batch: memoize nothing
@@ -635,12 +702,24 @@ class CampaignEvaluator:
             return reps[key]
         self._memo_counts["misses"] += 1
         rep = derive()
+        if tag == "output" and layer in self._popcounts():
+            rep = rep.astype(np.int16, copy=False)
+            rep.flags.writeable = False
         # an output or word array, or a conv's (array, (oh, ow)) tuple
         nbytes = (rep[0] if isinstance(rep, tuple) else rep).nbytes
         if self._memo_counts["bytes"] + nbytes <= self.cache_bytes:
             reps[key] = rep
             self._memo_counts["bytes"] += nbytes
         return rep
+
+    def _popcounts(self) -> set[Layer]:
+        """The top-level layers whose memoized output is int16."""
+        if self._popcount_layers is None:
+            layers = self.model.layers
+            self._popcount_layers = {
+                layer for index, layer in enumerate(layers)
+                if popcount_output(layers, index)}
+        return self._popcount_layers
 
     def _replay(self, split: int,
                 batches: list[tuple[np.ndarray, np.ndarray]]
@@ -740,12 +819,16 @@ class CampaignEvaluator:
     def _prefix_key(self, stop: int) -> bytes:
         """The store key of ``layers[:stop]`` on this test set: its
         digest, continued with the batch size and what each layer
-        computes (:func:`_hash_layer`), never a layer's name."""
-        digest = self.test_set_digest()
-        digest.update(f"batch_size={self.batch_size};".encode())
-        for layer in self.model.layers[:stop]:
-            _hash_layer(digest, layer)
-        return digest.digest()
+        computes (:func:`_hash_layer`), never a layer's name.  Hashed
+        once per split and weights version."""
+        key = self._prefix_keys.get(stop)
+        if key is None:
+            digest = self.test_set_digest()
+            digest.update(f"batch_size={self.batch_size};".encode())
+            for layer in self.model.layers[:stop]:
+                _hash_layer(digest, layer)
+            key = self._prefix_keys[stop] = digest.digest()
+        return key
 
     def _record_keys(self, split: int) -> tuple[bytes, bytes] | None:
         """``(prefix key, baseline record key)`` of a fault-free pass from
@@ -773,11 +856,14 @@ class CampaignEvaluator:
     def _evaluate_suffix(self, split: int) -> float:
         """Accuracy of ``layers[split:]`` over the cached prefix batches,
         each BatchNorm that feeds a sign replaced by its
-        :class:`SignFold`."""
+        :class:`SignFold`, whose boolean map the next layer takes as its
+        sign."""
         if self._folds is None:
             self._folds = sign_folds(self.model, self._baseline_split())
-        steps = [self._folds.get(index, layer.forward) for index, layer
-                 in enumerate(self.model.layers[split:], split)]
+        steps = [self._folds[index].bits if index in self._folds
+                 else layer.forward
+                 for index, layer in enumerate(self.model.layers[split:],
+                                               split)]
         correct = 0
         total = 0
         for z, labels in self._batches_for(split):

@@ -42,8 +42,10 @@ def apply_output_flips(feature_map: np.ndarray, signs: np.ndarray) -> np.ndarray
     Multiplying by -1 is an exact negation, -0.0 included, and by +1 an
     exact copy.  On strictly binary tensors this is exactly the paper's
     Fig. 3 mask XNOR; on integer popcount maps it is the op-level
-    upper-bound abstraction FLIM trades accuracy for.
+    upper-bound abstraction FLIM trades accuracy for.  The vector takes
+    the map's dtype, so an int16 popcount map stays int16.
     """
+    signs = signs.astype(feature_map.dtype, copy=False)
     return (_per_image(feature_map) * signs).reshape(feature_map.shape)
 
 
@@ -60,7 +62,8 @@ def apply_output_stuck(feature_map: np.ndarray, selector: np.ndarray,
     the 10× tighter sweep axis of Fig. 5b).
 
     ``signs`` holds the ±1 stuck polarity per output position (only read
-    where ``selector`` is set).
+    where ``selector`` is set).  The copy keeps the map's dtype: on an
+    int16 popcount map the rails ``±K`` are exact integers.
     """
     flat = _per_image(feature_map).copy()
     flat[:, selector] = signs[selector] * rail

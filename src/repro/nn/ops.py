@@ -24,6 +24,7 @@ __all__ = [
     "maxpool2d_backward",
     "avgpool2d",
     "avgpool2d_backward",
+    "sign_bits",
     "bipolar_sign",
 ]
 
@@ -178,11 +179,19 @@ def maxpool2d(x: np.ndarray, size: int = 2,
     return out, mask.astype(x.dtype)
 
 
+def sign_bits(x: np.ndarray) -> np.ndarray:
+    """The boolean map ``x >= 0`` (sign(0) = +1, the Larq convention;
+    NaN is False).  A boolean map is its own sign and comes back as it
+    is: ``sign_bits(x >= 0)`` equals ``sign_bits(x)``, where ``bool >=
+    0`` would be True everywhere."""
+    return x if x.dtype == np.bool_ else x >= 0
+
+
 def bipolar_sign(x: np.ndarray) -> np.ndarray:
-    """Bipolar sign as float32: +1 where ``x >= 0`` (so sign(0) = +1, the
-    Larq convention), -1 elsewhere, NaN included.  One comparison pass
-    and two in-place passes; no float64 temporary."""
-    out = (x >= 0).astype(np.float32)
+    """Bipolar sign as float32: +1 where :func:`sign_bits` is set, -1
+    elsewhere, NaN included.  One comparison pass (none for a boolean
+    map) and two in-place passes; no float64 temporary."""
+    out = sign_bits(x).astype(np.float32)
     out *= 2
     out -= 1
     return out

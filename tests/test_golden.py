@@ -10,7 +10,8 @@ These digests do not.  For each entry in ``tests/golden/digests.json``:
 * ``result`` — sha256 of the canonical ``--quick`` report
   (:func:`repro.service.wire.canonical_result`).  Fig. 4f keeps only its
   platform names and image count (its seconds are wall-clock), Table I
-  only its keys (its values are host facts);
+  only its keys (its values are host facts).  A ``--backend packed`` run
+  must give the same digest once the backend it names is set to float's;
 * ``axes`` — for entries whose sweep axis defaults to ``None`` (filled in
   by the experiment itself), the series ``xs`` of a run with the quick
   overrides minus that axis and the crossbar grid (the default axes
@@ -58,6 +59,10 @@ def weights_digest() -> str:
 
 def _result_payload(name: str, report) -> object:
     canonical = canonical_result(report.to_dict())
+    # the backend a run names is all a packed run may change
+    for part in ("engine", "meta"):
+        if "backend" in canonical.get(part, {}):
+            canonical[part]["backend"] = "float"
     if name == "fig4f":
         runtime = canonical["tables"]["runtime"]
         return {"platforms": [row[0] for row in runtime["rows"]],
@@ -84,11 +89,16 @@ def describe_digests() -> dict[str, str]:
     return {name: _sha(api.describe(name)) for name in catalog_names()}
 
 
-def result_digests() -> dict[str, dict[str, str]]:
+def result_digests(backend: str = "float") -> dict[str, dict[str, str]]:
+    """Each entry's ``result`` digest on ``backend``, and on float its
+    ``axes`` digest."""
     digests = {}
     for name in catalog_names():
         entry = {"result": _sha(_result_payload(
-            name, api.run(name, quick=True)))}
+            name, api.run(name, quick=True, backend=backend)))}
+        digests[name] = entry
+        if backend != "float":
+            continue
         info = api.describe(name)
         axes = _default_axes(info)
         if axes:
@@ -96,7 +106,6 @@ def result_digests() -> dict[str, dict[str, str]]:
                       if k not in (*axes, "rows", "cols")}
             report = api.run(name, params=params)
             entry["axes"] = _sha({s.label: s.xs for s in report.series})
-        digests[name] = entry
     return digests
 
 
@@ -123,10 +132,21 @@ def test_describe_digests_match_golden(golden):
     assert not moved, "describe output moved:\n" + "\n".join(moved)
 
 
-def test_quick_results_match_golden(golden):
+def _skip_unless_golden_weights(golden) -> None:
     local = weights_digest()
     if local != golden["weights"]:
         pytest.skip(f"cached weights differ from the golden ones "
                     f"(local {local}, golden {golden['weights']})")
+
+
+def test_quick_results_match_golden(golden):
+    _skip_unless_golden_weights(golden)
     moved = _moved(golden["entries"], result_digests(), ("result", "axes"))
     assert not moved, "quick results moved:\n" + "\n".join(moved)
+
+
+def test_packed_quick_results_match_golden(golden):
+    """The packed backend's results are float's, entry by entry."""
+    _skip_unless_golden_weights(golden)
+    moved = _moved(golden["entries"], result_digests("packed"), ("result",))
+    assert not moved, "packed quick results moved:\n" + "\n".join(moved)

@@ -105,6 +105,37 @@ def test_any_change_to_the_prefix_misses(cold_store, monkeypatch, what):
         assert evaluator.prefix_store_counts == {"hits": 0, "misses": 1}
 
 
+def test_one_campaign_hashes_each_prefix_layer_once(cold_store,
+                                                    monkeypatch):
+    """The stored prefix and the baseline record beside it share one
+    key, hashed once per campaign: conv0, the pool and bn0 each go
+    through ``_hash_layer`` once, and the key is still the test set's
+    digest continued with the batch size and each prefix layer."""
+    x, y = _images(300)
+    model = trained_lenet()
+    hashed = []
+    hash_layer = engine._hash_layer
+
+    def counted(digest, obj):
+        hashed.append(obj)
+        hash_layer(digest, obj)
+
+    monkeypatch.setattr(engine, "_hash_layer", counted)
+    with FaultCampaign(model, x, y) as campaign:
+        campaign.run(FaultSpec.bitflip, xs=[0.0, 0.2], repeats=2)
+        evaluator = campaign._evaluator
+        key = evaluator._prefix_key(BASELINE_SPLIT)
+    prefix = model.layers[:BASELINE_SPLIT]
+    assert [sum(obj is layer for obj in hashed) for layer in prefix] == [
+        1, 1, 1]
+    monkeypatch.undo()
+    digest = evaluator.test_set_digest()
+    digest.update(b"batch_size=256;")
+    for layer in prefix:
+        engine._hash_layer(digest, layer)
+    assert key == digest.digest()
+
+
 def test_permuted_labels_score_their_own_labels(cold_store):
     """The store keeps activations only: each campaign scores its own
     labels, as the model's plain evaluation does."""
@@ -306,19 +337,28 @@ def test_a_new_prefix_drops_the_record(cold_store):
     assert evaluator.baseline_store_counts == {"hits": 0, "misses": 1}
 
 
-#: bytes of conv1's output for one full 256-image batch
-BATCH_ENTRY = 256 * 8 * 8 * 16 * 4
+def _batch_entry() -> int:
+    """Bytes of conv1's output for one full 256-image batch, in the
+    dtype the memo keeps it in."""
+    x, y = _images(256)
+    with FaultCampaign(trained_lenet(), x, y) as campaign:
+        campaign.baseline_accuracy()
+        ((_, reps),) = campaign._evaluator._memo.values()
+        (entry,) = reps.values()
+    engine._PREFIX_STORE.clear()
+    assert entry.shape == (256, 8, 8, 16)
+    return 256 * 8 * 8 * 16 * entry.dtype.itemsize
 
 
-@pytest.mark.parametrize("cache_bytes", [0, BATCH_ENTRY],
-                         ids=["no-room", "one-batch"])
-def test_a_capped_memo_adopts_what_a_cold_one_keeps(cold_store, cache_bytes):
+@pytest.mark.parametrize("batches", [0, 1], ids=["no-room", "one-batch"])
+def test_a_capped_memo_adopts_what_a_cold_one_keeps(cold_store, batches):
     """Adoption stores the record's entries under the evaluator's own
     cap, as the pass would have: a memo too small for any entry keeps
     none, one with room for one batch keeps one, and the hits and
     misses equal a cold evaluator's with the same cap, before and after
     a run.  A pass whose memo could not keep every entry publishes no
     record."""
+    cache_bytes = batches * _batch_entry()
     x, y = _images()
     counts = []
     for store in ("cold", "warm"):
